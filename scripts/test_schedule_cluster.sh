@@ -28,6 +28,12 @@ checker="$(dirname "$0")/check_prometheus.py"
 workdir=$(mktemp -d)
 trap 'rm -rf "$workdir"' EXIT
 
+# The polled output files exist before any launch, so wait_port cannot
+# race a backgrounded shell's own redirection (sed on a missing file
+# would end the script under set -e).
+: > "$workdir/node_a_out"
+: > "$workdir/node_b_out"
+: > "$workdir/router_out"
 "$server_bin" --port 0 > "$workdir/node_a_out" 2> "$workdir/node_a_err" &
 node_a_pid=$!
 "$server_bin" --port 0 > "$workdir/node_b_out" 2> "$workdir/node_b_err" &

@@ -31,6 +31,10 @@ trap 'rm -rf "$workdir"' EXIT
 # per-connection window must clear it, whatever the core count.
 backlog=$((2 * $(nproc) + 6))
 
+# Created before the launch, so polling it cannot race the backgrounded
+# shell's own redirection: under set -e, sed on a not-yet-created file
+# would end the script within milliseconds on a loaded machine.
+: > "$workdir/stdout"
 "$bin" --port 0 --max-pending $((backlog + 16)) --store-mb 64 \
     --metrics-port 0 --slow-ms 5 --trace-dir "$workdir" \
     > "$workdir/stdout" 2> "$workdir/stderr" &

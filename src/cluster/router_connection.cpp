@@ -114,7 +114,9 @@ void RouterConnection::on_readable() {
         emit_error(std::nullopt, ErrorCode::kBadRequest,
                    "connection closed inside the protocol magic");
       } else if (mode_ != Mode::kBinary) {
-        if (const auto last = framer_.finish()) handle_line(*last);
+        if (const auto last = framer_.finish()) {
+          handle_line({last->text, last->overflow, last->wire_bytes});
+        }
       }
       break;
     }
@@ -159,37 +161,31 @@ void RouterConnection::handle_bytes(const char* data, std::size_t len) {
 }
 
 void RouterConnection::feed_text(const char* data, std::size_t len) {
-  for (const net::LineFramer::Line& line : framer_.feed(data, len)) {
+  framer_.feed(data, len, [this](const net::LineFramer::LineView& line) {
     handle_line(line);
-    if (closing_ || read_closed_) return;
-  }
+    return !closing_ && !read_closed_;
+  });
 }
 
-void RouterConnection::handle_line(const net::LineFramer::Line& line) {
+void RouterConnection::handle_line(const net::LineFramer::LineView& line) {
   ++router_.counters().lines;
-  if (line.overflow) {
-    push_settled_error(std::nullopt, ErrorCode::kBadRequest,
-                       "request line of " + std::to_string(line.wire_bytes) +
-                           " bytes exceeds the " +
-                           std::to_string(framer_.max_line()) +
-                           "-byte limit");
-    return;
+  RequestView req;
+  std::string error;
+  switch (net::parse_text_line(line, framer_.max_line(), req, error)) {
+    case net::TextLine::kBlank:
+      return;
+    case net::TextLine::kMalformed:
+      ++router_.counters().parse_errors;
+      [[fallthrough]];
+    case net::TextLine::kOversized:
+      push_settled_error(std::nullopt, ErrorCode::kBadRequest,
+                         std::move(error));
+      return;
+    case net::TextLine::kRequest:
+      dispatch_request(req, net::TraceContext{});
+      flush_ready();
+      return;
   }
-  std::string text = line.text;
-  const auto hash_pos = text.find('#');
-  if (hash_pos != std::string::npos) text.resize(hash_pos);
-  if (text.find_first_not_of(" \t\r") == std::string::npos) return;
-
-  RequestLine parsed;
-  try {
-    parsed = parse_request_line(text);
-  } catch (const std::exception& e) {
-    ++router_.counters().parse_errors;
-    push_settled_error(std::nullopt, ErrorCode::kBadRequest, e.what());
-    return;
-  }
-  dispatch_request(as_view(parsed), net::TraceContext{});
-  flush_ready();
 }
 
 void RouterConnection::drain_frames() {
@@ -681,7 +677,7 @@ void RouterConnection::send_response(const ResponseLine& line) {
     net::FrameWriter writer(wbuf_);
     writer.response(line);
   } else {
-    wbuf_ += format_response_line(line);
+    append_response_line(wbuf_, line);
     wbuf_.push_back('\n');
   }
 }

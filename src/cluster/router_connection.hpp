@@ -83,7 +83,7 @@ class RouterConnection {
   void on_readable();
   void handle_bytes(const char* data, std::size_t len);
   void feed_text(const char* data, std::size_t len);
-  void handle_line(const net::LineFramer::Line& line);
+  void handle_line(const net::LineFramer::LineView& line);
   void drain_frames();
   void handle_frame(const net::Frame& frame);
   void handle_request_payload(std::string_view payload,

@@ -145,7 +145,9 @@ void Connection::on_readable() {
         emit_error(std::nullopt, ErrorCode::kBadRequest,
                    "connection closed inside the protocol magic");
       } else if (mode_ != Mode::kBinary) {
-        if (const auto last = framer_.finish()) handle_line(*last);
+        if (const auto last = framer_.finish()) {
+          handle_line({last->text, last->overflow, last->wire_bytes});
+        }
       }
       break;
     }
@@ -204,39 +206,33 @@ void Connection::note_detected() {
 }
 
 void Connection::feed_text(const char* data, std::size_t len) {
-  for (const LineFramer::Line& line : framer_.feed(data, len)) {
+  framer_.feed(data, len, [this](const LineFramer::LineView& line) {
     handle_line(line);
-    if (closing_ || read_closed_) return;
-  }
+    return !closing_ && !read_closed_;
+  });
 }
 
-void Connection::handle_line(const LineFramer::Line& line) {
+void Connection::handle_line(const LineFramer::LineView& line) {
   ++server_.counters().lines;
-  if (line.overflow) {
-    push_settled_error(std::nullopt, ErrorCode::kBadRequest,
-                       "request line of " + std::to_string(line.wire_bytes) +
-                           " bytes exceeds the " +
-                           std::to_string(framer_.max_line()) +
-                           "-byte limit");
-    return;
+  RequestView req;
+  std::string error;
+  switch (parse_text_line(line, framer_.max_line(), req, error)) {
+    case TextLine::kBlank:
+      return;
+    case TextLine::kMalformed:
+      ++server_.counters().parse_errors;
+      [[fallthrough]];
+    case TextLine::kOversized:
+      // Untagged: a positional client correlates responses by line, so
+      // the error must keep its place in the stream.
+      push_settled_error(std::nullopt, ErrorCode::kBadRequest,
+                         std::move(error));
+      return;
+    case TextLine::kRequest:
+      dispatch_request(req, TraceContext{});
+      flush_ready();
+      return;
   }
-  std::string text = line.text;
-  const auto hash_pos = text.find('#');
-  if (hash_pos != std::string::npos) text.resize(hash_pos);
-  if (text.find_first_not_of(" \t\r") == std::string::npos) return;
-
-  RequestLine parsed;
-  try {
-    parsed = parse_request_line(text);
-  } catch (const std::exception& e) {
-    // Untagged: a positional client correlates responses by line, so
-    // the error must keep its place in the stream.
-    ++server_.counters().parse_errors;
-    push_settled_error(std::nullopt, ErrorCode::kBadRequest, e.what());
-    return;
-  }
-  dispatch_request(as_view(parsed), TraceContext{});
-  flush_ready();
 }
 
 void Connection::drain_frames() {
@@ -725,7 +721,7 @@ void Connection::send_response(const ResponseLine& line) {
     FrameWriter writer(wbuf_);
     writer.response(line);
   } else {
-    wbuf_ += format_response_line(line);
+    append_response_line(wbuf_, line);
     wbuf_.push_back('\n');
   }
 }

@@ -13,21 +13,24 @@
 // first byte is text v2: the prelude replays through the LineFramer and
 // `nc` clients never notice v3 exists.
 //
-// Both protocols share ONE dispatch path: text lines parse through
-// parse_request_line and binary payloads through the zero-copy
-// parse_request_view (service/request_view.hpp); each funnels into
+// Both protocols share ONE parser and ONE dispatch path: text lines
+// (views into the read chunk, via LineFramer and parse_text_line) and
+// binary payloads both parse through the zero-copy parse_request_view
+// (service/request_view.hpp), then funnel into
 // dispatch_request(RequestView) and the same pending-window semantics —
 // untagged requests answer in submission order, id=-tagged ones stream
 // out the moment they settle, `cancel` hits still-queued requests, and
 // ping/stats answer immediately, out of band of the window. Responses
 // are emitted in the connection's own protocol by send_response().
 //
-// The v3 read path is zero-copy end to end: the socket reads straight
-// into the FrameReader's buffer, request fields are string_views into
-// the framed payload, and the single owned copy per request happens
-// where it must — building the ScheduleRequest that crosses into the
-// service layer. Batch frames pipeline many requests through one read;
-// their answers coalesce in the write buffer and flush together.
+// Both read paths are zero-copy: the socket reads straight into the
+// FrameReader's buffer (v3) or a read chunk the LineFramer scans in
+// place (v2), request fields are string_views into those bytes, and the
+// single owned copy per request happens where it must — building the
+// ScheduleRequest that crosses into the service layer. Answers are
+// written straight into the write buffer (FrameWriter or
+// append_response_line). Batch frames and pipelined lines serve many
+// requests per read; their answers coalesce and flush together.
 //
 // Production realities handled here:
 //  * Framing: requests arrive however the kernel fragments them; an
@@ -133,7 +136,7 @@ class Connection {
   /// Records the per-connection protocol-negotiation span (tracer on).
   void note_detected();
   void feed_text(const char* data, std::size_t len);
-  void handle_line(const LineFramer::Line& line);
+  void handle_line(const LineFramer::LineView& line);
   /// Drains every complete frame buffered in the FrameReader.
   void drain_frames();
   void handle_frame(const Frame& frame);

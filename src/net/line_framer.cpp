@@ -1,48 +1,67 @@
 #include "net/line_framer.hpp"
 
-#include <utility>
+#include <algorithm>
 
 namespace treesched::net {
 
-LineFramer::Line LineFramer::take_line() {
-  Line line;
-  line.overflow = dropped_ > 0;
-  line.wire_bytes = partial_.size() + dropped_;
-  if (!partial_.empty() && partial_.back() == '\r' && dropped_ == 0) {
+void LineFramer::buffer(const char* data, std::size_t len) {
+  // Oversized line: stop buffering at max_line, keep counting until the
+  // newline resynchronizes the stream.
+  const std::size_t room = max_line_ - partial_.size();
+  const std::size_t kept = std::min(len, room);
+  partial_.append(data, kept);
+  dropped_ += len - kept;
+}
+
+LineFramer::LineView LineFramer::complete(std::string_view kept,
+                                          std::size_t dropped) {
+  LineView line;
+  line.overflow = dropped > 0;
+  line.wire_bytes = kept.size() + dropped;
+  if (!kept.empty() && kept.back() == '\r' && dropped == 0) {
     // CRLF: the '\r' belongs to the terminator, not the text. An
     // overflowed line keeps whatever truncated prefix it has — it is
     // answered bad_request regardless.
-    partial_.pop_back();
+    kept.remove_suffix(1);
   }
-  line.text = std::move(partial_);
-  partial_.clear();
-  dropped_ = 0;
+  line.text = kept;
   return line;
 }
 
 std::vector<LineFramer::Line> LineFramer::feed(const char* data,
                                                std::size_t len) {
   std::vector<Line> lines;
-  for (std::size_t i = 0; i < len; ++i) {
-    const char c = data[i];
-    if (c == '\n') {
-      lines.push_back(take_line());
-      continue;
-    }
-    if (partial_.size() < max_line_) {
-      partial_.push_back(c);
-    } else {
-      // Oversized line: stop buffering, keep counting until the
-      // newline resynchronizes the stream.
-      ++dropped_;
-    }
-  }
+  feed(data, len, [&lines](const LineView& line) {
+    lines.push_back({std::string(line.text), line.overflow, line.wire_bytes});
+    return true;
+  });
   return lines;
 }
 
 std::optional<LineFramer::Line> LineFramer::finish() {
   if (partial_.empty() && dropped_ == 0) return std::nullopt;
-  return take_line();
+  const LineView view = complete(partial_, dropped_);
+  Line line{std::string(view.text), view.overflow, view.wire_bytes};
+  partial_.clear();
+  dropped_ = 0;
+  return line;
+}
+
+TextLine parse_text_line(const LineFramer::LineView& line,
+                         std::size_t max_line, RequestView& req,
+                         std::string& error) {
+  if (line.overflow) {
+    error = "request line of " + std::to_string(line.wire_bytes) +
+            " bytes exceeds the " + std::to_string(max_line) + "-byte limit";
+    return TextLine::kOversized;
+  }
+  std::string_view text = line.text;
+  text = text.substr(0, text.find('#'));
+  if (text.find_first_not_of(" \t\r") == std::string_view::npos) {
+    return TextLine::kBlank;
+  }
+  return parse_request_view(text, req, error) ? TextLine::kRequest
+                                              : TextLine::kMalformed;
 }
 
 }  // namespace treesched::net

@@ -1,10 +1,13 @@
 #include "service/request_line.hpp"
 
-#include <iomanip>
+#include <algorithm>
+#include <charconv>
 #include <limits>
 #include <set>
 #include <sstream>
 #include <stdexcept>
+
+#include "service/request_view.hpp"
 
 namespace treesched {
 
@@ -30,10 +33,6 @@ std::uint64_t parse_uint_field(const std::string& key,
   }
 }
 
-MemSize parse_memory_cap(const std::string& token) {
-  return parse_uint_field("memory cap", token);
-}
-
 /// parse_uint_field plus an upper bound — int-typed response fields must
 /// reject out-of-range values, not truncate them through a cast.
 std::uint64_t parse_bounded_field(const std::string& key,
@@ -47,227 +46,103 @@ std::uint64_t parse_bounded_field(const std::string& key,
   return parsed;
 }
 
-void apply_field(RequestLine& out, const std::string& key,
-                 const std::string& value) {
-  if (key == "priority") {
-    const auto cls = parse_priority(value);
-    if (!cls) {
-      throw std::invalid_argument(
-          "priority \"" + value + "\" (want interactive|batch|bulk)");
-    }
-    out.priority = *cls;
-    return;
-  }
-  if (key == "deadline_ms") {
-    std::size_t used = 0;
-    double ms = 0.0;
-    try {
-      ms = std::stod(value, &used);
-    } catch (const std::exception&) {
-      used = std::string::npos;  // flag as unparsable below
-    }
-    if (used != value.size() || !(ms > 0.0)) {
-      throw std::invalid_argument("deadline_ms \"" + value +
-                                  "\" is not a positive number");
-    }
-    out.deadline_ms = ms;
-    return;
-  }
-  if (key == "id") {
-    out.id = parse_uint_field(key, value);
-    return;
-  }
-  throw std::invalid_argument(
-      "unknown request field \"" + key +
-      "\" (known fields: priority, deadline_ms, id)");
-}
-
-RequestLine parse_cancel_line(std::istringstream& is) {
-  RequestLine out;
-  out.kind = RequestLine::Kind::kCancel;
-  std::string token;
-  while (is >> token) {
-    const std::size_t eq = token.find('=');
-    if (eq == std::string::npos || token.substr(0, eq) != "id") {
-      throw std::invalid_argument("cancel line must be: cancel id=<n> (got \"" +
-                                  token + "\")");
-    }
-    if (out.id) {
-      throw std::invalid_argument("duplicate request field \"id\"");
-    }
-    out.id = parse_uint_field("id", token.substr(eq + 1));
-  }
-  if (!out.id) {
-    throw std::invalid_argument("cancel line must name a request: cancel id=<n>");
-  }
-  return out;
-}
-
-/// `trace start|stop|status|pull [id=<n>]` / `trace dump=<path>
-/// [id=<n>]`: exactly one action, an optional tag. `pull` answers with
-/// the recorder's spans encoded as stats pairs — the router's merged
-/// dump collects every backend's ring through it.
-RequestLine parse_trace_line(std::istringstream& is) {
-  RequestLine out;
-  out.kind = RequestLine::Kind::kTrace;
-  std::string token;
-  while (is >> token) {
-    const std::size_t eq = token.find('=');
-    if (eq == std::string::npos) {
-      if (!out.trace_action.empty()) {
-        throw std::invalid_argument("trailing token \"" + token + "\"");
-      }
-      if (token != "start" && token != "stop" && token != "status" &&
-          token != "pull") {
-        throw std::invalid_argument(
-            "trace line must be: trace start|stop|status|pull|dump=<path> "
-            "[id=<n>] (got \"" + token + "\")");
-      }
-      out.trace_action = token;
-      continue;
-    }
-    const std::string key = token.substr(0, eq);
-    if (key == "id") {
-      if (out.id) {
-        throw std::invalid_argument("duplicate request field \"id\"");
-      }
-      out.id = parse_uint_field("id", token.substr(eq + 1));
-      continue;
-    }
-    if (key == "dump") {
-      if (!out.trace_action.empty()) {
-        throw std::invalid_argument("duplicate trace action \"" + token +
-                                    "\"");
-      }
-      out.trace_path = token.substr(eq + 1);
-      if (out.trace_path.empty()) {
-        throw std::invalid_argument("trace dump= needs a path");
-      }
-      out.trace_action = "dump";
-      continue;
-    }
-    throw std::invalid_argument("unknown trace field \"" + key +
-                                "\" (known fields: dump, id)");
-  }
-  if (out.trace_action.empty()) {
-    throw std::invalid_argument(
-        "trace line must name an action: "
-        "trace start|stop|status|pull|dump=<path>");
-  }
-  return out;
-}
-
-/// `ping [id=<n>]` and `stats [id=<n>]` share one shape: the verb plus
-/// an optional tag, nothing else.
-RequestLine parse_control_line(const std::string& verb,
-                               RequestLine::Kind kind,
-                               std::istringstream& is) {
-  RequestLine out;
-  out.kind = kind;
-  std::string token;
-  while (is >> token) {
-    const std::size_t eq = token.find('=');
-    if (eq == std::string::npos || token.substr(0, eq) != "id") {
-      throw std::invalid_argument(verb + " line must be: " + verb +
-                                  " [id=<n>] (got \"" + token + "\")");
-    }
-    if (out.id) {
-      throw std::invalid_argument("duplicate request field \"id\"");
-    }
-    out.id = parse_uint_field("id", token.substr(eq + 1));
-  }
-  return out;
+template <class Int>
+void append_int(std::string& out, Int value, int base = 10) {
+  char buf[24];  // a 64-bit value in decimal, sign included
+  const auto res = std::to_chars(buf, buf + sizeof buf, value, base);
+  out.append(buf, res.ptr);
 }
 
 }  // namespace
 
 RequestLine parse_request_line(const std::string& line) {
-  std::istringstream is(line);
+  RequestView view;
+  std::string error;
+  if (!parse_request_view(line, view, error)) {
+    throw std::invalid_argument(error);
+  }
   RequestLine out;
-  if (!(is >> out.tree_spec)) {
-    throw std::invalid_argument("empty request line");
-  }
-  if (out.tree_spec == "cancel") return parse_cancel_line(is);
-  if (out.tree_spec == "ping") {
-    return parse_control_line("ping", RequestLine::Kind::kPing, is);
-  }
-  if (out.tree_spec == "stats") {
-    return parse_control_line("stats", RequestLine::Kind::kStats, is);
-  }
-  if (out.tree_spec == "trace") return parse_trace_line(is);
-  if (!(is >> out.algo >> out.p)) {
-    throw std::invalid_argument(
-        "request line must be: <tree-spec> <algo> <p> [<memory-cap>] "
-        "[priority=...] [deadline_ms=...] [id=...] | cancel id=<n>");
-  }
-  bool saw_cap = false;
-  bool saw_named = false;
-  std::set<std::string> seen_keys;
-  std::string token;
-  while (is >> token) {
-    const std::size_t eq = token.find('=');
-    if (eq == std::string::npos) {
-      if (saw_named || saw_cap) {
-        throw std::invalid_argument("trailing token \"" + token + "\"");
-      }
-      out.memory_cap = parse_memory_cap(token);
-      saw_cap = true;
-      continue;
-    }
-    saw_named = true;
-    const std::string key = token.substr(0, eq);
-    if (!seen_keys.insert(key).second) {
-      throw std::invalid_argument("duplicate request field \"" + key + "\"");
-    }
-    apply_field(out, key, token.substr(eq + 1));
-  }
+  out.kind = view.kind;
+  out.id = view.id;
+  out.tree_spec = view.tree_spec;
+  out.algo = view.algo;
+  out.p = view.p;
+  out.memory_cap = view.memory_cap;
+  out.priority = view.priority;
+  out.deadline_ms = view.deadline_ms;
+  out.trace_action = view.trace_action;
+  out.trace_path = view.trace_path;
   return out;
 }
 
-std::string format_response_line(const ResponseLine& resp) {
-  std::ostringstream os;
-  // Full double fidelity: the line is machine-read; shortest-exact would
-  // be nicer but setprecision(17) round-trips and needs no helper.
-  os << std::setprecision(17);
+void append_response_line(std::string& out, const ResponseLine& resp) {
+  const auto append_id = [&] {
+    if (!resp.id) return;
+    out += " id=";
+    append_int(out, *resp.id);
+  };
   if (resp.kind == ResponseLine::Kind::kPong) {
-    os << "pong";
-    if (resp.id) os << " id=" << *resp.id;
-    return os.str();
+    out += "pong";
+    append_id();
+    return;
   }
   if (resp.kind == ResponseLine::Kind::kStats ||
       resp.kind == ResponseLine::Kind::kTrace) {
-    os << (resp.kind == ResponseLine::Kind::kStats ? "stats" : "trace");
-    if (resp.id) os << " id=" << *resp.id;
+    out += resp.kind == ResponseLine::Kind::kStats ? "stats" : "trace";
+    append_id();
     for (const auto& [key, value] : resp.stats) {
-      os << " " << key << "=" << value;
+      out += ' ';
+      out += key;
+      out += '=';
+      append_int(out, value);
     }
-    return os.str();
+    return;
   }
   if (resp.ok) {
-    os << "ok";
-    if (resp.id) os << " id=" << *resp.id;
-    os << " tree=" << std::hex << resp.tree_hash << std::dec
-       << " n=" << resp.n << " algo=" << resp.algo << " p=" << resp.p
-       << " makespan=" << resp.makespan
-       << " peak_memory=" << resp.peak_memory
-       << " cache=" << (resp.cache_hit ? "hit" : "miss")
-       << " priority=" << to_string(resp.priority);
-    return os.str();
+    out += "ok";
+    append_id();
+    out += " tree=";
+    append_int(out, resp.tree_hash, 16);
+    out += " n=";
+    append_int(out, resp.n);
+    out += " algo=";
+    out += resp.algo;
+    out += " p=";
+    append_int(out, resp.p);
+    out += " makespan=";
+    // Full double fidelity: the line is machine-read. %.17g round-trips
+    // every double, and general/17 is byte-identical to it.
+    char buf[32];
+    const auto res = std::to_chars(buf, buf + sizeof buf, resp.makespan,
+                                   std::chars_format::general, 17);
+    out.append(buf, res.ptr);
+    out += " peak_memory=";
+    append_int(out, resp.peak_memory);
+    out += resp.cache_hit ? " cache=hit priority=" : " cache=miss priority=";
+    out += to_string(resp.priority);
+    return;
   }
-  os << "error";
-  if (resp.id) os << " id=" << *resp.id;
-  os << " code=" << to_string(resp.code);
+  out += "error";
+  append_id();
+  out += " code=";
+  out += to_string(resp.code);
   if (!resp.message.empty()) {
     // One response = one physical line: a message carrying a newline
     // (a multi-line what() from some scheduler) must not split the
     // framing.
-    std::string flat = resp.message;
-    for (char& c : flat) {
-      if (c == '\n' || c == '\r') c = ' ';
-    }
-    os << " " << flat;
+    out += ' ';
+    const std::size_t from = out.size();
+    out += resp.message;
+    std::replace_if(
+        out.begin() + static_cast<std::ptrdiff_t>(from), out.end(),
+        [](char c) { return c == '\n' || c == '\r'; }, ' ');
   }
-  return os.str();
+}
+
+std::string format_response_line(const ResponseLine& resp) {
+  std::string out;
+  append_response_line(out, resp);
+  return out;
 }
 
 namespace {

@@ -1,8 +1,10 @@
 #pragma once
-// The schedule_service wire grammar, protocol v2 — parsed and formatted
-// here (instead of inside the example binary) so tests can pin it, in
-// particular that unknown fields and unknown error codes are rejected by
-// name, never silently accepted.
+// The schedule_service wire grammar, protocol v2. Its owned types, the
+// response writer and the response parser live here, its one request
+// parser in request_view.hpp — in the library rather than inside the
+// example binary, so tests can pin the grammar, in particular that
+// unknown fields and unknown error codes are rejected by name, never
+// silently accepted.
 //
 // Request lines (one per line):
 //   <tree-spec> <algo> <p> [<memory-cap>] [<key>=<value> ...]
@@ -87,9 +89,11 @@ struct RequestLine {
   std::string trace_path;
 };
 
-/// Parses a nonempty, comment-stripped request line. Throws
-/// std::invalid_argument with a message naming the offending token or
-/// field on any violation of the grammar above.
+/// Parses a nonempty, comment-stripped request line: the owning copy-out
+/// of parse_request_view (service/request_view.hpp), so both accept
+/// exactly the same lines. Throws std::invalid_argument with
+/// parse_request_view's message, naming the offending token or field,
+/// on any violation of the grammar above.
 RequestLine parse_request_line(const std::string& line);
 
 /// One response, either direction of the wire. kSchedule lines carry a
@@ -122,7 +126,12 @@ struct ResponseLine {
   std::string message;
 };
 
-/// Renders `resp` as one v2 response line (no trailing newline).
+/// Appends `resp` to `out` as one v2 response line (no trailing
+/// newline). Numbers go through std::to_chars; the makespan is printed
+/// as %.17g, which round-trips every double.
+void append_response_line(std::string& out, const ResponseLine& resp);
+
+/// append_response_line into a fresh string.
 std::string format_response_line(const ResponseLine& resp);
 
 /// Parses a v2 response line. Throws std::invalid_argument on a

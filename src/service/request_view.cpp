@@ -25,8 +25,8 @@ std::string_view next_token(std::string_view& rest) {
 bool parse_u64(std::string_view key, std::string_view value,
                std::uint64_t& out, std::string& error) {
   // Digits only: from_chars would accept nothing else anyway, but the
-  // explicit scan keeps "-5" and "0x10" rejections message-for-message
-  // aligned with the v2 parser.
+  // explicit scan names "-5" and "0x10" as non-integers rather than as
+  // out of range.
   if (value.empty() ||
       value.find_first_not_of("0123456789") != std::string_view::npos) {
     error = std::string(key) + " \"" + std::string(value) +
@@ -44,8 +44,8 @@ bool parse_u64(std::string_view key, std::string_view value,
 }
 
 bool parse_int_token(std::string_view token, int& out) {
-  // istream extraction accepts an optional leading '+'; from_chars does
-  // not — strip it so the two parsers accept the same tokens.
+  // The grammar accepts an optional leading '+' on <p>; from_chars
+  // does not, so strip it.
   if (!token.empty() && token.front() == '+') token.remove_prefix(1);
   if (token.empty()) return false;
   const auto [ptr, ec] =
@@ -70,9 +70,8 @@ bool parse_control_view(std::string_view verb, RequestLine::Kind kind,
        token = next_token(rest)) {
     const std::size_t eq = token.find('=');
     if (eq == std::string_view::npos || token.substr(0, eq) != "id") {
-      error = std::string(verb) +
-              (id_required ? " line must be: cancel id=<n> (got \""
-                           : " line must carry only [id=<n>] (got \"") +
+      error = std::string(verb) + " line must be: " + std::string(verb) +
+              (id_required ? " id=<n>" : " [id=<n>]") + " (got \"" +
               std::string(token) + "\")";
       return false;
     }
@@ -92,7 +91,7 @@ bool parse_control_view(std::string_view verb, RequestLine::Kind kind,
 }
 
 /// `trace start|stop|status|pull [id=<n>]` / `trace dump=<path>
-/// [id=<n>]`, acceptance-identical to the v2 parse_trace_line.
+/// [id=<n>]`: exactly one action, an optional tag.
 bool parse_trace_view(std::string_view rest, RequestView& out,
                       std::string& error) {
   out.kind = RequestLine::Kind::kTrace;
@@ -162,8 +161,8 @@ bool parse_request_view(std::string_view line, RequestView& out,
     error = "empty request line";
     return false;
   }
-  // The verb is not a tree spec — clear the field so a control-line
-  // view is indistinguishable from the v2 parser's output.
+  // The verb is not a tree spec — clear the field so a control line
+  // carries no schedule fields.
   if (out.tree_spec == "cancel") {
     out.tree_spec = {};
     return parse_control_view("cancel", RequestLine::Kind::kCancel,

@@ -137,6 +137,10 @@ TEST(RequestView, AgreesWithTheV2ParserAcrossTheCorpus) {
       "t Liu 1 deadline_ms=-1",
       "t Liu 1 deadline_ms=0",
       "t Liu 1 deadline_ms=abc",
+      "t Liu 1 deadline_ms=0x10",
+      "t Liu 1 deadline_ms=+5",
+      "t Liu 3priority=bulk",
+      "t Liu 3id=4",
       "t Liu 1 id=-1",
       "t Liu 1 id=+2",
       "t Liu 1 id=1 id=2",

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <sstream>
 
 #include "core/lower_bounds.hpp"
@@ -32,6 +33,13 @@ struct PipelineCase {
   std::int64_t z;
   int p;
 };
+
+// gtest puts the printed parameter into the listed test name. Without this
+// it dumps the struct's bytes, `name`'s address among them, and the name
+// changes with every run of the binary.
+void PrintTo(const PipelineCase& c, std::ostream* os) {
+  *os << c.nx << 'x' << c.ny << " z=" << c.z << " p=" << c.p;
+}
 
 class PipelineTest : public ::testing::TestWithParam<PipelineCase> {};
 

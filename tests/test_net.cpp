@@ -1,5 +1,6 @@
 // The networked front-end (src/net/): LineFramer robustness under
-// adversarial chunkings (the framing satellite), and in-process
+// adversarial chunkings, in both its owning and its zero-copy callback
+// form, and in-process
 // end-to-end coverage of the epoll server over real loopback sockets —
 // tagged out-of-order answers, ping/stats control lines, per-connection
 // queue_full admission, oversized-line survival, cancel, half-close,
@@ -16,7 +17,9 @@
 #include <cstdio>
 #include <fstream>
 #include <memory>
+#include <random>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -106,6 +109,146 @@ TEST(LineFramer, FinishFlushesTheUnterminatedTail) {
   ASSERT_TRUE(last.has_value());
   EXPECT_EQ(last->text, "stats");
   EXPECT_FALSE(framer.finish().has_value()) << "finish() consumes";
+}
+
+// The callback (view) form: the same lines as the vector form under any
+// chunking, handed out without a copy.
+
+/// A seeded wire corpus for max_line 32 and the lines it must frame to,
+/// the unterminated tail (flushed by finish()) last.
+struct FramerCorpus {
+  std::string wire;
+  std::vector<LineFramer::Line> lines;
+};
+
+FramerCorpus framer_corpus(std::size_t max_line, std::uint64_t seed) {
+  FramerCorpus corpus;
+  const auto add = [&](const std::string& raw, const std::string& text,
+                       bool overflow) {
+    corpus.wire += raw + "\n";
+    corpus.lines.push_back({text, overflow, raw.size()});
+  };
+  add("ping\r", "ping", false);
+  add("", "", false);
+  add("   ", "   ", false);
+  add("# a comment line", "# a comment line", false);
+  add("random:60:1 Liu 1 id=7 # tagged\r", "random:60:1 Liu 1 id=7 # tagged",
+      false);
+  add(std::string(max_line, 'x'), std::string(max_line, 'x'), false);
+  add(std::string(max_line - 1, 'c') + "\r", std::string(max_line - 1, 'c'),
+      false);
+  // One byte over: the '\r' no longer fits, so the line overflows.
+  add(std::string(max_line, 'c') + "\r", std::string(max_line, 'c'), true);
+  add(std::string(5 * max_line, 'y'), std::string(max_line, 'y'), true);
+  std::mt19937_64 rng(seed);
+  const std::string alphabet = "ab #\r\t=:019";
+  for (int i = 0; i < 60; ++i) {
+    std::string raw(rng() % (max_line + 8), ' ');
+    for (char& c : raw) c = alphabet[rng() % alphabet.size()];
+    if (raw.size() > max_line) {
+      add(raw, raw.substr(0, max_line), true);
+    } else if (!raw.empty() && raw.back() == '\r') {
+      add(raw, raw.substr(0, raw.size() - 1), false);
+    } else {
+      add(raw, raw, false);
+    }
+  }
+  corpus.wire += "stats id=3";
+  corpus.lines.push_back({"stats id=3", false, 10});
+  return corpus;
+}
+
+void expect_same_lines(const std::vector<LineFramer::Line>& got,
+                       const std::vector<LineFramer::Line>& want,
+                       const std::string& how) {
+  ASSERT_EQ(got.size(), want.size()) << how;
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].text, want[i].text) << how << ", line " << i;
+    EXPECT_EQ(got[i].overflow, want[i].overflow) << how << ", line " << i;
+    EXPECT_EQ(got[i].wire_bytes, want[i].wire_bytes) << how << ", line " << i;
+  }
+}
+
+TEST(LineFramer, ViewFormMatchesTheVectorFormUnderRandomChunkings) {
+  constexpr std::size_t kMaxLine = 32;
+  const FramerCorpus corpus = framer_corpus(kMaxLine, 7);
+  const std::string& wire = corpus.wire;
+  std::mt19937_64 rng(11);
+  // Chunk bound per trial: byte by byte, small, large, and whole.
+  for (const std::size_t max_chunk :
+       {std::size_t{1}, std::size_t{3}, std::size_t{7}, std::size_t{50},
+        std::size_t{200}, wire.size()}) {
+    for (int trial = 0; trial < 4; ++trial) {
+      LineFramer by_view(kMaxLine);
+      LineFramer by_vector(kMaxLine);
+      std::vector<LineFramer::Line> viewed;
+      std::vector<LineFramer::Line> vectored;
+      for (std::size_t at = 0; at < wire.size();) {
+        const std::size_t len =
+            std::min(wire.size() - at, 1 + rng() % max_chunk);
+        // A private copy per chunk, as a read() buffer would be.
+        const std::string chunk = wire.substr(at, len);
+        by_view.feed(chunk.data(), chunk.size(),
+                     [&](const LineFramer::LineView& line) {
+                       viewed.push_back({std::string(line.text),
+                                         line.overflow, line.wire_bytes});
+                       return true;
+                     });
+        for (LineFramer::Line& line : by_vector.feed(chunk.data(), len)) {
+          vectored.push_back(std::move(line));
+        }
+        EXPECT_LE(by_view.partial_bytes(), kMaxLine);
+        at += len;
+      }
+      if (auto last = by_view.finish()) viewed.push_back(std::move(*last));
+      if (auto last = by_vector.finish()) vectored.push_back(std::move(*last));
+      const std::string how = "chunks of <= " + std::to_string(max_chunk);
+      expect_same_lines(viewed, vectored, how);
+      expect_same_lines(viewed, corpus.lines, how);
+    }
+  }
+}
+
+TEST(LineFramer, ViewFormPointsIntoTheChunk) {
+  const std::string chunk = "ping\nrandom:60:1 Liu 1\r\nstats\n";
+  LineFramer framer;
+  std::vector<std::string_view> views;
+  framer.feed(chunk.data(), chunk.size(),
+              [&](const LineFramer::LineView& line) {
+                views.push_back(line.text);
+                return true;
+              });
+  ASSERT_EQ(views.size(), 3u);
+  for (const std::string_view view : views) {
+    EXPECT_GE(view.data(), chunk.data()) << "a line inside one chunk is "
+                                            "handed out without a copy";
+    EXPECT_LE(view.data() + view.size(), chunk.data() + chunk.size());
+  }
+  EXPECT_EQ(views[1], "random:60:1 Liu 1");
+}
+
+TEST(LineFramer, CallbackReturningFalseStopsTheRestOfTheChunk) {
+  LineFramer framer;
+  std::vector<std::string> seen;
+  const auto stop_after = [&](std::size_t n) {
+    return [&seen, n](const LineFramer::LineView& line) {
+      seen.emplace_back(line.text);
+      return seen.size() < n;
+    };
+  };
+  const std::string chunk = "a\nb\nc\ntail";
+  framer.feed(chunk.data(), chunk.size(), stop_after(2));
+  EXPECT_EQ(seen, (std::vector<std::string>{"a", "b"}));
+  EXPECT_EQ(framer.partial_bytes(), 0u) << "the unexamined rest is dropped";
+  EXPECT_FALSE(framer.finish().has_value());
+
+  // Stopping on a line that straddled two chunks releases its buffer too.
+  seen.clear();
+  framer.feed("x", 1, stop_after(1));
+  const std::string next = "y\nz\n";
+  framer.feed(next.data(), next.size(), stop_after(1));
+  EXPECT_EQ(seen, (std::vector<std::string>{"xy"}));
+  EXPECT_EQ(framer.partial_bytes(), 0u);
 }
 
 // ---------------------------------------------------------------------------

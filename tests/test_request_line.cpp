@@ -1,14 +1,21 @@
 // The schedule_service wire grammar (service/request_line.hpp), protocol
 // v2: positional fields as in PR 2, the named priority=/deadline_ms=/id=
-// fields, cancel lines, response formatting/parsing round-trips, and —
-// the regressions this file pins — unknown request fields and unknown
-// error codes rejected with an error naming them, never silently
-// accepted.
+// fields, cancel lines, response formatting/parsing round-trips, the
+// response writer's bytes against an ostringstream oracle, and — the
+// regressions this file pins — unknown request fields and unknown error
+// codes rejected with an error naming them, never silently accepted.
 
 #include "service/request_line.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <iomanip>
+#include <limits>
+#include <optional>
+#include <random>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 
@@ -150,6 +157,17 @@ TEST(RequestLine, MalformedLinesAreRejected) {
   EXPECT_THROW(
       (void)parse_request_line("random:10:1 ParSubtrees 2 deadline_ms=soon"),
       std::invalid_argument);
+  // Every field is a whole token and numbers are decimal: <p> does not
+  // stop mid-token ("3id=4" is not p=3 plus a tag), and deadline_ms
+  // takes neither a hex float nor a leading '+'.
+  EXPECT_THROW((void)parse_request_line("t Liu 1 deadline_ms=0x10"),
+               std::invalid_argument);
+  EXPECT_THROW((void)parse_request_line("t Liu 3priority=bulk"),
+               std::invalid_argument);
+  EXPECT_THROW((void)parse_request_line("t Liu 3id=4"),
+               std::invalid_argument);
+  EXPECT_THROW((void)parse_request_line("t Liu 1 deadline_ms=+5"),
+               std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------
@@ -244,6 +262,202 @@ TEST(ResponseLine, MalformedResponsesAreRejected) {
   EXPECT_THROW((void)parse_response_line("ok"), std::invalid_argument);
   EXPECT_THROW((void)parse_response_line("ok id=3 tree=ff n=2"),
                std::invalid_argument);
+}
+
+// ---------------------------------------------------------------------------
+// The response writer, byte for byte against a stream oracle.
+// ---------------------------------------------------------------------------
+
+/// The v2 response grammar spelled with ostringstream and
+/// setprecision(17): a test-only reference. format_response_line (built
+/// on std::to_chars) must produce exactly its bytes.
+std::string oracle_format(const ResponseLine& resp) {
+  std::ostringstream os;
+  os << std::setprecision(17);
+  if (resp.kind == ResponseLine::Kind::kPong) {
+    os << "pong";
+    if (resp.id) os << " id=" << *resp.id;
+    return os.str();
+  }
+  if (resp.kind == ResponseLine::Kind::kStats ||
+      resp.kind == ResponseLine::Kind::kTrace) {
+    os << (resp.kind == ResponseLine::Kind::kStats ? "stats" : "trace");
+    if (resp.id) os << " id=" << *resp.id;
+    for (const auto& [key, value] : resp.stats) {
+      os << " " << key << "=" << value;
+    }
+    return os.str();
+  }
+  if (resp.ok) {
+    os << "ok";
+    if (resp.id) os << " id=" << *resp.id;
+    os << " tree=" << std::hex << resp.tree_hash << std::dec
+       << " n=" << resp.n << " algo=" << resp.algo << " p=" << resp.p
+       << " makespan=" << resp.makespan
+       << " peak_memory=" << resp.peak_memory
+       << " cache=" << (resp.cache_hit ? "hit" : "miss")
+       << " priority=" << to_string(resp.priority);
+    return os.str();
+  }
+  os << "error";
+  if (resp.id) os << " id=" << *resp.id;
+  os << " code=" << to_string(resp.code);
+  if (!resp.message.empty()) {
+    std::string flat = resp.message;
+    for (char& c : flat) {
+      if (c == '\n' || c == '\r') c = ' ';
+    }
+    os << " " << flat;
+  }
+  return os.str();
+}
+
+ResponseLine ok_line(double makespan) {
+  ResponseLine resp;
+  resp.ok = true;
+  resp.tree_hash = 0x8c621571e53e1323ULL;
+  resp.n = 200;
+  resp.algo = "ParSubtrees";
+  resp.p = 8;
+  resp.makespan = makespan;
+  resp.peak_memory = 1636;
+  return resp;
+}
+
+TEST(ResponseWriter, MakespansMatchTheStreamOracle) {
+  constexpr double kTwo53 = 9007199254740992.0;
+  const double makespans[] = {
+      0.0,
+      -0.0,
+      std::numeric_limits<double>::denorm_min(),
+      2.2250738585072009e-308,  // largest subnormal
+      1e-310,
+      std::numeric_limits<double>::min(),
+      0.1,
+      kTwo53 - 1,
+      kTwo53,
+      kTwo53 + 2,  // 2^53 + 1 is not a double; its neighbours are
+      std::nextafter(kTwo53, 0.0),
+      1e17,
+      1e-300,
+      1e300,
+      std::numeric_limits<double>::max(),
+      1624.2518808123923,
+      123456.5,
+      1e16,
+      1e-5,
+      std::numeric_limits<double>::infinity(),
+  };
+  for (const double makespan : makespans) {
+    ResponseLine resp = ok_line(makespan);
+    EXPECT_EQ(format_response_line(resp), oracle_format(resp)) << makespan;
+    resp.id = 42;
+    EXPECT_EQ(format_response_line(resp), oracle_format(resp)) << makespan;
+  }
+}
+
+TEST(ResponseWriter, EveryPriorityCacheStateAndTagMatch) {
+  for (const Priority priority :
+       {Priority::kInteractive, Priority::kBatch, Priority::kBulk}) {
+    for (const bool hit : {true, false}) {
+      for (const std::optional<std::uint64_t> id :
+           {std::optional<std::uint64_t>{}, std::optional<std::uint64_t>{0},
+            std::optional<std::uint64_t>{
+                std::numeric_limits<std::uint64_t>::max()}}) {
+        ResponseLine resp = ok_line(2.5);
+        resp.priority = priority;
+        resp.cache_hit = hit;
+        resp.id = id;
+        EXPECT_EQ(format_response_line(resp), oracle_format(resp));
+      }
+    }
+  }
+}
+
+TEST(ResponseWriter, SeededSweepMatchesTheStreamOracle) {
+  std::mt19937_64 rng(20261017);
+  const char* algos[] = {"ParSubtrees", "ParInnerFirst", "Liu", "x"};
+  for (int i = 0; i < 20000; ++i) {
+    ResponseLine resp;
+    resp.ok = true;
+    // Half raw bit patterns (every class: subnormal, inf, nan, huge), half
+    // makespan-like magnitudes.
+    if (i % 2 == 0) {
+      const std::uint64_t bits = rng();
+      std::memcpy(&resp.makespan, &bits, sizeof bits);
+    } else {
+      std::uniform_real_distribution<double> unit(0.0, 1.0);
+      const int exponent = static_cast<int>(rng() % 40) - 20;
+      resp.makespan = unit(rng) * std::pow(10.0, exponent);
+    }
+    if (rng() % 2) resp.id = rng() >> (rng() % 64);
+    resp.tree_hash = rng() >> (rng() % 64);
+    resp.n = static_cast<NodeId>(rng());
+    resp.algo = algos[rng() % std::size(algos)];
+    resp.p = static_cast<int>(rng());
+    resp.peak_memory = rng() >> (rng() % 64);
+    resp.cache_hit = rng() % 2 == 0;
+    resp.priority = static_cast<Priority>(rng() % 3);
+    ASSERT_EQ(format_response_line(resp), oracle_format(resp)) << i;
+  }
+}
+
+TEST(ResponseWriter, ErrorLinesMatchForEveryCode) {
+  const std::string messages[] = {
+      "",
+      "something went wrong here",
+      "multi\nline what()",
+      "carriage\rreturn",
+      "\r\nleading and trailing\n",
+      "request line of 70000 bytes exceeds the 65536-byte limit",
+  };
+  for (int c = 0; c <= static_cast<int>(ErrorCode::kNodeUnavailable); ++c) {
+    for (const std::string& message : messages) {
+      for (const bool tagged : {false, true}) {
+        ResponseLine resp;
+        resp.ok = false;
+        resp.code = static_cast<ErrorCode>(c);
+        resp.message = message;
+        if (tagged) resp.id = 9;
+        EXPECT_EQ(format_response_line(resp), oracle_format(resp))
+            << to_string(resp.code) << " / " << message;
+      }
+    }
+  }
+}
+
+TEST(ResponseWriter, PongStatsAndTraceLinesMatch) {
+  for (const ResponseLine::Kind kind :
+       {ResponseLine::Kind::kPong, ResponseLine::Kind::kStats,
+        ResponseLine::Kind::kTrace}) {
+    for (const bool tagged : {false, true}) {
+      for (const bool empty : {false, true}) {
+        ResponseLine resp;
+        resp.kind = kind;
+        resp.ok = true;
+        if (tagged) resp.id = 3;
+        if (!empty && kind != ResponseLine::Kind::kPong) {
+          resp.stats = {{"conns", 2},
+                        {"cache_hits", 41},
+                        {"big", std::numeric_limits<std::uint64_t>::max()},
+                        {"zero", 0}};
+        }
+        EXPECT_EQ(format_response_line(resp), oracle_format(resp));
+      }
+    }
+  }
+}
+
+TEST(ResponseWriter, AppendLeavesThePrefixUntouched) {
+  // The connections append answers to a write buffer that already holds
+  // earlier lines: the newline flattening must stay inside the new line.
+  std::string wbuf = "ok earlier\n\r";
+  ResponseLine resp;
+  resp.ok = false;
+  resp.code = ErrorCode::kBadRequest;
+  resp.message = "two\nlines";
+  append_response_line(wbuf, resp);
+  EXPECT_EQ(wbuf, "ok earlier\n\r" + oracle_format(resp));
 }
 
 // ---------------------------------------------------------------------------
