@@ -1,10 +1,16 @@
 // P1: microbenchmarks of the complexity claims in §5:
 //  * optimal postorder           O(n log n)
 //  * Liu exact traversal         O(n^2) worst, near-linear in practice
-//  * SplitSubtrees               O(n (log n + p))
-//  * ParSubtrees end-to-end      O(n log n) with the postorder
+//  * SplitSubtrees               O(n (log n + p)): a heap plus an O(p)
+//                                top-p sum per split
+//  * ParSubtrees end-to-end      O(n (log n + p)) with the postorder: the
+//                                split, then ONE whole-tree traversal laid
+//                                out per subtree (no subtree copies)
 //  * list scheduling             O(n log n)
-//  * simulator replay            O(n log n)
+//  * simulator replay            O(n): radix-sorted event streams
+//  * ParSubtreesOptim and CappedSubtrees on forks ("BM_Fork/<Name>"),
+//    where every leaf is its own subtree: near-linear, so a per-subtree
+//    cost proportional to n shows up as quadratic growth
 // plus one end-to-end benchmark per registered (non-oracle) scheduling
 // algorithm ("BM_Sched/<Name>"), registered dynamically from the registry
 // in main() so new algorithms are benchmarked without touching this file,
@@ -127,6 +133,22 @@ void BM_SequentialPeak(benchmark::State& state) {
   state.SetComplexityN(state.range(0));
 }
 BENCHMARK(BM_SequentialPeak)->Range(1 << 10, 1 << 17)->Complexity();
+
+void BM_Fork(benchmark::State& state, const char* algo) {
+  const Tree t = fork_tree(static_cast<int>(state.range(0)) - 1);
+  const SchedulerPtr sched = SchedulerRegistry::instance().create(algo);
+  const Resources res{16, 0};
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(sched->schedule(t, res).start.size());
+  }
+  state.SetComplexityN(state.range(0));
+}
+BENCHMARK_CAPTURE(BM_Fork, ParSubtreesOptim, "ParSubtreesOptim")
+    ->Arg(10000)->Arg(20000)->Arg(40000)
+    ->Unit(benchmark::kMillisecond)->Complexity();
+BENCHMARK_CAPTURE(BM_Fork, CappedSubtrees, "CappedSubtrees")
+    ->Arg(10000)->Arg(20000)->Arg(40000)
+    ->Unit(benchmark::kMillisecond)->Complexity();
 
 // One end-to-end benchmark per registered algorithm on a fixed mid-size
 // tree: the perf-trajectory signal for the whole roster.

@@ -51,6 +51,7 @@ ValidationResult validate_schedule(const Tree& tree, const Schedule& s,
   };
   const NodeId n = tree.size();
   if (s.size() != n) return fail("schedule size != tree size");
+  int max_proc = 0;
   for (NodeId i = 0; i < n; ++i) {
     if (!(s.start[i] >= 0.0) || !std::isfinite(s.start[i])) {
       return fail("task has invalid start time");
@@ -61,6 +62,7 @@ ValidationResult validate_schedule(const Tree& tree, const Schedule& s,
          << p << ")";
       return fail(os.str());
     }
+    max_proc = std::max(max_proc, s.proc[i]);
   }
   // Precedence: children must finish before the parent starts.
   for (NodeId i = 0; i < n; ++i) {
@@ -73,8 +75,10 @@ ValidationResult validate_schedule(const Tree& tree, const Schedule& s,
       }
     }
   }
-  // Per-processor overlap: sort each processor's tasks by start time.
-  std::vector<std::vector<NodeId>> per_proc(static_cast<std::size_t>(p));
+  // Per-processor overlap: sort each processor's tasks by start time. Only
+  // the processors in use get a list, however large p is.
+  std::vector<std::vector<NodeId>> per_proc(
+      static_cast<std::size_t>(max_proc) + 1);
   for (NodeId i = 0; i < n; ++i) per_proc[s.proc[i]].push_back(i);
   for (auto& tasks : per_proc) {
     std::sort(tasks.begin(), tasks.end(), [&](NodeId a, NodeId b) {

@@ -148,21 +148,20 @@ double Tree::total_work() const {
 }
 
 Tree Tree::subtree(NodeId r, std::vector<NodeId>* old_of_new) const {
-  std::vector<NodeId> nodes;  // BFS order: parent visited before child
-  nodes.push_back(r);
+  // BFS order, numbered as discovered: parent visited before child, and a
+  // child's new parent id is the number of the node that discovered it.
+  std::vector<NodeId> nodes{r};
+  std::vector<NodeId> parent{kNoNode};
   for (std::size_t k = 0; k < nodes.size(); ++k) {
-    for (NodeId c : children(nodes[k])) nodes.push_back(c);
+    for (NodeId c : children(nodes[k])) {
+      nodes.push_back(c);
+      parent.push_back(static_cast<NodeId>(k));
+    }
   }
-  std::vector<NodeId> new_id(size(), kNoNode);
-  for (std::size_t k = 0; k < nodes.size(); ++k) {
-    new_id[nodes[k]] = static_cast<NodeId>(k);
-  }
-  std::vector<NodeId> parent(nodes.size());
   std::vector<MemSize> out(nodes.size()), exec(nodes.size());
   std::vector<double> work(nodes.size());
   for (std::size_t k = 0; k < nodes.size(); ++k) {
-    NodeId old = nodes[k];
-    parent[k] = old == r ? kNoNode : new_id[parent_[old]];
+    const NodeId old = nodes[k];
     out[k] = output_[old];
     exec[k] = exec_[old];
     work[k] = work_[old];

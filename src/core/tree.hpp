@@ -109,7 +109,8 @@ class Tree {
   /// Sum of all task works.
   [[nodiscard]] double total_work() const;
 
-  /// Extracts the subtree rooted at `r` as a standalone Tree.
+  /// Extracts the subtree rooted at `r` as a standalone Tree, numbered in
+  /// BFS order from `r` (= 0), in O(subtree size).
   /// `old_of_new[k]` maps the new tree's node k back to this tree's id.
   [[nodiscard]] Tree subtree(NodeId r, std::vector<NodeId>* old_of_new = nullptr) const;
 

@@ -31,6 +31,15 @@ void link_builtin_schedulers() {}
 
 namespace {
 
+/// The processor count the parallel schedulers are run with. No schedule
+/// of n tasks runs more than n at once, and every scheduler here draws
+/// processors from the low ids up, so processors beyond max(1, n) are
+/// never used: the schedule is the one the requested p gives, while the
+/// per-processor state stays O(n) however large p is.
+int usable_procs(const Tree& tree, const Resources& res) {
+  return std::min(res.p, std::max<NodeId>(1, tree.size()));
+}
+
 // ---------------------------------------------------------------------------
 // Parallel heuristics (paper §5, Table 1 order).
 // ---------------------------------------------------------------------------
@@ -41,7 +50,7 @@ class ParSubtreesSched final : public Scheduler {
   SchedulerCapabilities capabilities() const override { return {}; }
   Schedule schedule(const Tree& tree, const Resources& res) const override {
     validate_resources(res, capabilities(), name());
-    return par_subtrees(tree, res.p);
+    return par_subtrees(tree, usable_procs(tree, res));
   }
 };
 
@@ -51,7 +60,7 @@ class ParSubtreesOptimSched final : public Scheduler {
   SchedulerCapabilities capabilities() const override { return {}; }
   Schedule schedule(const Tree& tree, const Resources& res) const override {
     validate_resources(res, capabilities(), name());
-    return par_subtrees_optim(tree, res.p);
+    return par_subtrees_optim(tree, usable_procs(tree, res));
   }
 };
 
@@ -61,7 +70,7 @@ class ParInnerFirstSched final : public Scheduler {
   SchedulerCapabilities capabilities() const override { return {}; }
   Schedule schedule(const Tree& tree, const Resources& res) const override {
     validate_resources(res, capabilities(), name());
-    return par_inner_first(tree, res.p);
+    return par_inner_first(tree, usable_procs(tree, res));
   }
 };
 
@@ -71,7 +80,7 @@ class ParDeepestFirstSched final : public Scheduler {
   SchedulerCapabilities capabilities() const override { return {}; }
   Schedule schedule(const Tree& tree, const Resources& res) const override {
     validate_resources(res, capabilities(), name());
-    return par_deepest_first(tree, res.p);
+    return par_deepest_first(tree, usable_procs(tree, res));
   }
 };
 
@@ -101,7 +110,7 @@ class MemoryBoundedSched final : public Scheduler {
     validate_resources(res, capabilities(), name());
     const MemSize cap = res.memory_cap != 0 ? res.memory_cap
                                             : default_cap(tree);
-    auto r = memory_bounded_schedule(tree, res.p, cap);
+    auto r = memory_bounded_schedule(tree, usable_procs(tree, res), cap);
     if (!r) {
       throw std::invalid_argument(name() + ": cap " + std::to_string(cap) +
                                   " below the feasibility floor " +
@@ -121,20 +130,20 @@ class CappedSubtreesSched final : public Scheduler {
   }
   Schedule schedule(const Tree& tree, const Resources& res) const override {
     validate_resources(res, capabilities(), name());
+    const int p = usable_procs(tree, res);
     // The scheme's own floor can exceed kDefaultCapFactor x the postorder
     // peak, so the derived cap takes the max; the (expensive) floor is
     // only computed when a cap is actually derived or reported.
     const MemSize cap =
         res.memory_cap != 0
             ? res.memory_cap
-            : std::max(capped_subtrees_min_cap(tree, res.p),
-                       default_cap(tree));
-    auto r = capped_subtrees_schedule(tree, res.p, cap);
+            : std::max(capped_subtrees_min_cap(tree, p), default_cap(tree));
+    auto r = capped_subtrees_schedule(tree, p, cap);
     if (!r) {
       throw std::invalid_argument(
           name() + ": cap " + std::to_string(cap) +
           " below the feasibility floor " +
-          std::to_string(capped_subtrees_min_cap(tree, res.p)));
+          std::to_string(capped_subtrees_min_cap(tree, p)));
     }
     return std::move(r->schedule);
   }

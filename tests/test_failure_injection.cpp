@@ -7,9 +7,11 @@
 
 #include <algorithm>
 #include <limits>
+#include <string>
 
 #include "core/simulator.hpp"
 #include "sched/registry.hpp"
+#include "test_helpers.hpp"
 #include "trees/generators.hpp"
 #include "util/random.hpp"
 
@@ -105,6 +107,50 @@ TEST(FailureInjection, NegativeAndNonFiniteStartsAreCaught) {
   EXPECT_FALSE(validate_schedule(f.tree, f.schedule, f.p).ok);
   f.schedule.start[3] = std::numeric_limits<double>::infinity();
   EXPECT_FALSE(validate_schedule(f.tree, f.schedule, f.p).ok);
+}
+
+TEST(FailureInjection, SimulatorRejectsNaNStartsAndFinishes) {
+  // NaN has no place in the event order: the replay refuses it outright.
+  Fixture f = make_fixture(550);
+  f.schedule.start[3] = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(simulate(f.tree, f.schedule), std::invalid_argument);
+
+  // A NaN finish from a finite start: the task's work is NaN (the Tree
+  // only refuses negative work).
+  const Tree t = testing::make_tree(
+      {kNoNode, 0}, {1, 1}, {0, 0},
+      {1.0, std::numeric_limits<double>::quiet_NaN()});
+  Schedule s(2);
+  s.start = {5.0, 0.0};
+  try {
+    (void)simulate(t, s);
+    ADD_FAILURE() << "a NaN finish was replayed";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "simulate: task 1 has a NaN finish time");
+  }
+}
+
+TEST(FailureInjection, NegativeZeroStartTiesPositiveZeroById) {
+  // -0.0 and +0.0 are one time, so starts there are taken in id order
+  // whichever zero each carries: the first precedence violation the
+  // replay meets is always task 0's.
+  const Tree t = testing::pebble_tree({kNoNode, 0, 0, 1, 2});
+  Schedule s(5);  // every task at time zero: infeasible
+  for (double a : {0.0, -0.0}) {
+    for (double b : {0.0, -0.0}) {
+      s.start = {a, b, b, a, b};
+      try {
+        (void)simulate(t, s);
+        ADD_FAILURE() << "an infeasible schedule was replayed";
+      } catch (const std::invalid_argument& e) {
+        const std::string what = e.what();
+        EXPECT_EQ(what.rfind("simulate: task 0 starts at ", 0), 0u) << what;
+        EXPECT_NE(what.find("but child 1 has not finished"),
+                  std::string::npos)
+            << what;
+      }
+    }
+  }
 }
 
 TEST(FailureInjection, TruncatedScheduleIsCaught) {

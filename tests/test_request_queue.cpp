@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "core/simulator.hpp"
+#include "gate_scheduler.hpp"
 #include "sched/registry.hpp"
 #include "service/service.hpp"
 #include "trees/generators.hpp"
@@ -281,18 +282,20 @@ TEST(ScheduleAsync, ExpiredRequestsNeverReachTheSchedulers) {
   // deadlines lapse, and the miss counter proves no scheduler ever ran
   // for them (the queue's per-class completed counter agrees).
   SchedulingService service;
+  testing::GateGuard gate;
   const TreeHandle heavy = service.intern(weighted_tree(3, 2000));
   const TreeHandle light = service.intern(weighted_tree(4, 30));
 
-  // Enough backlog to pin every pool worker with queued work to spare —
-  // a fixed count would leave workers idle on many-core machines, and an
-  // idle worker would answer a doomed request before its deadline lapsed.
+  // Enough backlog to pin every pool worker at the closed gate with
+  // queued work to spare — a fixed count would leave workers idle on
+  // many-core machines, and an idle worker would answer a doomed request
+  // before its deadline lapsed.
   const std::size_t kBacklog = 2 * ThreadPool::shared().size() + 6;
   std::vector<std::future<ScheduleResponse>> backlog;
   for (std::size_t i = 0; i < kBacklog; ++i) {
     ScheduleRequest req;
     req.tree = heavy;
-    req.algo = "ParDeepestFirst";
+    req.algo = "TestGate";
     req.p = 2 + static_cast<int>(i);
     req.priority = Priority::kInteractive;
     backlog.push_back(service.schedule_async(req));
@@ -307,6 +310,8 @@ TEST(ScheduleAsync, ExpiredRequestsNeverReachTheSchedulers) {
     req.deadline_ms = 0.01;
     doomed.push_back(service.schedule_async(req));
   }
+  std::this_thread::sleep_for(1ms);  // the deadlines lapse while queued
+  gate.open();
   for (auto& f : backlog) EXPECT_TRUE(f.get().ok());
   for (auto& f : doomed) {
     EXPECT_THROW((void)f.get(), DeadlineExpired)

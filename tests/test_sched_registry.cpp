@@ -9,17 +9,21 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "campaign/dataset.hpp"
 #include "campaign/runner.hpp"
 #include "core/simulator.hpp"
+#include "parallel/capped_subtrees.hpp"
+#include "parallel/memory_bounded.hpp"
 #include "parallel/par_deepest_first.hpp"
 #include "parallel/par_inner_first.hpp"
 #include "parallel/par_subtrees.hpp"
 #include "sequential/bruteforce.hpp"
 #include "sequential/liu.hpp"
+#include "sched/validate.hpp"
 #include "sequential/postorder.hpp"
 #include "test_helpers.hpp"
 #include "trees/generators.hpp"
@@ -137,6 +141,68 @@ TEST(SchedulerRegistry, RegistryPathMatchesNativeCallsExactly) {
         EXPECT_EQ(via_registry.start, direct.start) << name << " p=" << p;
         EXPECT_EQ(via_registry.proc, direct.proc) << name << " p=" << p;
       }
+    }
+  }
+}
+
+TEST(SchedulerRegistry, ProcessorsBeyondTheTreeSizeChangeNoSchedule) {
+  // The adapters run with min(p, max(1, n)) processors. No schedule of n
+  // tasks uses more, so p = n, n + 5 and INT_MAX give one schedule — the
+  // unclamped native one — and INT_MAX costs no more than n.
+  using Native = Schedule (*)(const Tree&, int, MemSize);
+  const std::vector<std::pair<std::string, Native>> native{
+      {"ParSubtrees",
+       [](const Tree& t, int p, MemSize) { return par_subtrees(t, p, {}); }},
+      {"ParSubtreesOptim",
+       [](const Tree& t, int p, MemSize) {
+         return par_subtrees_optim(t, p, SequentialAlgo::kOptimalPostorder);
+       }},
+      {"ParInnerFirst",
+       [](const Tree& t, int p, MemSize) { return par_inner_first(t, p); }},
+      {"ParDeepestFirst",
+       [](const Tree& t, int p, MemSize) { return par_deepest_first(t, p); }},
+      {"MemoryBounded",
+       [](const Tree& t, int p, MemSize cap) {
+         return memory_bounded_schedule(t, p, cap).value().schedule;
+       }},
+      {"CappedSubtrees",
+       [](const Tree& t, int p, MemSize cap) {
+         return capped_subtrees_schedule(t, p, cap).value().schedule;
+       }},
+  };
+  std::vector<Tree> trees{testing::pebble_tree({kNoNode}), fork_tree(9),
+                          testing::example_tree()};
+  for (std::uint64_t seed : {1u, 2u}) trees.push_back(weighted_tree(seed));
+  const SchedulerRegistry& reg = SchedulerRegistry::instance();
+  for (const Tree& t : trees) {
+    const int n = t.size();
+    // A cap every capped scheduler can meet at any p.
+    const MemSize cap = 2 * capped_subtrees_min_cap(t, n) +
+                        2 * min_feasible_cap(t);
+    for (const std::string& name : reg.names()) {
+      const SchedulerPtr sched = reg.create(name);
+      const SchedulerCapabilities caps = sched->capabilities();
+      if (caps.is_oracle() && n > caps.max_nodes) continue;
+      for (MemSize c : {MemSize{0}, cap}) {
+        if (c != 0 && !caps.memory_capped) continue;
+        const Schedule at_n = sched->schedule(t, Resources{n, c});
+        for (int p : {n + 5, std::numeric_limits<int>::max()}) {
+          const Schedule s = sched->schedule(t, Resources{p, c});
+          EXPECT_EQ(s.start, at_n.start) << name << " n=" << n << " p=" << p;
+          EXPECT_EQ(s.proc, at_n.proc) << name << " n=" << n << " p=" << p;
+          EXPECT_TRUE(check_schedule(t, s, p, c).ok) << name << " p=" << p;
+        }
+      }
+    }
+    for (const auto& [name, call] : native) {
+      const MemSize c = name == "MemoryBounded" || name == "CappedSubtrees"
+                            ? cap
+                            : 0;
+      const Schedule via_registry =
+          reg.create(name)->schedule(t, Resources{n + 5, c});
+      const Schedule direct = call(t, n + 5, c);
+      EXPECT_EQ(via_registry.start, direct.start) << name << " n=" << n;
+      EXPECT_EQ(via_registry.proc, direct.proc) << name << " n=" << n;
     }
   }
 }

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -289,6 +290,34 @@ TEST(SchedulingService, SequentialAlgorithmsShareOneEntryAcrossP) {
   req.p = 4;
   EXPECT_FALSE(service.schedule(req).cache_hit);
   EXPECT_EQ(service.cache_stats().entries, 3u);
+}
+
+TEST(SchedulingService, CacheKeysKeepTheRequestedProcessorCount) {
+  // The schedulers run p beyond the tree size as p = n, but the cache is
+  // keyed by what was asked: n, n + 5 and INT_MAX are three entries with
+  // one answer.
+  SchedulingService service;
+  const Tree tree = weighted_tree(9);
+  const TreeHandle handle = service.intern(tree);
+  ScheduleRequest req;
+  req.tree = handle;
+  req.algo = "ParSubtreesOptim";
+  req.want_schedule = true;
+  std::vector<ScheduleResponse> answers;
+  for (int p : {tree.size(), tree.size() + 5,
+                std::numeric_limits<int>::max()}) {
+    req.p = p;
+    answers.push_back(service.schedule(req));
+    EXPECT_FALSE(answers.back().cache_hit) << "p=" << p;
+    EXPECT_TRUE(service.schedule(req).cache_hit) << "p=" << p;
+  }
+  EXPECT_EQ(service.cache_stats().entries, 3u);
+  for (const ScheduleResponse& a : answers) {
+    EXPECT_EQ(a.makespan, answers.front().makespan);
+    EXPECT_EQ(a.peak_memory, answers.front().peak_memory);
+    EXPECT_EQ(a.schedule->start, answers.front().schedule->start);
+    EXPECT_EQ(a.schedule->proc, answers.front().schedule->proc);
+  }
 }
 
 TEST(SchedulingService, RepeatedRequestsHitTheCache) {

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "core/simulator.hpp"
+#include "gate_scheduler.hpp"
 #include "sched/registry.hpp"
 #include "service/service.hpp"
 #include "trees/generators.hpp"
@@ -40,11 +41,13 @@ Tree weighted_tree(std::uint64_t seed, NodeId n = 60) {
   return random_tree(params, rng);
 }
 
-/// Saturates every pool worker with heavy interactive work, with queued
-/// entries to spare, so a subsequently submitted Bulk request stays in
-/// the queue until explicitly dealt with (the pattern the expiry tests
-/// established: a fixed count would leave workers idle on many-core
-/// machines).
+using testing::GateGuard;
+
+/// Saturates every pool worker with interactive "TestGate" requests, with
+/// queued entries to spare, so a subsequently submitted Bulk request stays
+/// in the queue until the caller's GateGuard opens (a fixed count would
+/// leave workers idle on many-core machines). Every entry has its own
+/// cache key, so each one is a miss that reaches the scheduler.
 std::vector<Ticket> saturate(SchedulingService& service,
                              const TreeHandle& heavy) {
   const std::size_t backlog = 2 * ThreadPool::shared().size() + 6;
@@ -53,7 +56,7 @@ std::vector<Ticket> saturate(SchedulingService& service,
   for (std::size_t i = 0; i < backlog; ++i) {
     ScheduleRequest req;
     req.tree = heavy;
-    req.algo = "ParDeepestFirst";
+    req.algo = "TestGate";
     req.p = 2 + static_cast<int>(i);
     req.priority = Priority::kInteractive;
     tickets.push_back(service.submit(std::move(req)));
@@ -172,6 +175,7 @@ TEST(Ticket, EmptyTicketResolvesToBadRequestAndCannotCancel) {
 
 TEST(Ticket, TryGetAndWaitForReportPendingWhileQueued) {
   SchedulingService service;
+  GateGuard gate;
   const TreeHandle heavy = service.intern(weighted_tree(3, 2000));
   std::vector<Ticket> backlog = saturate(service, heavy);
 
@@ -184,6 +188,7 @@ TEST(Ticket, TryGetAndWaitForReportPendingWhileQueued) {
   EXPECT_FALSE(ticket.try_get().has_value()) << "still queued";
   EXPECT_FALSE(ticket.wait_for(0ms).has_value());
 
+  gate.open();
   for (Ticket& t : backlog) EXPECT_TRUE(t.wait().ok());
   EXPECT_TRUE(ticket.wait().ok());
 }
@@ -243,6 +248,7 @@ TEST(TicketErrors, SchedulerFailureCarriesTheOriginalCause) {
 
 TEST(TicketErrors, DeadlineExpiryIsTypedAndCostsNoCompute) {
   SchedulingService service;
+  GateGuard gate;
   const TreeHandle heavy = service.intern(weighted_tree(3, 2000));
   std::vector<Ticket> backlog = saturate(service, heavy);
 
@@ -253,6 +259,8 @@ TEST(TicketErrors, DeadlineExpiryIsTypedAndCostsNoCompute) {
   req.priority = Priority::kBulk;
   req.deadline_ms = 0.01;
   Ticket doomed = service.submit(std::move(req));
+  std::this_thread::sleep_for(1ms);  // well past the deadline, still queued
+  gate.open();
   for (Ticket& t : backlog) EXPECT_TRUE(t.wait().ok());
   const ServiceResult result = doomed.wait();
   ASSERT_FALSE(result.ok());
@@ -282,6 +290,7 @@ TEST(TicketErrors, StoreBudgetRejectionIsTypedThroughTryIntern) {
 
 TEST(TicketCancel, QueuedRequestCancelsWithTypedErrorAndCounts) {
   SchedulingService service;
+  GateGuard gate;
   const TreeHandle heavy = service.intern(weighted_tree(3, 2000));
   std::vector<Ticket> backlog = saturate(service, heavy);
 
@@ -298,6 +307,7 @@ TEST(TicketCancel, QueuedRequestCancelsWithTypedErrorAndCounts) {
   EXPECT_EQ(result.error().code, ErrorCode::kCancelled);
   EXPECT_FALSE(ticket.cancel()) << "double-cancel reports false";
 
+  gate.open();
   for (Ticket& t : backlog) EXPECT_TRUE(t.wait().ok());
   const QueueStats qs = service.queue_stats();
   const ClassQueueStats& bulk = qs.of(Priority::kBulk);
@@ -622,6 +632,7 @@ TEST(TicketOnComplete, CancellationFiresTheHookWithKCancelled) {
   std::atomic<bool> saw_cancelled{false};
   {
     SchedulingService service;
+    GateGuard gate;
     const TreeHandle heavy =
         service.intern(weighted_tree(4, /*n=*/4000));
     std::vector<Ticket> busy = saturate(service, heavy);
@@ -636,6 +647,7 @@ TEST(TicketOnComplete, CancellationFiresTheHookWithKCancelled) {
       fired.fetch_add(1);
     });
     ASSERT_TRUE(doomed.cancel());
+    gate.open();
     for (Ticket& t : busy) (void)t.wait();
   }
   EXPECT_TRUE(eventually(fired, 1));
