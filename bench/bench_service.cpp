@@ -65,7 +65,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <fstream>
 #include <iomanip>
@@ -391,49 +390,6 @@ LoopbackResult run_loopback(const LoopbackSpec& spec, std::size_t clients,
   return result;
 }
 
-/// Experiment 5: cache-hit scaling per backend. T threads hammer get()
-/// on a pre-populated hot key set — no schedulers, no service, just the
-/// index — so the number prices exactly what the backend choice changes:
-/// shard mutex hand-offs vs. lock-free probes. Returns requests/sec.
-double run_cache_scale(CacheBackend backend, std::size_t threads,
-                       std::size_t ops_per_thread) {
-  ResultCache cache(ResultCacheConfig{64u << 20, 16, backend});
-  constexpr std::uint64_t kKeys = 64;
-  const std::string algo = "ParDeepestFirst";
-  for (std::uint64_t k = 0; k < kKeys; ++k) {
-    auto r = std::make_shared<CachedResult>();
-    r->makespan = static_cast<double>(k + 1);
-    r->schedule = Schedule(64);
-    cache.put({k, algo, 4, 0}, std::move(r));
-  }
-  std::atomic<bool> go{false};
-  std::atomic<std::uint64_t> missed{0};
-  std::vector<std::thread> workers;
-  workers.reserve(threads);
-  for (std::size_t t = 0; t < threads; ++t) {
-    workers.emplace_back([&, t] {
-      while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
-      std::uint64_t local_missed = 0;
-      for (std::size_t i = 0; i < ops_per_thread; ++i) {
-        const ResultKey key{(t * 31 + i) % kKeys, algo, 4, 0};
-        if (!cache.get(key)) ++local_missed;
-      }
-      missed.fetch_add(local_missed);
-    });
-  }
-  const auto t0 = std::chrono::steady_clock::now();
-  go.store(true, std::memory_order_release);
-  for (std::thread& w : workers) w.join();
-  const std::chrono::duration<double> elapsed =
-      std::chrono::steady_clock::now() - t0;
-  if (missed.load() != 0) {
-    throw std::runtime_error("cache-scale run missed " +
-                             std::to_string(missed.load()) +
-                             " pre-populated keys");
-  }
-  return static_cast<double>(threads * ops_per_thread) / elapsed.count();
-}
-
 /// Experiment 6: the router hop, priced within one run. The same
 /// cache-hot closed loop (text v2, batch=1) runs twice against the SAME
 /// backend service — once straight at its server port, once through a
@@ -553,9 +509,6 @@ int main(int argc, char** argv) {
         static_cast<std::size_t>(args.get_int("server-requests", 2048));
     const auto server_n =
         static_cast<NodeId>(args.get_int("server-n", 500));
-    // Per-thread get() count for the cache-scaling grid (0 skips it).
-    const auto cache_scale_ops =
-        static_cast<std::size_t>(args.get_int("cache-scale-ops", 200000));
     args.reject_unknown();
 
     std::vector<int> procs;
@@ -726,39 +679,6 @@ int main(int argc, char** argv) {
                 << " requests/sec\n";
     }
 
-    // Experiment 5: cache-hit scaling per backend at 1/4/16/32 threads.
-    const std::size_t kScaleThreads[] = {1, 4, 16, 32};
-    double scale_rps[2][4] = {};
-    double cache_scale_ratio_t16 = 0.0;
-    if (cache_scale_ops > 0) {
-      std::cout << "\n== cache-hit scaling, mutex vs lockfree backend ==\n"
-                << cache_scale_ops
-                << " get() ops per thread on a 64-key hot set\n";
-      for (int backend = 0; backend < 2; ++backend) {
-        for (int t = 0; t < 4; ++t) {
-          scale_rps[backend][t] = run_cache_scale(
-              backend == 0 ? CacheBackend::kMutex : CacheBackend::kLockFree,
-              kScaleThreads[t], cache_scale_ops);
-        }
-        std::cout << (backend == 0 ? "mutex:    " : "lockfree: ")
-                  << std::setprecision(0);
-        for (int t = 0; t < 4; ++t) {
-          std::cout << "t" << kScaleThreads[t] << " = "
-                    << scale_rps[backend][t] << (t < 3 ? ", " : "");
-        }
-        std::cout << " hits/sec\n";
-      }
-      cache_scale_ratio_t16 =
-          scale_rps[1][2] / std::max(scale_rps[0][2], 1e-9);
-      std::cout << std::setprecision(2)
-                << "lockfree over mutex at 16 threads: "
-                << cache_scale_ratio_t16 << "x"
-                << (cache_scale_ratio_t16 >= 1.0
-                        ? "  (meets the >= 1.0x bar)"
-                        : "  (BELOW the >= 1.0x bar)")
-                << "\n";
-    }
-
     // Experiment 6: direct vs routed cache-hot rps, same backend, same
     // run — the ratio is hardware-relative and gates in CI at >= 0.7x.
     RouterCompare router_compare;
@@ -867,15 +787,6 @@ int main(int argc, char** argv) {
          << ",\n"
          << "  \"server_uds_v2_batch1_rps\": " << uds_v2.rps << ",\n"
          << "  \"server_uds_v3_batch16_rps\": " << uds_v3.rps << ",\n"
-         << "  \"cache_scale_ops_per_thread\": " << cache_scale_ops << ",\n";
-      for (int backend = 0; backend < 2; ++backend) {
-        const char* label = backend == 0 ? "mutex" : "lockfree";
-        for (int t = 0; t < 4; ++t) {
-          os << "  \"cache_scale_" << label << "_t" << kScaleThreads[t]
-             << "_rps\": " << scale_rps[backend][t] << ",\n";
-        }
-      }
-      os << "  \"cache_scale_ratio_t16\": " << cache_scale_ratio_t16 << ",\n"
          << "  \"router_direct_rps\": " << router_compare.direct_rps << ",\n"
          << "  \"router_routed_rps\": " << router_compare.routed_rps << ",\n"
          << "  \"router_over_direct_ratio\": " << router_over_direct << ",\n"

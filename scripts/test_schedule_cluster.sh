@@ -201,8 +201,15 @@ except (OSError, ValueError, KeyError) as e:
     errors.append(f"merged trace dump is not readable Chrome JSON: {e}")
 
 # The aggregated stats vocabulary: per-node routing counters must sum
-# to forwarded, and the polled backend_ aggregate must be present.
-st = stats()
+# to forwarded, and the polled backend_ aggregate must be present. The
+# router polls each node's stats only every few health ticks (100 ms
+# here), and this client can get here sooner, so wait for the first
+# answered poll the way the start waits for nodes_up.
+for _ in range(200):
+    st = stats()
+    if any(k.startswith("backend_") for k in st):
+        break
+    time.sleep(0.05)
 for key in ("nodes", "nodes_up", "forwarded", "responses",
             "node0_routed", "node1_routed", "node0_up", "node1_up"):
     if key not in st:

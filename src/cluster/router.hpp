@@ -111,8 +111,9 @@ struct RouterConfig {
   /// Graceful-drain ceiling in ms; 0 = wait forever. Same contract as
   /// the server: past it, clients that never read are closed.
   double drain_timeout_ms = 0.0;
-  /// Per-node forwarding window: at most this many forwards in flight
-  /// on one backend socket; excess queues router-side.
+  /// Per-node forwarding window: at most this many schedule forwards
+  /// in flight on one backend socket (health and stats probes do not
+  /// count); excess queues router-side.
   std::size_t upstream_window = 128;
   /// Per-node queue bound; a full queue makes the node ineligible and,
   /// with every alternate also full, answers queue_full (backpressure).

@@ -233,6 +233,7 @@ void Upstream::handle_response(ResponseLine&& resp) {
       last_stats_ = std::move(resp.stats);
       break;
     case Forward::Kind::kSchedule:
+      --inflight_schedules_;
       router_.on_upstream_response(fwd, std::move(resp));
       break;
     case Forward::Kind::kTracePull:
@@ -293,6 +294,7 @@ void Upstream::send_forward(Forward&& fwd) {
       writer.stats(uid);
       break;
     case Forward::Kind::kSchedule:
+      ++inflight_schedules_;
       // Traced requests carry their id to the backend in the frame's
       // trace-context extension (origin 1 = the router); untraced ones
       // stay byte-identical to the pre-trace wire format.
@@ -314,7 +316,7 @@ void Upstream::send_forward(Forward&& fwd) {
 void Upstream::flush_queue() {
   const RouterConfig& cfg = router_.config();
   while (state_ == State::kUp && !queue_.empty() &&
-         inflight_.size() < cfg.upstream_window &&
+         inflight_schedules_ < cfg.upstream_window &&
          wbuf_.size() - wbuf_head_ <= cfg.upstream_max_wbuf) {
     Forward fwd = std::move(queue_.front());
     queue_.pop_front();
@@ -421,6 +423,7 @@ void Upstream::fail(const std::string& reason, int code) {
   // finish without this node instead of hanging.
   auto inflight = std::move(inflight_);
   inflight_.clear();
+  inflight_schedules_ = 0;
   auto queued = std::move(queue_);
   queue_.clear();
   const auto hand_back = [this](Forward&& fwd) {

@@ -16,13 +16,16 @@
 // Forward -> client window entry; the id is rewritten back to the
 // client's own tag (or dropped for untagged requests) on delivery.
 //
-// Windowing: at most `upstream_window` forwards are in flight per node;
-// excess forwards wait in a bounded per-node queue. A full queue is the
-// router's backpressure signal — route() fails typed (queue_full) and
-// the client hears it immediately instead of the router buffering
-// without bound. A slow upstream additionally caps the socket write
-// buffer: past upstream_max_wbuf no queued forward is serialized, so a
-// node that stops reading stalls its own queue, never the router.
+// Windowing: at most `upstream_window` schedule forwards are in flight
+// per node; excess forwards wait in a bounded per-node queue. Pings,
+// stats polls and trace probes do not count against the window, so a
+// probe the node has not answered yet never holds routed work back. A
+// full queue is the router's backpressure signal — route() fails typed
+// (queue_full) and the client hears it immediately instead of the
+// router buffering without bound. A slow upstream additionally caps the
+// socket write buffer: past upstream_max_wbuf no queued forward is
+// serialized, so a node that stops reading stalls its own queue, never
+// the router.
 //
 // Health: the router's periodic tick pings each node (kPing frames ride
 // the same uid space) and fails it when the pong is `ping_timeout_ms`
@@ -185,6 +188,7 @@ class Upstream {
   net::FrameReader reader_;
 
   std::unordered_map<std::uint64_t, Forward> inflight_;  ///< by uid
+  std::size_t inflight_schedules_ = 0;  ///< kSchedule entries of inflight_
   std::deque<Forward> queue_;
   std::vector<std::pair<std::string, std::uint64_t>> last_stats_;
   std::uint64_t disconnects_ = 0;

@@ -39,50 +39,27 @@
 // the pool itself is FIFO — and a job whose entry was cancelled simply
 // finds less work.
 //
-// Backends (RequestQueueConfig::backend): kMutex keeps every entry in
-// the fully locked buckets above. kLockFree adds a per-class bounded
-// MPMC fast lane (util/mpmc_queue.hpp) for the COMMON case — a
-// deadline-less request admitted and popped with no aging due — so the
-// hot push/pop path costs a few atomic ops instead of the queue mutex.
-// Everything that needs global ordering falls back to the mutex path:
-// deadline-tagged entries go straight to the EDF buckets (they sort
-// before every deadline-less entry of their class, so the two-structure
-// pop order matches the mutex backend exactly); cancel() and
-// aging-due pops first drain the lanes into the buckets under the
-// mutex, then run the classic logic — the MPMC pop arbitrates entry
-// ownership, so exactly one of {cancel, pop} wins, and the per-class
-// balance (admitted == completed + expired + rejected + cancelled)
-// stays exact because every entry hits exactly one terminal counter.
-// Lane aging is conservative: a lane entry is promoted within at most
-// two aging intervals of becoming due (the mutex backend promotes
-// within one pop of due).
+// Concurrency: every entry lives in the per-class buckets under one
+// mutex, so push, pop (aging, expiry, EDF) and cancel all see one
+// order. Pushes come from the I/O thread and pops from the pool's few
+// workers, too little contention for a lock-free lane to pay off end to
+// end.
 
 #include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "service/request.hpp"
 #include "service/ticket.hpp"
-#include "util/mpmc_queue.hpp"
 
 namespace treesched {
-
-/// Selects the admission queue's implementation (see file comment).
-enum class QueueBackend { kMutex, kLockFree };
-
-/// Parses a CLI flag value ("mutex" | "lockfree") into a backend;
-/// throws std::invalid_argument on anything else.
-QueueBackend parse_queue_backend(const std::string& name);
-const char* to_string(QueueBackend backend);
 
 struct RequestQueueConfig {
   /// Wait time after which a pending request is promoted one priority
@@ -92,9 +69,6 @@ struct RequestQueueConfig {
   /// Upper bound on pending entries; pushes beyond it are rejected with
   /// kQueueFull. 0 = unbounded.
   std::size_t max_pending = 0;
-  /// kMutex (default) or kLockFree (MPMC fast lane for deadline-less
-  /// entries; identical ordering and counter contracts).
-  QueueBackend backend = QueueBackend::kMutex;
 };
 
 /// Monotonic per-class counters plus wait-time percentiles. All counters
@@ -157,11 +131,6 @@ class RequestQueue {
 
   explicit RequestQueue(RequestQueueConfig config = {});
 
-  /// Frees any entries still parked in the lock-free lanes. The service
-  /// drains every admitted request before tearing the queue down, so
-  /// this only matters for queues destroyed mid-test.
-  ~RequestQueue();
-
   /// Admits `req` under its own priority/deadline_ms fields and returns
   /// its cancellation sequence. On rejection (queue full) settles the
   /// ticket with the typed kQueueFull error itself and returns
@@ -207,9 +176,10 @@ class RequestQueue {
     std::multimap<Clock::time_point, EdfKey> by_age;
   };
 
-  /// Relaxed atomics: in the lock-free backend terminal counters are
-  /// bumped off-mutex, and each entry hits exactly one of them, so the
-  /// per-class balance stays exact without any lock.
+  /// Relaxed atomics: push() counts admitted and rejected before it
+  /// takes the mutex (a rejected push never takes it at all), so the
+  /// counters cannot rely on the lock. Each entry hits exactly one
+  /// terminal counter, which keeps the per-class balance exact.
   struct Counters {
     std::atomic<std::uint64_t> admitted{0};
     std::atomic<std::uint64_t> rejected{0};
@@ -219,21 +189,7 @@ class RequestQueue {
     std::atomic<std::uint64_t> aged{0};
   };
 
-  static constexpr std::size_t kLaneCapacity = 1024;
   static constexpr std::size_t kWaitSampleCap = 8192;
-  /// `oldest` sentinel: lane never used (aging check skips it).
-  static constexpr std::int64_t kLaneIdle =
-      std::numeric_limits<std::int64_t>::max();
-
-  /// One lock-free fast lane per class: deadline-less admissions ride
-  /// the MPMC ring; `oldest` is a conservative lower bound (CAS-min) on
-  /// the admission tick of anything still parked in the ring, kIdle
-  /// until the lane is first used. Ring overflow falls back to the
-  /// mutex buckets.
-  struct FastLane {
-    MpmcRing<Stored*> ring{kLaneCapacity};
-    std::atomic<std::int64_t> oldest{kLaneIdle};
-  };
 
   Bucket& bucket(int cls) { return buckets_[static_cast<std::size_t>(cls)]; }
   Counters& counters(Priority cls) {
@@ -245,9 +201,6 @@ class RequestQueue {
   /// Promotes every due entry one class (config_.age_after elapsed since
   /// its last promotion or admission). Called under mutex_.
   void age_pending(Clock::time_point now);
-  /// Inserts an already-reserved, already-sequenced entry into its
-  /// class bucket. Called under mutex_.
-  void insert_locked(int cls, std::uint64_t seq, Stored stored);
   /// Removes `key` from bucket `cls` (items + aging index + cancel
   /// index + pending counters) and returns the stored entry. Called
   /// under mutex_.
@@ -256,28 +209,13 @@ class RequestQueue {
   /// Lock-free (atomic ring), callable from any path.
   void record_wait(Priority cls, Clock::time_point admitted,
                    Clock::time_point now);
-  /// True when some fast-lane entry (class >= 1) has plausibly waited
-  /// past age_after and the lanes must be drained into the buckets
-  /// before the next pop decision.
-  [[nodiscard]] bool lane_aging_due(Clock::time_point now) const;
-  /// Moves every fast-lane entry into its class bucket. Called under
-  /// mutex_ (cancel, and any pop that cannot take the pure fast path).
-  void drain_lanes_locked();
-  /// The classic fully-locked pop (drains lanes first in the lock-free
-  /// backend).
-  PopResult pop_locked(Clock::time_point now);
 
   RequestQueueConfig config_;
   mutable std::mutex mutex_;
   std::array<Bucket, kPriorityClasses> buckets_;
   std::array<Counters, kPriorityClasses> counters_;
-  /// Mirror of buckets_[c].items.size(), readable off-mutex: a nonzero
-  /// bucket forces the ordering-preserving locked pop path.
-  std::array<std::atomic<std::size_t>, kPriorityClasses> bucket_count_{};
-  std::array<FastLane, kPriorityClasses> lanes_;
   /// Cancellation index: seq -> (current class, EDF deadline), enough to
   /// rebuild the EdfKey and find the entry wherever aging moved it.
-  /// Covers bucket entries only; cancel() drains the lanes first.
   std::unordered_map<std::uint64_t, std::pair<int, Clock::time_point>>
       by_seq_;
   /// Lock-free ring buffers of recent wait samples (ms), one per class:

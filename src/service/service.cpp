@@ -26,8 +26,7 @@ SchedulingService::SchedulingService(ServiceConfig config)
       registry_(config.registry ? config.registry
                                 : std::make_shared<obs::MetricsRegistry>()),
       store_(config.store),
-      cache_(ResultCacheConfig{config.cache_bytes, config.cache_shards,
-                               config.cache_backend}),
+      cache_(config.cache_bytes),
       queue_(std::make_shared<RequestQueue>(config.queue)) {
   init_metrics();
 }
@@ -112,22 +111,16 @@ void SchedulingService::init_metrics() {
           gauge("treesched_queue_pending", "Currently queued requests", cls,
                 static_cast<double>(q.pending));
         }
-        // The backend label tells dashboards which index produced the
-        // series (mutex sharded LRU vs lock-free CLOCK map) without
-        // renaming any metric.
-        std::string cache_labels = "backend=\"";
-        cache_labels += to_string(cache_.backend());
-        cache_labels += "\"";
-        counter("treesched_cache_hits_total", "Result-cache hits",
-                cache_labels, static_cast<double>(cs.hits));
-        counter("treesched_cache_misses_total", "Result-cache misses",
-                cache_labels, static_cast<double>(cs.misses));
+        counter("treesched_cache_hits_total", "Result-cache hits", "",
+                static_cast<double>(cs.hits));
+        counter("treesched_cache_misses_total", "Result-cache misses", "",
+                static_cast<double>(cs.misses));
         counter("treesched_cache_evictions_total", "Result-cache evictions",
-                cache_labels, static_cast<double>(cs.evictions));
-        gauge("treesched_cache_entries", "Cached results resident",
-              cache_labels, static_cast<double>(cs.entries));
-        gauge("treesched_cache_bytes", "Result-cache bytes resident",
-              cache_labels, static_cast<double>(cs.bytes));
+                "", static_cast<double>(cs.evictions));
+        gauge("treesched_cache_entries", "Cached results resident", "",
+              static_cast<double>(cs.entries));
+        gauge("treesched_cache_bytes", "Result-cache bytes resident", "",
+              static_cast<double>(cs.bytes));
         gauge("treesched_store_trees", "Interned trees resident", "",
               static_cast<double>(ss.unique_trees));
         gauge("treesched_store_bytes", "Instance-store bytes resident", "",

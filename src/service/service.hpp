@@ -6,11 +6,12 @@
 //   ServiceResult r = t.wait();       // response, or typed ServiceError
 //
 // submit() admits the request into the deadline-aware priority queue
-// (service/request_queue.hpp) under its priority/deadline_ms fields and
-// pairs it with one thread-pool job; whenever a pool worker frees up it
-// takes the most urgent admitted request (Interactive before Batch
-// before Bulk, EDF within a class, aging against starvation). The
-// compute engine behind it is unchanged:
+// (service/request_queue.hpp, one mutex) under its priority/deadline_ms
+// fields and pairs it with one thread-pool job; whenever a pool worker
+// frees up it takes the most urgent admitted request (Interactive before
+// Batch before Bulk, EDF within a class, aging against starvation). The
+// compute engine behind it looks results up in one cache
+// (service/result_cache.hpp, a 16-shard exact LRU):
 //
 //   request --> intern tree --> cache lookup --> hit? answer
 //                                  |
@@ -83,11 +84,6 @@ namespace treesched {
 struct ServiceConfig {
   /// Result-cache budget; 0 disables caching (every request recomputes).
   std::size_t cache_bytes = ResultCache::kDefaultByteBudget;
-  unsigned cache_shards = 16;
-  /// Result-cache index implementation: kMutex (sharded exact LRU, the
-  /// default) or kLockFree (concurrent CLOCK map — see
-  /// service/concurrent_map.hpp). Results are bit-identical either way.
-  CacheBackend cache_backend = CacheBackend::kMutex;
   /// Parallelism bound for schedule_batch (0 = the shared thread pool's
   /// size via the admission queue; nonzero runs the batch exactly this
   /// wide).

@@ -34,38 +34,4 @@ std::vector<int> elimination_tree(const SparsePattern& a,
   return parent;
 }
 
-std::vector<int> elimination_tree_dense_reference(const SparsePattern& a,
-                                                  const Ordering& perm) {
-  const int n = a.size();
-  const Ordering inv = inverse_ordering(perm);
-  // full[j] = set of rows i > j with L_{ij} != 0 (structurally), as a
-  // simple boolean matrix.
-  std::vector<std::vector<char>> lower(
-      static_cast<std::size_t>(n),
-      std::vector<char>(static_cast<std::size_t>(n), 0));
-  for (int j = 0; j < n; ++j) {
-    for (int u : a.neighbors(perm[j])) {
-      const int i = inv[u];
-      if (i > j) lower[j][i] = 1;
-    }
-  }
-  std::vector<int> parent(static_cast<std::size_t>(n), -1);
-  for (int j = 0; j < n; ++j) {
-    // First subdiagonal nonzero is the parent; spread fill to it.
-    int par = -1;
-    for (int i = j + 1; i < n; ++i) {
-      if (lower[j][i]) {
-        par = i;
-        break;
-      }
-    }
-    parent[j] = par;
-    if (par == -1) continue;
-    for (int i = par + 1; i < n; ++i) {
-      if (lower[j][i]) lower[par][i] = 1;
-    }
-  }
-  return parent;
-}
-
 }  // namespace treesched

@@ -17,10 +17,4 @@ namespace treesched {
 std::vector<int> elimination_tree(const SparsePattern& a,
                                   const Ordering& perm);
 
-/// Dense-Gaussian-elimination reference: simulates symbolic elimination on
-/// an explicit bitset and derives parents as the first fill row below the
-/// diagonal. O(n^3 / 64); test oracle only.
-std::vector<int> elimination_tree_dense_reference(const SparsePattern& a,
-                                                  const Ordering& perm);
-
 }  // namespace treesched

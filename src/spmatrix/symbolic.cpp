@@ -53,36 +53,4 @@ SymbolicResult symbolic_cholesky(const SparsePattern& a,
   return res;
 }
 
-std::vector<std::int64_t> column_counts_dense_reference(const SparsePattern& a,
-                                                        const Ordering& perm) {
-  const int n = a.size();
-  const Ordering inv = inverse_ordering(perm);
-  std::vector<std::vector<char>> lower(
-      static_cast<std::size_t>(n),
-      std::vector<char>(static_cast<std::size_t>(n), 0));
-  for (int j = 0; j < n; ++j) {
-    for (int u : a.neighbors(perm[j])) {
-      const int i = inv[u];
-      if (i > j) lower[j][i] = 1;
-    }
-  }
-  std::vector<std::int64_t> counts(static_cast<std::size_t>(n), 0);
-  for (int j = 0; j < n; ++j) {
-    int par = -1;
-    std::int64_t cnt = 1;  // diagonal
-    for (int i = j + 1; i < n; ++i) {
-      if (lower[j][i]) {
-        ++cnt;
-        if (par == -1) par = i;
-      }
-    }
-    counts[j] = cnt;
-    if (par == -1) continue;
-    for (int i = par + 1; i < n; ++i) {
-      if (lower[j][i]) lower[par][i] = 1;
-    }
-  }
-  return counts;
-}
-
 }  // namespace treesched

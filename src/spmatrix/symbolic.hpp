@@ -27,8 +27,4 @@ struct SymbolicResult {
 
 SymbolicResult symbolic_cholesky(const SparsePattern& a, const Ordering& perm);
 
-/// O(n^2)-space reference via the dense boolean elimination; test oracle.
-std::vector<std::int64_t> column_counts_dense_reference(const SparsePattern& a,
-                                                        const Ordering& perm);
-
 }  // namespace treesched

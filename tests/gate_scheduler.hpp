@@ -9,11 +9,13 @@
 // scheduler, which then appears in that binary's registry roster.
 
 #include <condition_variable>
+#include <cstdint>
 #include <mutex>
 
 #include "core/schedule.hpp"
 #include "sched/registry.hpp"
 #include "sched/scheduler.hpp"
+#include "service/service.hpp"
 
 namespace treesched::testing {
 
@@ -78,5 +80,16 @@ class GateScheduler final : public Scheduler {
 
 inline const SchedulerRegistrar gate_scheduler_registrar{
     "TestGate", [] { return SchedulerPtr(new GateScheduler); }};
+
+/// Requests `service` has admitted so far, over all classes. A test that
+/// sends gated requests over a socket waits for this count before it
+/// relies on them being queued.
+inline std::uint64_t admitted(const SchedulingService& service) {
+  std::uint64_t n = 0;
+  for (const ClassQueueStats& c : service.queue_stats().by_class) {
+    n += c.admitted;
+  }
+  return n;
+}
 
 }  // namespace treesched::testing

@@ -38,6 +38,7 @@
 #include "net/server.hpp"
 #include "service/instance_store.hpp"
 #include "service/service.hpp"
+#include "test_helpers.hpp"
 #include "util/hash.hpp"
 
 namespace treesched {
@@ -49,6 +50,7 @@ using cluster::RouterConfig;
 using net::Client;
 using net::Server;
 using net::ServerConfig;
+using testing::eventually;
 
 // ---------------------------------------------------------------------------
 // HashRing: the placement function is a wire-level contract.
@@ -291,12 +293,16 @@ class BackendHarness {
 /// (kSilent — fills the router's upstream window/queue) or closing the
 /// socket the moment one arrives (kCloseAbruptly — a node death timed
 /// exactly mid-request). Deterministic where killing a real server
-/// would race its graceful drain.
+/// would race its graceful drain. OnPing::kFirstOnly answers the first
+/// ping and swallows the rest, which parks one ping in the router's
+/// in-flight set for as long as its ping timeout allows.
 class FakeNode {
  public:
   enum class OnRequest { kSilent, kCloseAbruptly };
+  enum class OnPing { kAnswer, kFirstOnly };
 
-  explicit FakeNode(OnRequest behavior) : behavior_(behavior) {
+  explicit FakeNode(OnRequest behavior, OnPing pings = OnPing::kAnswer)
+      : behavior_(behavior), pings_(pings) {
     listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
     if (listen_fd_ < 0) throw std::runtime_error("FakeNode: socket");
     sockaddr_in addr{};
@@ -335,6 +341,9 @@ class FakeNode {
   }
   [[nodiscard]] std::uint64_t requests_seen() const {
     return requests_seen_.load();
+  }
+  [[nodiscard]] std::uint64_t pings_seen() const {
+    return pings_seen_.load();
   }
 
  private:
@@ -378,6 +387,10 @@ class FakeNode {
       reader.feed(data, len);
       net::Frame frame;
       while (reader.next(frame) == net::FrameReader::Status::kFrame) {
+        if (frame.opcode == net::Opcode::kPing &&
+            pings_seen_.fetch_add(1) > 0 && pings_ == OnPing::kFirstOnly) {
+          continue;  // swallow every ping after the first
+        }
         if (frame.opcode == net::Opcode::kPing ||
             frame.opcode == net::Opcode::kStats) {
           std::optional<std::uint64_t> id;
@@ -403,10 +416,14 @@ class FakeNode {
     }
   }
 
+  /// MSG_NOSIGNAL: stop() may shut the socket down under a pong being
+  /// written, and a plain write() would then kill the whole test binary
+  /// with SIGPIPE.
   static bool write_all(int fd, const std::string& bytes) {
     std::size_t off = 0;
     while (off < bytes.size()) {
-      const ssize_t w = ::write(fd, bytes.data() + off, bytes.size() - off);
+      const ssize_t w = ::send(fd, bytes.data() + off, bytes.size() - off,
+                               MSG_NOSIGNAL);
       if (w <= 0) return false;
       off += static_cast<std::size_t>(w);
     }
@@ -414,6 +431,7 @@ class FakeNode {
   }
 
   const OnRequest behavior_;
+  const OnPing pings_;
   int listen_fd_ = -1;
   std::uint16_t port_ = 0;
   std::thread thread_;
@@ -421,6 +439,7 @@ class FakeNode {
   int conn_fd_ = -1;
   bool stopping_ = false;
   std::atomic<std::uint64_t> requests_seen_{0};
+  std::atomic<std::uint64_t> pings_seen_{0};
 };
 
 /// Router + I/O thread. Health cadence is cranked way down so tests
@@ -706,6 +725,45 @@ TEST(ClusterRouter, BackpressureAnswersQueueFullAndCancelReachesTheQueue) {
   EXPECT_EQ(settled.count(3), 1u);
   for (const auto& [id, code] : settled) {
     EXPECT_EQ(code, ErrorCode::kNodeUnavailable) << "id " << id;
+  }
+}
+
+TEST(ClusterRouter, BackpressureWindowIgnoresAnUnansweredPing) {
+  // The window bounds schedule forwards only. The node answers its
+  // first ping and sits on the second (the long ping timeout keeps it
+  // up), so a health ping is in flight when the requests arrive. With a
+  // window of 1, request 1 must still go on the wire while request 2
+  // waits router-side.
+  auto fake = std::make_unique<FakeNode>(FakeNode::OnRequest::kSilent,
+                                         FakeNode::OnPing::kFirstOnly);
+  RouterConfig config;
+  config.retries = 0;
+  config.upstream_window = 1;
+  config.ping_timeout_ms = 60000.0;
+  RouterHarness router({fake->name()}, config);
+  ASSERT_TRUE(router.wait_nodes_up(1));
+  ASSERT_TRUE(eventually([&] { return fake->pings_seen() >= 2; }))
+      << "the router never sent the ping the node holds";
+
+  Client client("127.0.0.1", router.port());
+  client.send_line("random:201:1 Liu 1 id=1");
+  client.send_line("random:202:1 Liu 1 id=2");
+  EXPECT_TRUE(eventually([&] { return fake->requests_seen() >= 1; }))
+      << "an unanswered ping held request 1 back";
+  Client probe("127.0.0.1", router.port());
+  EXPECT_TRUE(eventually([&] {
+    return stat_value(probe.request("stats"), "node0_queued") == 1;
+  })) << "request 2 waits router-side";
+  EXPECT_EQ(fake->requests_seen(), 1u)
+      << "the window still bounds schedule forwards";
+
+  // Kill the node: both accepted requests settle as node_unavailable.
+  fake->stop();
+  for (int i = 0; i < 2; ++i) {
+    const auto resp = client.recv_response();
+    ASSERT_TRUE(resp.has_value());
+    EXPECT_FALSE(resp->ok);
+    EXPECT_EQ(resp->code, ErrorCode::kNodeUnavailable);
   }
 }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "spmatrix/ordering.hpp"
+#include "spmatrix_reference.hpp"
 
 namespace treesched {
 namespace {
@@ -37,7 +38,7 @@ TEST(Etree, MatchesDenseReferenceOnRandomInstances) {
       Ordering perm =
           o == 0 ? natural_ordering(n) : random_ordering(n, rng);
       EXPECT_EQ(elimination_tree(a, perm),
-                elimination_tree_dense_reference(a, perm));
+                reference::elimination_tree_dense_reference(a, perm));
     }
   }
 }
@@ -47,7 +48,7 @@ TEST(Etree, MatchesDenseReferenceOnGrids) {
   for (const Ordering& perm :
        {natural_ordering(30), nested_dissection_2d(6, 5, 2)}) {
     EXPECT_EQ(elimination_tree(a, perm),
-              elimination_tree_dense_reference(a, perm));
+              reference::elimination_tree_dense_reference(a, perm));
   }
 }
 

@@ -20,10 +20,12 @@
 #include <thread>
 #include <vector>
 
+#include "gate_scheduler.hpp"
 #include "net/client.hpp"
 #include "net/server.hpp"
 #include "service/request_view.hpp"
 #include "service/service.hpp"
+#include "test_helpers.hpp"
 #include "util/thread_pool.hpp"
 
 namespace treesched {
@@ -44,6 +46,9 @@ using net::Opcode;
 using net::Protocol;
 using net::Server;
 using net::ServerConfig;
+using testing::admitted;
+using testing::eventually;
+using testing::GateGuard;
 
 // ---------------------------------------------------------------------------
 // RequestView: the zero-copy parser, alone and against the v2 parser.
@@ -633,6 +638,7 @@ class ServerHarness {
   }
 
   [[nodiscard]] std::uint16_t port() const { return server_.port(); }
+  [[nodiscard]] SchedulingService& service() { return service_; }
 
  private:
   SchedulingService service_;
@@ -724,6 +730,7 @@ TEST(ScheduleServerV3, ControlFramesAnswerPingStatsAndCancel) {
   ServerConfig config;
   config.max_pending = 1024;
   ServerHarness harness(config);
+  GateGuard gate;
   Client client = connect_v3(harness);
   // Dedicated kPing opcode, no id: a zero-length frame both ways.
   std::string wire;
@@ -735,13 +742,12 @@ TEST(ScheduleServerV3, ControlFramesAnswerPingStatsAndCancel) {
   EXPECT_FALSE(pong->id.has_value());
 
   // kCancel opcode against a still-queued bulk request behind a wall of
-  // interactive work (the saturate() pattern from the v2 tests).
+  // gated interactive work (the saturate() pattern from the v2 tests).
   const std::size_t backlog = 2 * ThreadPool::shared().size() + 6;
   std::vector<std::string> lines;
   for (std::size_t i = 0; i < backlog; ++i) {
-    lines.push_back("synthetic:20000:1 ParDeepestFirst " +
-                    std::to_string(2 + i) + " priority=interactive id=" +
-                    std::to_string(100 + i));
+    lines.push_back("random:60:1 TestGate " + std::to_string(2 + i) +
+                    " priority=interactive id=" + std::to_string(100 + i));
   }
   lines.push_back("random:100:1 Liu 1 priority=bulk id=7");
   client.send_batch(lines);
@@ -749,6 +755,11 @@ TEST(ScheduleServerV3, ControlFramesAnswerPingStatsAndCancel) {
   FrameWriter(wire).cancel(7);
   send_raw(client, wire);
   client.shutdown_write();
+  EXPECT_TRUE(eventually([&] {
+    return harness.service().queue_stats().of(Priority::kBulk).cancelled ==
+           1;
+  })) << "the cancel never reached the queued request";
+  gate.open();
   std::size_t answers = 0;
   bool id7_cancelled = false;
   while (const auto resp = client.recv_response()) {
@@ -977,13 +988,14 @@ TEST(ScheduleServerV3, TruncatedTraceExtensionClosesWithBadRequest) {
 
 TEST(ScheduleServerV3, MidFrameDisconnectCancelsAndTheServerSurvives) {
   ServerHarness harness;
+  GateGuard gate;
+  const std::size_t backlog = 2 * ThreadPool::shared().size() + 6;
   {
     Client doomed = connect_v3(harness);
     std::vector<std::string> lines;
-    const std::size_t backlog = 2 * ThreadPool::shared().size() + 6;
     for (std::size_t i = 0; i < backlog; ++i) {
-      lines.push_back("synthetic:20000:1 ParDeepestFirst " +
-                      std::to_string(2 + i) + " priority=interactive");
+      lines.push_back("random:60:1 TestGate " + std::to_string(2 + i) +
+                      " priority=interactive");
     }
     doomed.send_batch(lines);
     // A request frame whose payload never finishes…
@@ -992,6 +1004,11 @@ TEST(ScheduleServerV3, MidFrameDisconnectCancelsAndTheServerSurvives) {
     send_raw(doomed, partial.substr(0, partial.size() - 3));
     doomed.close();  // …and an abrupt disconnect mid-frame.
   }
+  // The gate held the backlog while the client vanished; release it once
+  // the server has admitted it, so the next request finds a free worker.
+  EXPECT_TRUE(
+      eventually([&] { return admitted(harness.service()) >= backlog; }));
+  gate.open();
   Client alive = connect_v3(harness);
   const ResponseLine ok = alive.request("random:100:2 Liu 1 id=1");
   EXPECT_TRUE(ok.ok);

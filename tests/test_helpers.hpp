@@ -1,11 +1,26 @@
 #pragma once
 // Shared helpers for the test suite.
 
+#include <chrono>
+#include <thread>
 #include <vector>
 
 #include "core/tree.hpp"
 
 namespace treesched::testing {
+
+/// Polls `done` every millisecond for up to five seconds and returns its
+/// last value: how a test waits for another thread (a server, a router,
+/// a fake node) to reach a state before it moves on.
+template <typename Pred>
+bool eventually(Pred done) {
+  const auto until =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (!done() && std::chrono::steady_clock::now() < until) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return done();
+}
 
 /// Builds a tree from a parent array with pebble-game weights.
 inline Tree pebble_tree(std::vector<NodeId> parent) {

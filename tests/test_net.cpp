@@ -24,9 +24,11 @@
 #include <vector>
 
 #include "campaign/dataset.hpp"
+#include "gate_scheduler.hpp"
 #include "net/client.hpp"
 #include "net/server.hpp"
 #include "service/service.hpp"
+#include "test_helpers.hpp"
 #include "trees/io.hpp"
 #include "util/thread_pool.hpp"
 
@@ -37,6 +39,9 @@ using net::Client;
 using net::LineFramer;
 using net::Server;
 using net::ServerConfig;
+using testing::admitted;
+using testing::eventually;
+using testing::GateGuard;
 
 // ---------------------------------------------------------------------------
 // LineFramer: byte-by-byte and adversarial chunkings.
@@ -286,10 +291,10 @@ Client connect(const ServerHarness& harness) {
   return Client("127.0.0.1", harness.port());
 }
 
-/// Heavy-enough request lines to keep pool workers busy; distinct p per
-/// index keeps every cache key distinct.
-std::string heavy_line(int index, const std::string& extra = "") {
-  return "synthetic:20000:1 ParDeepestFirst " + std::to_string(2 + index) +
+/// Request lines that hold a pool worker until the test's GateGuard
+/// opens; distinct p per index keeps every cache key distinct.
+std::string gate_line(int index, const std::string& extra = "") {
+  return "random:60:1 TestGate " + std::to_string(2 + index) +
          " priority=interactive" + extra;
 }
 
@@ -490,15 +495,16 @@ TEST(ScheduleServer, PerConnectionWindowRejectsWithTypedQueueFull) {
   ServerConfig config;
   config.max_pending = 1;
   ServerHarness harness(config);
+  GateGuard gate;
   Client client = connect(harness);
-  // Both lines in ONE write: they are framed and admitted within one
-  // read batch, and completions only ever re-enter the loop as posted
-  // events — so the second line deterministically sees a full window.
-  client.send_line("synthetic:20000:1 ParDeepestFirst 2 id=1");
+  // The gate keeps request 1 unsettled until the refusal is on the
+  // wire, so the second line always meets a full window.
+  client.send_line(gate_line(0, " id=1"));
   client.send_line("random:100:9 Liu 1 id=2");
   bool saw_ok = false, saw_queue_full = false;
   for (int i = 0; i < 2; ++i) {
     const auto line = client.recv_line();
+    gate.open();  // the first answer is in; let request 1 finish
     ASSERT_TRUE(line.has_value());
     const ResponseLine resp = parse_response_line(*line);
     if (resp.ok) {
@@ -518,18 +524,24 @@ TEST(ScheduleServer, CancelStillQueuedAnswersCancelled) {
   ServerConfig config;
   config.max_pending = 1024;
   ServerHarness harness(config);
+  GateGuard gate;
   Client client = connect(harness);
   // The saturate() pattern over the wire: every pool worker pinned by
-  // interactive work with queued entries to spare, so the Bulk request
-  // behind them is still queued when the cancel arrives.
+  // gated interactive work with queued entries to spare, so the Bulk
+  // request behind them is still queued when the cancel arrives.
   const std::size_t backlog = 2 * ThreadPool::shared().size() + 6;
   for (std::size_t i = 0; i < backlog; ++i) {
-    client.send_line(heavy_line(static_cast<int>(i),
-                                " id=" + std::to_string(100 + i)));
+    client.send_line(gate_line(static_cast<int>(i),
+                               " id=" + std::to_string(100 + i)));
   }
   client.send_line("random:100:1 Liu 1 priority=bulk id=7");
   client.send_line("cancel id=7");
   client.shutdown_write();
+  EXPECT_TRUE(eventually([&] {
+    return harness.service().queue_stats().of(Priority::kBulk).cancelled ==
+           1;
+  })) << "the cancel never reached the queued request";
+  gate.open();
   std::size_t answers = 0;
   bool id7_cancelled = false;
   while (const auto line = client.recv_line()) {
@@ -584,11 +596,12 @@ TEST(ScheduleServer, UnterminatedFinalLineStillAnswersAtEof) {
 
 TEST(ScheduleServer, AbruptDisconnectCancelsAndTheServerSurvives) {
   ServerHarness harness;
+  GateGuard gate;
+  const std::size_t backlog = 2 * ThreadPool::shared().size() + 6;
   {
     Client doomed = connect(harness);
-    const std::size_t backlog = 2 * ThreadPool::shared().size() + 6;
     for (std::size_t i = 0; i < backlog; ++i) {
-      doomed.send_line(heavy_line(static_cast<int>(i)));
+      doomed.send_line(gate_line(static_cast<int>(i)));
     }
     for (int i = 0; i < 8; ++i) {
       doomed.send_line("random:100:1 Liu 1 priority=bulk id=" +
@@ -600,6 +613,11 @@ TEST(ScheduleServer, AbruptDisconnectCancelsAndTheServerSurvives) {
   Client alive = connect(harness);
   const ResponseLine pong = alive.request("ping");
   EXPECT_EQ(pong.kind, ResponseLine::Kind::kPong);
+  // The gate held the backlog while the client vanished; release it once
+  // the server has admitted it, so the next request finds a free worker.
+  EXPECT_TRUE(
+      eventually([&] { return admitted(harness.service()) >= backlog; }));
+  gate.open();
   const ResponseLine ok = alive.request("random:100:2 Liu 1 id=1");
   EXPECT_TRUE(ok.ok);
   // …and the harness destructor's stop() verifies the drain: run()
@@ -636,15 +654,23 @@ TEST(ScheduleServer, WriteBackpressureDeliversEverythingToASlowReader) {
 
 TEST(ScheduleServer, StopDrainsPendingAnswersBeforeReturning) {
   auto harness = std::make_unique<ServerHarness>();
+  GateGuard gate;
   Client client = connect(*harness);
   constexpr int kRequests = 6;
   for (int i = 0; i < kRequests; ++i) {
-    client.send_line(heavy_line(i, " id=" + std::to_string(i)));
+    client.send_line(gate_line(i, " id=" + std::to_string(i)));
   }
-  // Give the server a beat to frame them, then drain while they
-  // compute: every framed request must still be answered.
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  // Wait until the server has framed and admitted them, then drain
+  // while the gate still holds them: every framed request must still be
+  // answered. A helper opens the gate 50 ms into the drain.
+  ASSERT_TRUE(
+      eventually([&] { return admitted(harness->service()) >= kRequests; }));
+  std::thread opener([&gate] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    gate.open();
+  });
   harness->stop();
+  opener.join();
   std::size_t answers = 0;
   while (const auto line = client.recv_line()) {
     const ResponseLine resp = parse_response_line(*line);

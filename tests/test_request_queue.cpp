@@ -1,14 +1,16 @@
 // The deadline-aware admission queue and the service's submission paths:
 // class preemption, EDF within a class, aging against starvation, typed
-// expiry/rejection/cancellation errors, counter balance under producer
-// contention, and bit-identical results vs. direct registry calls. The
-// legacy schedule_async/schedule_prioritized wrappers are exercised here;
-// the Ticket surface itself is pinned by tests/test_tickets.cpp.
+// expiry/rejection/cancellation errors, counter balance under producer,
+// consumer and canceller contention, and bit-identical results vs.
+// direct registry calls. The legacy schedule_async/schedule_prioritized
+// wrappers are exercised here; the Ticket surface itself is pinned by
+// tests/test_tickets.cpp.
 
 #include "service/request_queue.hpp"
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <string>
@@ -228,6 +230,96 @@ TEST(RequestQueue, CancelFindsEntriesAgedIntoAnotherClass) {
   EXPECT_EQ(*settled_code(state), ErrorCode::kCancelled);
   EXPECT_EQ(q.stats().of(Priority::kBulk).cancelled, 1u)
       << "attributed to the submitted class";
+}
+
+TEST(RequestQueue, StressBalanceStaysExactUnderContention) {
+  // Producers, consumers and cancellers hammer the queue; afterwards the
+  // per-class balance must hold exactly:
+  //     admitted == completed + expired + rejected + cancelled.
+  RequestQueueConfig config;
+  config.age_after = 1ms;     // aging sweeps on most pops
+  config.max_pending = 512;   // exercise the rejection path
+  RequestQueue q(config);
+
+  constexpr int kProducers = 4;
+  constexpr int kPerProducer = 4000;
+  std::atomic<bool> done{false};
+  std::atomic<std::uint64_t> popped{0};
+  std::array<std::vector<std::uint64_t>, kProducers> seqs;
+
+  std::vector<std::thread> consumers;
+  for (int c = 0; c < 2; ++c) {
+    consumers.emplace_back([&] {
+      while (!done.load()) {
+        RequestQueue::PopResult r = q.pop();
+        const std::uint64_t got = r.expired.size() + (r.entry ? 1 : 0);
+        if (got == 0) {
+          std::this_thread::yield();
+        } else {
+          popped.fetch_add(got);
+        }
+      }
+    });
+  }
+
+  std::vector<std::thread> producers;
+  for (int t = 0; t < kProducers; ++t) {
+    producers.emplace_back([&, t] {
+      seqs[static_cast<std::size_t>(t)].reserve(kPerProducer);
+      for (int i = 0; i < kPerProducer; ++i) {
+        // Mostly deadline-less (FIFO within the class); every 7th
+        // carries a deadline (EDF), every 13th a tight one that may
+        // expire.
+        double deadline = 0.0;
+        if (i % 13 == 0) {
+          deadline = 0.01;
+        } else if (i % 7 == 0) {
+          deadline = 60000.0;
+        }
+        auto [req, state] =
+            tagged("x", static_cast<Priority>(i % kPriorityClasses), deadline);
+        if (const auto seq = q.push(std::move(req), std::move(state))) {
+          seqs[static_cast<std::size_t>(t)].push_back(*seq);
+        }
+      }
+    });
+  }
+  for (std::thread& t : producers) t.join();
+
+  // Cancellers race the still-running consumers for the leftovers: the
+  // by_seq_ lookup under the queue mutex must hand each entry to exactly
+  // one side.
+  std::vector<std::thread> cancellers;
+  for (int t = 0; t < kProducers; ++t) {
+    cancellers.emplace_back([&, t] {
+      const std::vector<std::uint64_t>& mine =
+          seqs[static_cast<std::size_t>(t)];
+      for (std::size_t i = 0; i < mine.size(); i += 3) {
+        (void)q.cancel(mine[i]);
+      }
+    });
+  }
+  for (std::thread& t : cancellers) t.join();
+
+  while (q.pending() != 0) {
+    RequestQueue::PopResult r = q.pop();
+    popped.fetch_add(r.expired.size() + (r.entry ? 1 : 0));
+    std::this_thread::yield();
+  }
+  done.store(true);
+  for (std::thread& t : consumers) t.join();
+
+  const QueueStats stats = q.stats();
+  std::uint64_t admitted = 0;
+  for (const ClassQueueStats& c : stats.by_class) {
+    EXPECT_EQ(c.admitted, c.completed + c.expired + c.rejected + c.cancelled)
+        << "exact per-class balance";
+    EXPECT_EQ(c.pending, 0u);
+    admitted += c.admitted;
+  }
+  EXPECT_EQ(admitted,
+            static_cast<std::uint64_t>(kProducers) * kPerProducer);
+  EXPECT_EQ(q.pending(), 0u);
 }
 
 // ---------------------------------------------------------------------------

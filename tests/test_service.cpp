@@ -239,6 +239,86 @@ TEST(ResultCache, ZeroBudgetDisablesCaching) {
   EXPECT_EQ(cache.stats().entries, 0u);
 }
 
+TEST(ResultCache, OverwriteReplacesInPlace) {
+  ResultCache cache(1 << 20, 4);
+  const ResultKey key{7, "Liu", 1, 0};
+  cache.put(key, dummy_result(10));
+  cache.put(key, dummy_result(20));
+  EXPECT_EQ(cache.get(key)->makespan, 20.0);
+  EXPECT_EQ(cache.stats().entries, 1u) << "overwrite is not a new entry";
+}
+
+TEST(ResultCache, PeekCountsHitsButNeverMisses) {
+  ResultCache cache(1 << 20, 4);
+  const ResultKey key{9, "Liu", 1, 0};
+  EXPECT_EQ(cache.peek(key), nullptr);
+  EXPECT_EQ(cache.stats().misses, 0u) << "peek misses are silent";
+  cache.put(key, dummy_result(3));
+  EXPECT_NE(cache.peek(key), nullptr);
+  EXPECT_EQ(cache.stats().hits, 1u);
+}
+
+TEST(ResultCache, ClearDropsEntriesAndKeepsCounters) {
+  ResultCache cache(1 << 20, 4);
+  cache.put({1, "A", 1, 0}, dummy_result(10));
+  (void)cache.get({1, "A", 1, 0});
+  cache.clear();
+  EXPECT_EQ(cache.stats().entries, 0u);
+  EXPECT_EQ(cache.stats().bytes, 0u);
+  EXPECT_EQ(cache.stats().hits, 1u) << "counters survive clear()";
+  EXPECT_EQ(cache.get({1, "A", 1, 0}), nullptr);
+}
+
+TEST(ResultCache, StressNoFalseHitsAndBalancedStats) {
+  // The makespan encodes the key, so any false hit (a lookup returning
+  // another key's value) is detected immediately. Threads mix puts, gets
+  // and the occasional clear over a small hot key set.
+  ResultCache cache(4 << 20);
+  constexpr int kThreads = 8;
+  constexpr int kIters = 3000;
+  constexpr std::uint64_t kKeys = 32;
+  const std::vector<std::string> algos{"ParSubtrees", "Liu", "ParInnerFirst"};
+  auto expected_makespan = [&](std::uint64_t uid, std::size_t algo, int p) {
+    return static_cast<double>(uid * 1000 + algo * 100 +
+                               static_cast<std::uint64_t>(p));
+  };
+  std::atomic<int> false_hits{0};
+  std::atomic<std::uint64_t> lookups{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < kIters; ++i) {
+        const std::uint64_t uid = static_cast<std::uint64_t>(t + i) % kKeys;
+        const std::size_t a = static_cast<std::size_t>(i) % algos.size();
+        const int p = 1 + i % 4;
+        const ResultKey key{uid, algos[a], p, 0};
+        if (i % 3 == 0) {
+          auto r = std::make_shared<CachedResult>();
+          r->makespan = expected_makespan(uid, a, p);
+          r->schedule = Schedule(4);
+          cache.put(key, std::move(r));
+        } else if (t == 0 && i % 1000 == 999) {
+          cache.clear();
+        } else {
+          const CachedResultPtr hit = cache.get(key);
+          lookups.fetch_add(1);
+          if (hit && hit->makespan != expected_makespan(uid, a, p)) {
+            false_hits.fetch_add(1);
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(false_hits.load(), 0) << "a stale or foreign value was served";
+
+  const CacheStats stats = cache.stats();
+  EXPECT_EQ(stats.hits + stats.misses, lookups.load())
+      << "every get() counts exactly one hit or one miss";
+  EXPECT_LE(stats.entries, static_cast<std::size_t>(kKeys * 12))
+      << "entries stay bounded by the live key set";
+}
+
 // ---------------------------------------------------------------------------
 // Service determinism: bit-identical to direct registry calls, for every
 // registered algorithm.
