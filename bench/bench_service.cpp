@@ -18,10 +18,9 @@
 // scheduler (cache-miss accounting proves it).
 //
 // Experiment 3 (ticket overhead): the same cache-hot request answered
-// --ticket-ops times through submit()+Ticket::wait() and through the
-// legacy schedule_async().get() future bridge, so the cost of the v2
-// wrapper layer (queue admission + ticket settle vs. + promise/future)
-// is on the perf record.
+// --ticket-ops times through submit()+Ticket::wait(), so the cost of the
+// v2 submission surface (queue admission + ticket settle) is on the
+// perf record.
 //
 // Experiment 4 (loopback server, v2 vs v3): a real schedule_server
 // (src/net/, an epoll front-end on 127.0.0.1 port 0 — plus unix-domain
@@ -211,15 +210,10 @@ std::pair<std::uint64_t, std::uint64_t> run_expiry(std::size_t doomed,
 }
 
 /// Experiment 3: the cost of the submission surface itself. One cache-hot
-/// request, answered `ops` times through each path — all compute is a
-/// cache hit, so the measured time is queue admission + completion
-/// plumbing. Returns requests/sec per path.
-struct TicketOverhead {
-  double submit_wait_rps = 0.0;    ///< submit() + Ticket::wait()
-  double legacy_async_rps = 0.0;   ///< schedule_async() + future.get()
-};
-
-TicketOverhead run_ticket_overhead(std::size_t ops) {
+/// request, answered `ops` times through submit() + Ticket::wait() — all
+/// compute is a cache hit, so the measured time is queue admission +
+/// completion plumbing. Returns requests/sec.
+double run_ticket_overhead(std::size_t ops) {
   SchedulingService service;
   Rng rng(0x71c4e7);
   ScheduleRequest req;
@@ -228,26 +222,13 @@ TicketOverhead run_ticket_overhead(std::size_t ops) {
   req.p = 4;
   (void)unwrap(service.submit(req).wait());  // warm the cache entry
 
-  TicketOverhead result;
-  {
-    const auto t0 = std::chrono::steady_clock::now();
-    for (std::size_t i = 0; i < ops; ++i) {
-      (void)unwrap(service.submit(req).wait());
-    }
-    const std::chrono::duration<double> elapsed =
-        std::chrono::steady_clock::now() - t0;
-    result.submit_wait_rps = static_cast<double>(ops) / elapsed.count();
+  const auto t0 = std::chrono::steady_clock::now();
+  for (std::size_t i = 0; i < ops; ++i) {
+    (void)unwrap(service.submit(req).wait());
   }
-  {
-    const auto t0 = std::chrono::steady_clock::now();
-    for (std::size_t i = 0; i < ops; ++i) {
-      (void)service.schedule_async(req).get();
-    }
-    const std::chrono::duration<double> elapsed =
-        std::chrono::steady_clock::now() - t0;
-    result.legacy_async_rps = static_cast<double>(ops) / elapsed.count();
-  }
-  return result;
+  const std::chrono::duration<double> elapsed =
+      std::chrono::steady_clock::now() - t0;
+  return static_cast<double>(ops) / elapsed.count();
 }
 
 /// Experiment 4: the whole networked stack over loopback, protocol v2
@@ -600,20 +581,14 @@ int main(int argc, char** argv) {
                 << " of them ever reached a scheduler\n";
     }
 
-    TicketOverhead overhead;
+    double submit_wait_rps = 0.0;
     if (ticket_ops > 0) {
-      overhead = run_ticket_overhead(ticket_ops);
+      submit_wait_rps = run_ticket_overhead(ticket_ops);
       std::cout << "\n== ticket overhead ==\n"
-                << ticket_ops << " cache-hot requests per path\n"
+                << ticket_ops << " cache-hot requests\n"
                 << std::setprecision(0)
-                << "submit+wait:            " << overhead.submit_wait_rps
-                << " requests/sec\n"
-                << "legacy async future:    " << overhead.legacy_async_rps
-                << " requests/sec\n"
-                << std::setprecision(2) << "legacy/ticket ratio:    "
-                << overhead.legacy_async_rps /
-                       std::max(overhead.submit_wait_rps, 1e-9)
-                << "x\n";
+                << "submit+wait:            " << submit_wait_rps
+                << " requests/sec\n";
     }
 
     // Experiment 4 grid. Indexed [protocol][batch depth] for the cached
@@ -755,9 +730,7 @@ int main(int argc, char** argv) {
          << "  \"deadline_wave_submitted\": " << doomed << ",\n"
          << "  \"deadline_wave_computed\": " << computed_for_doomed << ",\n"
          << "  \"ticket_ops\": " << ticket_ops << ",\n"
-         << "  \"ticket_submit_wait_rps\": " << overhead.submit_wait_rps
-         << ",\n"
-         << "  \"legacy_async_rps\": " << overhead.legacy_async_rps << ",\n"
+         << "  \"ticket_submit_wait_rps\": " << submit_wait_rps << ",\n"
          << "  \"server_clients\": " << server_clients << ",\n"
          << "  \"server_requests_per_client\": " << server_requests << ",\n"
          // Legacy v4 keys, aliased to the closest v5 runs (text v2,

@@ -1,15 +1,13 @@
 #include "cluster/router.hpp"
 
-#include <signal.h>
 #include <sys/epoll.h>
-#include <sys/signalfd.h>
-#include <sys/socket.h>
 #include <sys/timerfd.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
 #include <cmath>
+#include <cstdio>
 #include <fstream>
 #include <map>
 #include <stdexcept>
@@ -17,7 +15,6 @@
 #include <utility>
 
 #include "campaign/dataset.hpp"
-#include "cluster/router_connection.hpp"
 #include "obs/event_log.hpp"
 #include "service/instance_store.hpp"
 
@@ -51,10 +48,24 @@ std::pair<std::string, std::uint16_t> parse_node(const std::string& spec) {
 
 Router::Router(RouterConfig config)
     : config_(std::move(config)),
-      listener_(net::ListenerConfig{.bind = config_.bind,
-                                    .port = config_.port,
-                                    .unix_path = {}}),
-      ring_(config_.vnodes) {
+      ring_(config_.vnodes),
+      frontend_(loop_, *this, counters_, registry_,
+                net::FrontendConfig{
+                    .listen = {.bind = config_.bind,
+                               .port = config_.port,
+                               .unix_path = {}},
+                    .max_conns = config_.max_conns,
+                    .session = {.max_pending = config_.max_pending,
+                                .max_wbuf = config_.max_wbuf,
+                                .max_line = config_.max_line,
+                                .max_frame = config_.max_frame,
+                                .trace_dir = config_.trace_dir,
+                                .tier = "router",
+                                .started = "forwarded"},
+                    .handle_signals = config_.handle_signals,
+                    .log_json = config_.log_json,
+                    .drain_timeout_ms = config_.drain_timeout_ms,
+                    .slo_metric = "treesched_router_slo_error_ratio"}) {
   if (config_.nodes.empty()) {
     throw std::invalid_argument("router needs at least one backend node");
   }
@@ -74,14 +85,6 @@ Router::Router(RouterConfig config)
     routed_.push_back(0);
     trace_pull_failures_.push_back(0);
   }
-  if (!config_.log_json.empty() && !obs::EventLog::global().enabled()) {
-    std::string error;
-    if (!obs::EventLog::global().open(config_.log_json, error)) {
-      throw std::system_error(
-          std::make_error_code(std::errc::io_error),
-          "cannot open --log-json sink: " + error);
-    }
-  }
   init_metrics();
   if (config_.metrics_port >= 0) {
     metrics_http_ = std::make_unique<net::MetricsHttp>(
@@ -95,9 +98,7 @@ Router::Router(RouterConfig config)
 
 Router::~Router() {
   *alive_ = false;
-  if (signal_fd_ >= 0) ::close(signal_fd_);
   if (health_timer_fd_ >= 0) ::close(health_timer_fd_);
-  if (drain_timer_fd_ >= 0) ::close(drain_timer_fd_);
 }
 
 void Router::init_metrics() {
@@ -144,7 +145,7 @@ void Router::init_metrics() {
                 "Requests rejected by the grammar",
                 static_cast<double>(rc.parse_errors));
         gauge("treesched_router_connections", "Open client connections",
-              static_cast<double>(conns_.size()));
+              static_cast<double>(frontend_.sessions()));
         std::size_t up = 0;
         for (const auto& node : upstreams_) {
           if (node->state() == Upstream::State::kUp) ++up;
@@ -176,30 +177,6 @@ void Router::init_metrics() {
               static_cast<double>(upstreams_[i]->last_error_code()), ""});
         }
       });
-  // Windowed SLO error ratio per priority class, same contract as the
-  // server tier's: errors over settled requests across the sliding
-  // last-minute window (0 when idle).
-  registry_.register_collector(
-      [this, alive = std::weak_ptr<bool>(alive_)](obs::RegistrySnapshot& out) {
-        if (alive.expired()) return;
-        for (int c = 0; c <= kPriorityClasses; ++c) {
-          const char* label = c == kPriorityClasses
-                                  ? "all"
-                                  : to_string(static_cast<Priority>(c));
-          const std::uint64_t total = slo_responses_[c].windowed();
-          const std::uint64_t errors = slo_errors_[c].windowed();
-          out.samples.push_back(obs::MetricSample{
-              "treesched_router_slo_error_ratio",
-              std::string("class=\"") + label + "\"",
-              "Errored share of settled requests over the sliding "
-              "last-minute window",
-              obs::MetricKind::kGauge,
-              total == 0 ? 0.0
-                         : static_cast<double>(errors) /
-                               static_cast<double>(total),
-              ""});
-        }
-      });
   h_upstream_ = &registry_.histogram(
       "treesched_router_upstream_seconds", "",
       "Forward send to backend answer, one routed request",
@@ -216,37 +193,9 @@ void Router::init_metrics() {
   }
 }
 
-void Router::note_settled(int cls, bool ok) {
-  if (cls < 0 || cls > kPriorityClasses) cls = kPriorityClasses;
-  slo_responses_[cls].inc();
-  if (!ok) slo_errors_[cls].inc();
-  if (cls != kPriorityClasses) {
-    slo_responses_[kPriorityClasses].inc();
-    if (!ok) slo_errors_[kPriorityClasses].inc();
-  }
-}
-
 void Router::run() {
-  loop_.add(listener_.fd(), EPOLLIN,
-            [this](std::uint32_t) { accept_ready(); });
-  listener_active_ = true;
+  frontend_.start();
   if (metrics_http_) metrics_http_->start();
-  if (config_.handle_signals) {
-    sigset_t mask;
-    sigemptyset(&mask);
-    sigaddset(&mask, SIGTERM);
-    sigaddset(&mask, SIGINT);
-    signal_fd_ = ::signalfd(-1, &mask, SFD_NONBLOCK | SFD_CLOEXEC);
-    if (signal_fd_ < 0) {
-      throw std::system_error(errno, std::generic_category(), "signalfd");
-    }
-    loop_.add(signal_fd_, EPOLLIN, [this](std::uint32_t) {
-      signalfd_siginfo info;
-      while (::read(signal_fd_, &info, sizeof(info)) > 0) {
-      }
-      begin_drain();
-    });
-  }
   // Periodic health driver: connects, pings, timeouts, stats polls. It
   // stays armed through the drain — a node that dies mid-drain must
   // still fail over or error out the forwards it holds, or the drain
@@ -276,49 +225,112 @@ void Router::run() {
   }
   loop_.run();
   if (metrics_http_) metrics_http_->stop();
-  if (signal_fd_ >= 0) {
-    loop_.remove(signal_fd_);
-    ::close(signal_fd_);
-    signal_fd_ = -1;
-  }
+  frontend_.finish();
   if (health_timer_fd_ >= 0) {
     loop_.remove(health_timer_fd_);
     ::close(health_timer_fd_);
     health_timer_fd_ = -1;
   }
-  if (drain_timer_fd_ >= 0) {
-    loop_.remove(drain_timer_fd_);
-    ::close(drain_timer_fd_);
-    drain_timer_fd_ = -1;
-  }
 }
 
 void Router::stop() {
-  loop_.post([this] { begin_drain(); });
+  // No outstanding count to wait for, unlike the server: forwards settle
+  // on this thread, and once every client is gone an answer still in
+  // flight from a backend has nowhere to go.
+  loop_.post([this] { frontend_.begin_drain(); });
 }
 
-void Router::accept_ready() {
-  listener_.accept_ready([this](int fd) {
-    if (draining_) {
-      ::close(fd);
-      return;
-    }
-    if (conns_.size() >= config_.max_conns) {
-      ++counters_.rejected_conns;
-      ResponseLine line;
-      line.ok = false;
-      line.code = ErrorCode::kQueueFull;
-      line.message = "router at max connections (" +
-                     std::to_string(config_.max_conns) + ")";
-      const std::string text = format_response_line(line) + "\n";
-      (void)::send(fd, text.data(), text.size(), MSG_NOSIGNAL);
-      ::close(fd);
-      return;
-    }
-    ++counters_.accepted;
-    const std::uint64_t id = next_conn_id_++;
-    conns_.emplace(id, std::make_unique<RouterConnection>(*this, fd, id));
-  });
+std::optional<ServiceError> Router::schedule(net::Session& session,
+                                             std::uint64_t key,
+                                             const RequestView& req,
+                                             const net::TraceContext& ctx) {
+  const Result<std::uint64_t, ServiceError> fp =
+      fingerprint_spec(req.tree_spec);
+  if (!fp.ok()) return fp.error();
+
+  // The distributed trace id: a traced client's own id wins (the
+  // correlator must be end-to-end); otherwise the router mints one per
+  // request while its tracer is on. Zero = untraced, and the forward's
+  // frame stays byte-identical to the pre-trace wire format.
+  std::uint64_t trace_id = ctx.trace_id;
+  if (trace_id == 0 && obs::Tracer::global().enabled()) {
+    trace_id = next_trace_id_++;
+  }
+
+  Forward fwd;
+  fwd.kind = Forward::Kind::kSchedule;
+  fwd.conn_id = session.id();
+  fwd.key = key;
+  fwd.fingerprint = fp.value();
+  fwd.retries_left = config_.retries;
+  fwd.trace_id = trace_id;
+  fwd.priority = static_cast<int>(req.priority);
+  // The canonical forward line: the client's request re-spelled WITHOUT
+  // its id= tag — the upstream id is the router's own (appended fresh
+  // at each send, so a retry can never collide with the first attempt)
+  // and the client's tag is restored at delivery.
+  fwd.line.reserve(req.tree_spec.size() + req.algo.size() + 48);
+  fwd.line.append(req.tree_spec);
+  fwd.line.push_back(' ');
+  fwd.line.append(req.algo);
+  fwd.line.push_back(' ');
+  fwd.line.append(std::to_string(req.p));
+  if (req.memory_cap != 0) {
+    fwd.line.push_back(' ');
+    fwd.line.append(std::to_string(req.memory_cap));
+  }
+  if (req.priority != Priority::kBatch) {
+    fwd.line.append(" priority=");
+    fwd.line.append(to_string(req.priority));
+  }
+  if (req.deadline_ms > 0.0) {
+    char buf[48];
+    std::snprintf(buf, sizeof(buf), " deadline_ms=%.17g", req.deadline_ms);
+    fwd.line.append(buf);
+  }
+
+  std::optional<ServiceError> refused = route(std::move(fwd));
+  if (!refused) return std::nullopt;
+  if (refused->code == ErrorCode::kQueueFull) {
+    ++counters_.queue_full;
+    obs::EventLog::global().emit(
+        "queue_full", trace_id,
+        {obs::EventLog::Field::u64("conn", session.id()),
+         obs::EventLog::Field::str("scope", "cluster")});
+  } else {
+    ++counters_.node_unavailable;
+  }
+  return refused;
+}
+
+bool Router::cancel(net::Session& session, std::uint64_t key) {
+  for (auto& node : upstreams_) {
+    if (!node->cancel_queued(session.id(), key)) continue;
+    ++counters_.cancelled;
+    session.deliver(key, net::error_answer(ErrorCode::kCancelled,
+                                           "cancelled while queued in the "
+                                           "router"));
+    return true;
+  }
+  return false;
+}
+
+void Router::trace_switched(bool on) {
+  for (auto& node : upstreams_) {
+    if (node->state() != Upstream::State::kUp) continue;
+    Forward ctl;
+    ctl.kind = Forward::Kind::kTraceCtl;
+    ctl.line = on ? "trace start" : "trace stop";
+    node->enqueue(std::move(ctl));
+  }
+}
+
+void Router::trace_status(
+    std::vector<std::pair<std::string, std::uint64_t>>& out) {
+  for (std::size_t i = 0; i < trace_pull_failures_.size(); ++i) {
+    out.emplace_back("node" + std::to_string(i) + "_pull_failures",
+                     trace_pull_failures_[i]);
+  }
 }
 
 Result<std::uint64_t, ServiceError> Router::fingerprint_spec(
@@ -348,7 +360,7 @@ Result<std::uint64_t, ServiceError> Router::fingerprint_spec(
   }
 }
 
-Result<std::size_t, ServiceError> Router::route(Forward fwd) {
+std::optional<ServiceError> Router::route(Forward fwd) {
   std::size_t total = 0;
   std::size_t live = 0;
   for (const auto& node : upstreams_) {
@@ -390,15 +402,7 @@ Result<std::size_t, ServiceError> Router::route(Forward fwd) {
   ++counters_.forwarded;
   ++routed_[chosen];
   upstreams_[chosen]->enqueue(std::move(fwd));
-  return chosen;
-}
-
-bool Router::try_cancel(std::size_t node, std::uint64_t conn_id,
-                        std::uint64_t key) {
-  if (node >= upstreams_.size()) return false;
-  if (!upstreams_[node]->cancel_queued(conn_id, key)) return false;
-  ++counters_.cancelled;
-  return true;
+  return std::nullopt;
 }
 
 void Router::on_upstream_response(const Forward& fwd, ResponseLine&& resp) {
@@ -418,9 +422,9 @@ void Router::on_upstream_response(const Forward& fwd, ResponseLine&& resp) {
       tracer.record("router/upstream", fwd.sent_ns, rtt, fwd.trace_id);
     }
   }
-  const auto it = conns_.find(fwd.conn_id);
-  if (it == conns_.end()) return;  // client vanished; drop the answer
-  it->second->deliver(fwd.key, std::move(resp));
+  net::Session* session = frontend_.find(fwd.conn_id);
+  if (session == nullptr) return;  // client vanished; drop the answer
+  session->deliver(fwd.key, std::move(resp));
 }
 
 void Router::on_upstream_failed(Forward&& fwd) {
@@ -435,17 +439,13 @@ void Router::on_upstream_failed(Forward&& fwd) {
          obs::EventLog::Field::u64("retries_left",
                                    static_cast<std::uint64_t>(
                                        fwd.retries_left))});
-    Result<std::size_t, ServiceError> routed = route(std::move(fwd));
-    if (routed.ok()) {
-      const auto it = conns_.find(conn_id);
-      if (it != conns_.end()) it->second->note_routed(key, routed.value());
-      return;
-    }
+    const std::optional<ServiceError> refused = route(std::move(fwd));
+    if (!refused) return;
     ++counters_.node_unavailable;
     settle_error(conn_id, key, ErrorCode::kNodeUnavailable,
                  "the node serving this request died and no alternate "
                  "could take it: " +
-                     routed.error().message);
+                     refused->message);
     return;
   }
   ++counters_.node_unavailable;
@@ -454,24 +454,15 @@ void Router::on_upstream_failed(Forward&& fwd) {
                "exhausted)");
 }
 
-void Router::broadcast_trace_ctl(const std::string& line) {
-  for (auto& node : upstreams_) {
-    if (node->state() != Upstream::State::kUp) continue;
-    Forward ctl;
-    ctl.kind = Forward::Kind::kTraceCtl;
-    ctl.line = line;
-    node->enqueue(std::move(ctl));
-  }
-}
-
-bool Router::start_trace_dump(std::uint64_t conn_id, std::uint64_t key,
-                              std::string path, std::string& error) {
+std::optional<ResponseLine> Router::trace_dump(net::Session& session,
+                                               std::uint64_t key,
+                                               std::string path) {
   if (trace_dump_) {
-    error = "a merged trace dump is already in progress";
-    return false;
+    return net::error_answer(ErrorCode::kBadRequest,
+                             "a merged trace dump is already in progress");
   }
   trace_dump_ = std::make_unique<TraceDump>();
-  trace_dump_->conn_id = conn_id;
+  trace_dump_->conn_id = session.id();
   trace_dump_->key = key;
   trace_dump_->path = std::move(path);
   // The router's own spans merge as pid 1; each backend node gets
@@ -496,7 +487,7 @@ bool Router::start_trace_dump(std::uint64_t conn_id, std::uint64_t key,
   }
   // No live backend: still a valid dump of the router's own timeline.
   if (trace_dump_->awaiting == 0) finish_trace_dump();
-  return true;
+  return std::nullopt;
 }
 
 void Router::on_trace_pull(
@@ -557,89 +548,26 @@ void Router::finish_trace_dump() {
       };
     }
   }
-  const auto it = conns_.find(dump->conn_id);
-  if (it == conns_.end()) return;  // client vanished mid-dump
-  it->second->deliver(dump->key, std::move(line));
+  net::Session* session = frontend_.find(dump->conn_id);
+  if (session == nullptr) return;  // client vanished mid-dump
+  session->deliver(dump->key, std::move(line));
 }
 
 void Router::settle_error(std::uint64_t conn_id, std::uint64_t key,
                           ErrorCode code, std::string message) {
-  const auto it = conns_.find(conn_id);
-  if (it == conns_.end()) return;
-  ResponseLine line;
-  line.ok = false;
-  line.code = code;
-  line.message = std::move(message);
-  it->second->deliver(key, std::move(line));
+  net::Session* session = frontend_.find(conn_id);
+  if (session == nullptr) return;
+  session->deliver(key, net::error_answer(code, std::move(message)));
 }
 
-void Router::defer_close(std::uint64_t conn_id) {
-  loop_.post([this, conn_id] {
-    conns_.erase(conn_id);
-    if (draining_) maybe_finish();
-  });
-}
-
-void Router::begin_drain() {
-  if (draining_) return;
-  draining_ = true;
-  obs::EventLog::global().emit(
-      "drain_begin", 0,
-      {obs::EventLog::Field::u64("conns", conns_.size())});
-  if (listener_active_) {
-    loop_.remove(listener_.fd());
-    listener_active_ = false;
-  }
-  if (config_.drain_timeout_ms > 0.0 && drain_timer_fd_ < 0) {
-    // Same ceiling as the server's: a client that never reads its last
-    // answers must not hold the router process up forever.
-    drain_timer_fd_ =
-        ::timerfd_create(CLOCK_MONOTONIC, TFD_NONBLOCK | TFD_CLOEXEC);
-    if (drain_timer_fd_ >= 0) {
-      const auto ns =
-          static_cast<std::uint64_t>(config_.drain_timeout_ms * 1e6);
-      itimerspec spec{};
-      spec.it_value.tv_sec = static_cast<time_t>(ns / 1'000'000'000ULL);
-      spec.it_value.tv_nsec = static_cast<long>(ns % 1'000'000'000ULL);
-      if (spec.it_value.tv_sec == 0 && spec.it_value.tv_nsec == 0) {
-        spec.it_value.tv_nsec = 1;
-      }
-      ::timerfd_settime(drain_timer_fd_, 0, &spec, nullptr);
-      loop_.add(drain_timer_fd_, EPOLLIN, [this](std::uint32_t) {
-        std::uint64_t expirations = 0;
-        while (::read(drain_timer_fd_, &expirations, sizeof(expirations)) >
-               0) {
-        }
-        std::vector<std::uint64_t> ids;
-        ids.reserve(conns_.size());
-        for (const auto& [id, conn] : conns_) ids.push_back(id);
-        for (const std::uint64_t id : ids) defer_close(id);
-      });
-    }
-  }
-  for (auto& [id, conn] : conns_) conn->begin_drain();
-  maybe_finish();
-}
-
-void Router::maybe_finish() {
-  // Unlike the server there is no outstanding-ticket count: forwards
-  // settle synchronously on this thread, and once every client is gone
-  // any answer still in flight from a backend has nowhere to go.
-  if (conns_.empty()) {
-    obs::EventLog::global().emit("drain_complete", 0, {});
-    loop_.stop();
-  }
-}
-
-std::vector<std::pair<std::string, std::uint64_t>> Router::stats_pairs()
-    const {
+std::vector<std::pair<std::string, std::uint64_t>> Router::stats_pairs() {
   const RouterCounters& rc = counters_;
   std::size_t up = 0;
   for (const auto& node : upstreams_) {
     if (node->state() == Upstream::State::kUp) ++up;
   }
   std::vector<std::pair<std::string, std::uint64_t>> out = {
-      {"conns", conns_.size()},
+      {"conns", frontend_.sessions()},
       {"nodes", upstreams_.size()},
       {"nodes_up", up},
       {"accepted", rc.accepted},

@@ -7,9 +7,24 @@
 // router exactly as they would to one node; the cluster is invisible
 // except for being larger.
 //
-//   Client ──v2/v3──> RouterConnection ──route()──> Upstream ──v3──> node
-//      ^                    |   ^                      │
-//      └──── response ──────┘   └──── deliver() <──────┘ (id remapped)
+//   Client ──v2/v3──> Session ──route()──> Upstream ──v3──> node
+//      ^                 |   ^                    │
+//      └─── response ────┘   └─── deliver() <─────┘ (id remapped)
+//
+// The client side is the server's: each client is a net::Session
+// (net/session.hpp), and a net::Frontend runs accept, drain and
+// signals. The router is the SessionHandler, and its answers differ
+// from a node's only where routing demands it:
+//  * a schedule request never touches a scheduler here — resolve the
+//    spec to its routing fingerprint, route, wait for the node's answer,
+//    whose upstream id is replaced by the client's own tag;
+//  * `cancel` only reaches work the router still holds: a forward still
+//    queued router-side is removed and answered `cancelled`; one already
+//    on the wire acks the untagged "already forwarded or answered" line
+//    — the router never forwards cancels upstream (see cancel());
+//  * ping / stats / trace answer locally: ping proves THIS hop alive,
+//    stats aggregates router + backend counters, trace start/stop also
+//    reach every live backend and a dump merges all of their rings.
 //
 // Routing: the router resolves each request's tree spec to the SAME
 // 64-bit content fingerprint the backends intern by (it builds the tree
@@ -44,6 +59,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -54,9 +70,10 @@
 #include "cluster/upstream.hpp"
 #include "net/event_loop.hpp"
 #include "net/frame.hpp"
+#include "net/frontend.hpp"
 #include "net/line_framer.hpp"
-#include "net/listener.hpp"
 #include "net/metrics_http.hpp"
+#include "net/session.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "service/errors.hpp"
@@ -64,8 +81,6 @@
 #include "util/result.hpp"
 
 namespace treesched::cluster {
-
-class RouterConnection;
 
 struct RouterConfig {
   /// IPv4 address the client-facing listener binds.
@@ -142,15 +157,7 @@ struct RouterConfig {
 
 /// Monotonic router counters (loop-thread state, reported by `stats`
 /// and bridged into the metrics registry).
-struct RouterCounters {
-  std::uint64_t accepted = 0;         ///< client connections accepted
-  std::uint64_t rejected_conns = 0;   ///< turned away at max_conns
-  std::uint64_t lines = 0;            ///< client requests framed
-  std::uint64_t v3_conns = 0;         ///< clients that negotiated v3
-  std::uint64_t frames_in = 0;        ///< well-formed client v3 frames
-  std::uint64_t frames_bad = 0;       ///< protocol-violating client frames
-  std::uint64_t batch_requests = 0;   ///< requests arriving in batches
-  std::uint64_t parse_errors = 0;     ///< requests the grammar rejected
+struct RouterCounters : net::SessionCounters {
   std::uint64_t forwarded = 0;        ///< forwards handed to an upstream
   std::uint64_t responses = 0;        ///< backend answers delivered
   std::uint64_t retried = 0;          ///< forwards re-routed after a death
@@ -164,7 +171,7 @@ struct RouterCounters {
   std::uint64_t cancelled = 0;        ///< forwards cancelled while queued
 };
 
-class Router {
+class Router : private net::SessionHandler {
  public:
   /// Binds the client listener and resolves the node list (throws
   /// std::invalid_argument / std::system_error) but does not serve yet.
@@ -174,9 +181,9 @@ class Router {
   Router(const Router&) = delete;
   Router& operator=(const Router&) = delete;
 
-  [[nodiscard]] std::uint16_t port() const { return listener_.port(); }
+  [[nodiscard]] std::uint16_t port() const { return frontend_.port(); }
   [[nodiscard]] const std::string& address() const {
-    return listener_.address();
+    return frontend_.address();
   }
   [[nodiscard]] const RouterConfig& config() const { return config_; }
   [[nodiscard]] std::uint16_t metrics_port() const {
@@ -195,7 +202,6 @@ class Router {
   void stop();
 
  private:
-  friend class RouterConnection;
   friend class Upstream;
 
   struct SpecHash {
@@ -205,7 +211,39 @@ class Router {
     }
   };
 
-  // --- RouterConnection-facing surface (loop thread only) -------------
+  // --- SessionHandler (loop thread only) -------------------------------
+  /// Fingerprints the spec and routes the canonical forward line.
+  std::optional<ServiceError> schedule(net::Session& session,
+                                       std::uint64_t key,
+                                       const RequestView& req,
+                                       const net::TraceContext& ctx) override;
+  /// Pulls a still-queued forward back from whichever node holds it.
+  /// False once it is on the wire (or already answered) — then only the
+  /// backend could stop it, and the router deliberately never forwards
+  /// cancels: a failed remote cancel acks UNTAGGED, which is
+  /// unattributable on a multiplexed upstream connection shared by many
+  /// clients. Cancel is rare and the node list short, so every node is
+  /// asked.
+  bool cancel(net::Session& session, std::uint64_t key) override;
+  /// Router counters, per-node routing counters, then the
+  /// backend_-prefixed aggregate.
+  std::vector<std::pair<std::string, std::uint64_t>> stats_pairs() override;
+  /// Broadcasts `trace start`/`trace stop` to every live backend
+  /// (fire-and-forget; nodes that are down catch up on reconnect when
+  /// tracing is still enabled).
+  void trace_switched(bool on) override;
+  /// Per node, the `trace pull`s lost to node deaths
+  /// (nodeK_pull_failures) — what a partial merged dump traces back to.
+  void trace_status(
+      std::vector<std::pair<std::string, std::uint64_t>>& out) override;
+  /// Kicks off one merged cluster dump: pulls every live backend's span
+  /// ring, merges with the router's own, writes Chrome JSON to `path`,
+  /// then settles window entry `key` (synchronously when no backend is
+  /// live). A second dump while one is in flight is refused at once.
+  std::optional<ResponseLine> trace_dump(net::Session& session,
+                                         std::uint64_t key,
+                                         std::string path) override;
+
   net::EventLoop& loop() { return loop_; }
   RouterCounters& counters() { return counters_; }
   /// Spec -> routing fingerprint: builds the tree once under the same
@@ -214,49 +252,10 @@ class Router {
   Result<std::uint64_t, ServiceError> fingerprint_spec(
       std::string_view spec);
   /// Routes one forward: bounded-load ring walk over live nodes, then
-  /// Upstream::enqueue. Returns the chosen node index, or the typed
-  /// error (kNodeUnavailable when no node is up, kQueueFull when every
-  /// live alternate is at its queue bound).
-  Result<std::size_t, ServiceError> route(Forward fwd);
-  /// Cancels a still-queued forward on `node`. False once it is on the
-  /// wire (or already answered) — then only the backend could stop it,
-  /// and the router deliberately never forwards cancels: a failed
-  /// remote cancel acks UNTAGGED, which is unattributable on a
-  /// multiplexed upstream connection shared by many clients.
-  bool try_cancel(std::size_t node, std::uint64_t conn_id,
-                  std::uint64_t key);
-  /// Posts the removal of connection `id` (idempotent).
-  void defer_close(std::uint64_t conn_id);
-  [[nodiscard]] bool draining() const { return draining_; }
-  /// The `stats` verb's payload: router counters, per-node routing
-  /// counters, then the backend_-prefixed aggregate.
-  [[nodiscard]] std::vector<std::pair<std::string, std::uint64_t>>
-  stats_pairs() const;
-  /// Fresh nonzero distributed trace id for one client request. Plain
-  /// counter — ids only need to be unique within this router's trace
-  /// window, and the origin field already namespaces processes.
-  std::uint64_t next_trace_id() { return next_trace_id_++; }
-  /// Router-side SLO accounting: one settled client request of priority
-  /// class `cls` (kPriorityClasses = unclassified), error or success.
-  void note_settled(int cls, bool ok);
-  /// Broadcasts a `trace start`/`trace stop` control line to every live
-  /// backend (fire-and-forget; nodes that are down catch up on
-  /// reconnect when tracing is still enabled).
-  void broadcast_trace_ctl(const std::string& line);
-  /// Kicks off one merged cluster dump: pulls every live backend's span
-  /// ring, merges with the router's own, writes Chrome JSON to `path`
-  /// (already confined by the caller), then settles the client window
-  /// entry (conn_id, key). False with `error` set when a dump is
-  /// already in flight or no span source exists. The caller must have
-  /// pushed the window entry BEFORE calling — the reply may be
-  /// delivered from a later event-loop turn.
-  bool start_trace_dump(std::uint64_t conn_id, std::uint64_t key,
-                        std::string path, std::string& error);
-  /// Lifetime `trace pull` failures per node (trace status satellite).
-  [[nodiscard]] std::uint64_t trace_pull_failures(std::size_t node) const {
-    return node < trace_pull_failures_.size() ? trace_pull_failures_[node]
-                                              : 0;
-  }
+  /// Upstream::enqueue. Returns the typed refusal (kNodeUnavailable when
+  /// no node is up, kQueueFull when every live alternate is at its queue
+  /// bound), or nullopt once a node holds the forward.
+  std::optional<ServiceError> route(Forward fwd);
 
   // --- Upstream-facing surface (loop thread only) ---------------------
   /// Upstream wire ids, unique across every backend socket for the
@@ -278,9 +277,6 @@ class Router {
   /// the in-flight merged dump finish without that node.
   void on_trace_pull_failed(std::size_t node);
 
-  void accept_ready();
-  void begin_drain();
-  void maybe_finish();
   void init_metrics();
   /// Delivers a router-generated error to a client window entry.
   void settle_error(std::uint64_t conn_id, std::uint64_t key,
@@ -303,27 +299,18 @@ class Router {
 
   RouterConfig config_;
   net::EventLoop loop_;
-  net::Listener listener_;
   obs::MetricsRegistry registry_;
-  std::unique_ptr<net::MetricsHttp> metrics_http_;
-  int signal_fd_ = -1;
   int health_timer_fd_ = -1;
-  int drain_timer_fd_ = -1;
-  bool listener_active_ = false;
 
   HashRing ring_;
   std::vector<std::unique_ptr<Upstream>> upstreams_;
   std::vector<std::uint64_t> routed_;  ///< per-node forwards routed
 
-  std::unordered_map<std::uint64_t, std::unique_ptr<RouterConnection>>
-      conns_;
   std::unordered_map<std::string, std::uint64_t, SpecHash, std::equal_to<>>
       spec_memo_;
   RouterCounters counters_;
-  std::uint64_t next_conn_id_ = 1;
   std::uint64_t next_uid_ = 1;
   std::uint64_t next_trace_id_ = 1;
-  bool draining_ = false;
 
   std::unique_ptr<TraceDump> trace_dump_;
   /// Lifetime per-node `trace pull` failures (trace status reports
@@ -335,10 +322,10 @@ class Router {
   /// Per-class upstream-latency histograms; their sliding windows back
   /// the router's rolling per-class p99 gauges.
   obs::Histogram* h_upstream_class_[kPriorityClasses] = {};
-  /// Sliding last-minute settled/errored counts per priority class
-  /// ([kPriorityClasses] = all), read by the error-ratio gauges.
-  obs::SlidingCounter slo_responses_[kPriorityClasses + 1];
-  obs::SlidingCounter slo_errors_[kPriorityClasses + 1];
+
+  /// Declared after the state its sessions call into, so it goes first.
+  net::Frontend frontend_;
+  std::unique_ptr<net::MetricsHttp> metrics_http_;
 };
 
 }  // namespace treesched::cluster

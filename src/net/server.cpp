@@ -1,38 +1,62 @@
 #include "net/server.hpp"
 
-#include <signal.h>
-#include <sys/epoll.h>
-#include <sys/signalfd.h>
-#include <sys/socket.h>
-#include <sys/timerfd.h>
-#include <unistd.h>
-
-#include <cerrno>
 #include <cstdio>
-#include <system_error>
+#include <fstream>
 #include <utility>
 
 #include "campaign/dataset.hpp"
 #include "obs/event_log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "util/hash.hpp"
 
 namespace treesched::net {
+
+namespace {
+
+/// The answer to one schedule request: what it echoes of the request
+/// plus the scores.
+ResponseLine answer(ResponseLine echo, const ScheduleResponse& resp) {
+  echo.ok = true;
+  echo.makespan = resp.makespan;
+  echo.peak_memory = resp.peak_memory;
+  echo.cache_hit = resp.cache_hit;
+  return echo;
+}
+
+ResponseLine answer(ResponseLine echo, const ServiceResult& result) {
+  if (!result.ok()) {
+    return error_answer(result.error().code, result.error().message);
+  }
+  return answer(std::move(echo), result.value());
+}
+
+}  // namespace
+
+std::size_t Server::TicketKeyHash::operator()(const TicketKey& k) const {
+  return static_cast<std::size_t>(mix64(k.session ^ mix64(k.key)));
+}
 
 Server::Server(SchedulingService& service, ServerConfig config)
     : service_(service),
       config_(std::move(config)),
-      listener_(ListenerConfig{.bind = config_.bind,
+      frontend_(loop_, *this, counters_, service_.registry(),
+                FrontendConfig{
+                    .listen = {.bind = config_.bind,
                                .port = config_.port,
-                               .unix_path = config_.unix_path}) {
-  if (!config_.log_json.empty() && !obs::EventLog::global().enabled()) {
-    std::string error;
-    if (!obs::EventLog::global().open(config_.log_json, error)) {
-      throw std::system_error(
-          std::make_error_code(std::errc::io_error),
-          "cannot open --log-json sink: " + error);
-    }
-  }
+                               .unix_path = config_.unix_path},
+                    .max_conns = config_.max_conns,
+                    .session = {.max_pending = config_.max_pending,
+                                .max_wbuf = config_.max_wbuf,
+                                .max_line = config_.max_line,
+                                .max_frame = config_.max_frame,
+                                .trace_dir = config_.trace_dir,
+                                .tier = "server",
+                                .started = "running"},
+                    .handle_signals = config_.handle_signals,
+                    .log_json = config_.log_json,
+                    .drain_timeout_ms = config_.drain_timeout_ms,
+                    .slo_metric = "treesched_slo_error_ratio"}) {
   init_metrics();
   if (config_.metrics_port >= 0) {
     metrics_http_ = std::make_unique<MetricsHttp>(
@@ -44,11 +68,7 @@ Server::Server(SchedulingService& service, ServerConfig config)
   }
 }
 
-Server::~Server() {
-  *alive_ = false;
-  if (signal_fd_ >= 0) ::close(signal_fd_);
-  if (drain_timer_fd_ >= 0) ::close(drain_timer_fd_);
-}
+Server::~Server() { *alive_ = false; }
 
 void Server::init_metrics() {
   obs::MetricsRegistry& reg = service_.registry();
@@ -95,33 +115,10 @@ void Server::init_metrics() {
                 "Requests rejected by the grammar",
                 static_cast<double>(sc.parse_errors));
         gauge("treesched_server_connections", "Open connections",
-              static_cast<double>(conns_.size()));
+              static_cast<double>(frontend_.sessions()));
         gauge("treesched_server_outstanding",
               "Submitted tickets not yet settled",
               static_cast<double>(outstanding_));
-      });
-  // Windowed SLO error ratio, one gauge per priority class: errors over
-  // responses across the sliding last-minute window (0 when idle).
-  reg.register_collector(
-      [this, alive = std::weak_ptr<bool>(alive_)](obs::RegistrySnapshot& out) {
-        if (alive.expired()) return;
-        for (int c = 0; c <= kPriorityClasses; ++c) {
-          const char* label = c == kPriorityClasses
-                                  ? "all"
-                                  : to_string(static_cast<Priority>(c));
-          const std::uint64_t total = slo_responses_[c].windowed();
-          const std::uint64_t errors = slo_errors_[c].windowed();
-          out.samples.push_back(obs::MetricSample{
-              "treesched_slo_error_ratio",
-              std::string("class=\"") + label + "\"",
-              "Errored share of responses over the sliding last-minute "
-              "window",
-              obs::MetricKind::kGauge,
-              total == 0 ? 0.0
-                         : static_cast<double>(errors) /
-                               static_cast<double>(total),
-              ""});
-        }
       });
   h_net_e2e_ = &reg.histogram(
       "treesched_net_e2e_seconds", "",
@@ -147,16 +144,6 @@ void Server::init_metrics() {
         "Per-stage latency of one request's lifecycle",
         obs::Histogram::latency_bounds_ns(), 1e-9,
         c == kPriorityClasses ? "stage_write_stall" : "");
-  }
-}
-
-void Server::note_response(int cls, bool ok) {
-  if (cls < 0 || cls > kPriorityClasses) cls = kPriorityClasses;
-  slo_responses_[cls].inc();
-  if (!ok) slo_errors_[cls].inc();
-  if (cls != kPriorityClasses) {
-    slo_responses_[kPriorityClasses].inc();
-    if (!ok) slo_errors_[kPriorityClasses].inc();
   }
 }
 
@@ -224,72 +211,146 @@ void Server::record_flushed(const ResponseTiming& timing) {
 }
 
 void Server::run() {
-  loop_.add(listener_.fd(), EPOLLIN,
-            [this](std::uint32_t) { accept_ready(); });
-  listener_active_ = true;
+  frontend_.start();
   if (metrics_http_) metrics_http_->start();
-  if (config_.handle_signals) {
-    sigset_t mask;
-    sigemptyset(&mask);
-    sigaddset(&mask, SIGTERM);
-    sigaddset(&mask, SIGINT);
-    signal_fd_ = ::signalfd(-1, &mask, SFD_NONBLOCK | SFD_CLOEXEC);
-    if (signal_fd_ < 0) {
-      throw std::system_error(errno, std::generic_category(), "signalfd");
-    }
-    loop_.add(signal_fd_, EPOLLIN, [this](std::uint32_t) {
-      signalfd_siginfo info;
-      while (::read(signal_fd_, &info, sizeof(info)) > 0) {
-      }
-      begin_drain();
-    });
-  }
   loop_.run();
-  // Drained: no connection and no outstanding ticket — every accepted
+  // Drained: no session and no outstanding ticket — every accepted
   // request was answered or cancelled, and no Ticket::on_complete
   // callback can reach this Server again. (run()'s caller is the loop
   // thread, so tearing down the scrape endpoint here is in-contract.)
   if (metrics_http_) metrics_http_->stop();
-  if (signal_fd_ >= 0) {
-    loop_.remove(signal_fd_);
-    ::close(signal_fd_);
-    signal_fd_ = -1;
-  }
-  if (drain_timer_fd_ >= 0) {
-    loop_.remove(drain_timer_fd_);
-    ::close(drain_timer_fd_);
-    drain_timer_fd_ = -1;
-  }
+  frontend_.finish();
 }
 
 void Server::stop() {
-  loop_.post([this] { begin_drain(); });
+  loop_.post([this] { frontend_.begin_drain(); });
 }
 
-void Server::accept_ready() {
-  listener_.accept_ready([this](int fd) {
-    if (draining_) {
-      ::close(fd);
-      return;
-    }
-    if (conns_.size() >= config_.max_conns) {
-      ++counters_.rejected_conns;
-      // Best-effort courtesy line: a one-shot blocking-ish write on a
-      // fresh socket virtually always fits the send buffer.
-      ResponseLine line;
-      line.ok = false;
-      line.code = ErrorCode::kQueueFull;
-      line.message = "server at max connections (" +
-                     std::to_string(config_.max_conns) + ")";
-      const std::string text = format_response_line(line) + "\n";
-      (void)::send(fd, text.data(), text.size(), MSG_NOSIGNAL);
-      ::close(fd);
-      return;
-    }
-    ++counters_.accepted;
-    const std::uint64_t id = next_conn_id_++;
-    conns_.emplace(id, std::make_unique<Connection>(*this, fd, id));
+std::optional<ServiceError> Server::schedule(Session& session,
+                                             std::uint64_t key,
+                                             const RequestView& req,
+                                             const TraceContext& /*ctx*/) {
+  Result<TreeHandle, ServiceError> handle = intern_spec(req.tree_spec);
+  if (!handle.ok()) return handle.error();
+  ScheduleRequest sreq;
+  // Accept and parse share the read burst's stamp: sub-burst parse time
+  // is noise at the histograms' microsecond resolution, and one clock
+  // read per burst keeps the hot path cheap.
+  sreq.stamps.stamp(obs::Stage::kAccept, session.burst_ns());
+  sreq.stamps.stamp(obs::Stage::kParse, session.burst_ns());
+  sreq.tree = handle.value();
+  // The request's strings are owned from here on: everything upstream of
+  // this point was views into the read buffer.
+  sreq.algo = std::string(req.algo);
+  sreq.p = req.p;
+  sreq.memory_cap = req.memory_cap;
+  sreq.priority = req.priority;
+  sreq.deadline_ms = req.deadline_ms;
+  // What the answer echoes of its request.
+  ResponseLine echo;
+  echo.tree_hash = sreq.tree.hash;
+  echo.n = sreq.tree->size();
+  echo.algo = sreq.algo;
+  echo.p = req.p;
+  echo.priority = req.priority;
+
+  // Cache-hit fast path, right here on the I/O thread: no ticket, no
+  // queue, no pool job, no eventfd round trip — the answer flushes with
+  // the read burst, so a cache-hot batch frame answers in one write.
+  if (const std::optional<ScheduleResponse> hit = service_.try_cached(sreq)) {
+    session.deliver(key, answer(std::move(echo), *hit), hit->stamps);
+    return std::nullopt;
+  }
+
+  ++counters_.submitted;
+  ++outstanding_;
+  const TicketKey tk{session.id(), key};
+  Ticket& ticket =
+      tickets_.emplace(tk, service_.submit(std::move(sreq)))
+          .first->second;
+  // Attached after the ticket is stored: an already-settled ticket
+  // (service-level queue_full) fires inline and posts, and the posted
+  // delivery finds everything in place.
+  ticket.on_complete([this, tk, echo = std::move(echo)](
+                         const ServiceResult& result) mutable {
+    // Runs on whichever thread settled the ticket (a pool worker, or
+    // the I/O thread itself for cancellations); the copy hands the
+    // result to the loop thread. outstanding_ drops only there, so the
+    // drain cannot finish while a completion is still on its way.
+    loop_.post([this, tk, echo = std::move(echo), result]() mutable {
+      --outstanding_;
+      tickets_.erase(tk);
+      if (Session* target = frontend_.find(tk.session)) {
+        target->deliver(tk.key, answer(std::move(echo), result),
+                        result.ok() ? result.value().stamps
+                                    : obs::StageStamps{});
+      }
+      if (frontend_.draining()) frontend_.maybe_finish();
+    });
   });
+  return std::nullopt;
+}
+
+bool Server::cancel(Session& session, std::uint64_t key) {
+  // On success the ticket settles with code=cancelled and its completion
+  // posts the answer like any other.
+  const auto it = tickets_.find(TicketKey{session.id(), key});
+  return it != tickets_.end() && it->second.cancel();
+}
+
+std::vector<std::pair<std::string, std::uint64_t>> Server::stats_pairs() {
+  // Transport counters first, then the shared service vocabulary
+  // (service_stats_pairs keeps both front-ends aligned).
+  const ServerCounters& sc = counters_;
+  std::vector<std::pair<std::string, std::uint64_t>> out = {
+      {"conns", frontend_.sessions()},
+      {"accepted", sc.accepted},
+      {"rejected_conns", sc.rejected_conns},
+      {"lines", sc.lines},
+      {"submitted", sc.submitted},
+      {"outstanding", outstanding_},
+      {"v3_conns", sc.v3_conns},
+      {"frames_in", sc.frames_in},
+      {"frames_bad", sc.frames_bad},
+      {"batch_requests", sc.batch_requests},
+      {"parse_errors", sc.parse_errors},
+  };
+  for (auto& pair : service_stats_pairs(service_)) {
+    out.push_back(std::move(pair));
+  }
+  return out;
+}
+
+std::optional<ResponseLine> Server::trace_dump(Session& /*session*/,
+                                               std::uint64_t /*key*/,
+                                               std::string path) {
+  // The write runs synchronously on the I/O thread and stalls every
+  // session (and the metrics endpoint) for its duration. Accepted
+  // deliberately: the dump is bounded (4096 spans per thread ring), and
+  // it only happens when the operator configured a trace directory and
+  // asked for a dump — a diagnostic moment, not a serving-path
+  // operation.
+  obs::Tracer& tracer = obs::Tracer::global();
+  std::ofstream out{path};
+  if (!out) {
+    return error_answer(ErrorCode::kBadRequest,
+                        "cannot open trace path \"" + path + "\" for writing");
+  }
+  const std::uint64_t written = tracer.write_chrome_trace(out);
+  if (!out) {
+    return error_answer(ErrorCode::kBadRequest,
+                        "short write dumping trace to \"" + path + "\"");
+  }
+  ResponseLine line;
+  line.kind = ResponseLine::Kind::kTrace;
+  line.ok = true;
+  line.stats = {
+      {"enabled", tracer.enabled() ? 1 : 0},
+      {"spans", tracer.recorded()},
+      {"dropped", tracer.dropped()},
+      {"written", written},
+  };
+  return line;
 }
 
 Result<TreeHandle, ServiceError> Server::intern_spec(std::string_view spec) {
@@ -317,86 +378,6 @@ Result<TreeHandle, ServiceError> Server::intern_spec(std::string_view spec) {
   } catch (const std::exception& e) {
     return ServiceError{ErrorCode::kBadRequest, e.what(),
                         std::current_exception()};
-  }
-}
-
-void Server::note_submitted() {
-  ++counters_.submitted;
-  ++outstanding_;
-}
-
-void Server::ticket_settled(std::uint64_t conn_id, std::uint64_t key,
-                            const ServiceResult& result) {
-  // Runs on whichever thread settled the ticket (pool worker, or the
-  // I/O thread itself for cancellations and admission rejections); the
-  // copy hands the result to the loop thread. outstanding_ is
-  // decremented only there, so the drain cannot finish while a
-  // completion is still in flight toward the loop.
-  loop_.post([this, conn_id, key, result] {
-    --outstanding_;
-    const auto it = conns_.find(conn_id);
-    if (it != conns_.end()) it->second->deliver(key, result);
-    if (draining_) maybe_finish();
-  });
-}
-
-void Server::defer_close(std::uint64_t conn_id) {
-  loop_.post([this, conn_id] {
-    conns_.erase(conn_id);  // idempotent; destructor cancels + closes
-    if (draining_) maybe_finish();
-  });
-}
-
-void Server::begin_drain() {
-  if (draining_) return;
-  draining_ = true;
-  obs::EventLog::global().emit(
-      "drain_begin", 0,
-      {obs::EventLog::Field::u64("conns", conns_.size()),
-       obs::EventLog::Field::u64("outstanding", outstanding_)});
-  if (listener_active_) {
-    loop_.remove(listener_.fd());
-    listener_active_ = false;
-  }
-  if (config_.drain_timeout_ms > 0.0 && drain_timer_fd_ < 0) {
-    // The drain's hard ceiling: a client that never reads its answers
-    // keeps its write buffer from flushing, which would hold run() up
-    // forever. Past the timeout every remaining connection closes —
-    // undelivered answers are dropped, queued tickets cancelled — and
-    // the outstanding-ticket accounting finishes the drain as usual.
-    drain_timer_fd_ = ::timerfd_create(CLOCK_MONOTONIC, TFD_NONBLOCK | TFD_CLOEXEC);
-    if (drain_timer_fd_ >= 0) {
-      const auto ns =
-          static_cast<std::uint64_t>(config_.drain_timeout_ms * 1e6);
-      itimerspec spec{};
-      spec.it_value.tv_sec = static_cast<time_t>(ns / 1'000'000'000ULL);
-      spec.it_value.tv_nsec = static_cast<long>(ns % 1'000'000'000ULL);
-      if (spec.it_value.tv_sec == 0 && spec.it_value.tv_nsec == 0) {
-        spec.it_value.tv_nsec = 1;
-      }
-      ::timerfd_settime(drain_timer_fd_, 0, &spec, nullptr);
-      loop_.add(drain_timer_fd_, EPOLLIN, [this](std::uint32_t) {
-        std::uint64_t expirations = 0;
-        while (::read(drain_timer_fd_, &expirations, sizeof(expirations)) >
-               0) {
-        }
-        // Snapshot the ids: defer_close posts erasures, and destructors
-        // must not run while we iterate the map.
-        std::vector<std::uint64_t> ids;
-        ids.reserve(conns_.size());
-        for (const auto& [id, conn] : conns_) ids.push_back(id);
-        for (const std::uint64_t id : ids) defer_close(id);
-      });
-    }
-  }
-  for (auto& [id, conn] : conns_) conn->begin_drain();
-  maybe_finish();
-}
-
-void Server::maybe_finish() {
-  if (conns_.empty() && outstanding_ == 0) {
-    obs::EventLog::global().emit("drain_complete", 0, {});
-    loop_.stop();
   }
 }
 

@@ -1,25 +1,28 @@
 #pragma once
 // The networked scheduling server (src/net/): an epoll-driven front-end
 // serving many concurrent clients over TCP or a unix-domain socket,
-// multiplexed onto ONE I/O thread. Each connection speaks either
-// protocol — text v2 (service/request_line.hpp) or binary v3
-// (net/frame.hpp) — negotiated by the first bytes the client sends.
+// multiplexed onto ONE I/O thread. Each client is a net::Session
+// (net/session.hpp), speaking text v2 or binary v3 as its first bytes
+// decide; the server is the SessionHandler that answers its schedule
+// requests, and a net::Frontend (net/frontend.hpp) runs the accept,
+// drain and signal lifecycle.
 //
 //   net -> service -> sched:
 //
-//   Client ──TCP──> Connection ──submit()──> SchedulingService ─> pool
-//      ^                |  ^                        │
-//      └── response ────┘  └── EventLoop::post <────┘ Ticket::on_complete
+//   Client ──TCP──> Session ──submit()──> SchedulingService ─> pool
+//      ^               |  ^                       │
+//      └── response ───┘  └── EventLoop::post <───┘ Ticket::on_complete
 //
-// The I/O thread never blocks and never computes: requests are
-// submitted as Tickets and their completions re-enter the loop through
-// Ticket::on_complete -> EventLoop::post, which wakes the epoll wait.
-// All scheduler compute rides the service's thread pool, exactly as for
-// in-process callers — the server is a transport, not a second engine.
+// The I/O thread never blocks and never computes: a cache hit answers
+// on the spot, anything else is submitted as a Ticket whose completion
+// re-enters the loop through Ticket::on_complete -> EventLoop::post,
+// which wakes the epoll wait. All scheduler compute rides the service's
+// thread pool, exactly as for in-process callers — the server is a
+// transport, not a second engine.
 //
 // Lifecycle: the constructor binds (port 0 = ephemeral, read back via
 // port()); run() serves until stop() or — with handle_signals —
-// SIGTERM/SIGINT, then drains: the listener closes, connections stop
+// SIGTERM/SIGINT, then drains: the listener closes, sessions stop
 // reading, every accepted request is answered or cancelled, write
 // buffers flush, and run() returns only when no ticket is outstanding,
 // so destroying the server (and then the service) is always safe.
@@ -34,15 +37,18 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <utility>
+#include <vector>
 
-#include "net/connection.hpp"
 #include "net/event_loop.hpp"
 #include "net/frame.hpp"
-#include "net/listener.hpp"
+#include "net/frontend.hpp"
 #include "net/metrics_http.hpp"
+#include "net/session.hpp"
 #include "obs/metrics.hpp"
 #include "service/service.hpp"
 
@@ -125,20 +131,11 @@ struct ServerConfig {
 };
 
 /// Monotonic server counters (I/O-thread state, reported by `stats`).
-struct ServerCounters {
-  std::uint64_t accepted = 0;        ///< connections accepted
-  std::uint64_t rejected_conns = 0;  ///< turned away at max_conns
-  std::uint64_t lines = 0;           ///< requests framed (text lines and
-                                     ///< binary request payloads alike)
-  std::uint64_t submitted = 0;       ///< tickets submitted to the service
-  std::uint64_t v3_conns = 0;        ///< connections that negotiated v3
-  std::uint64_t frames_in = 0;       ///< well-formed v3 frames parsed
-  std::uint64_t frames_bad = 0;      ///< protocol-violating frames
-  std::uint64_t batch_requests = 0;  ///< requests that arrived in batches
-  std::uint64_t parse_errors = 0;    ///< requests rejected by the grammar
+struct ServerCounters : SessionCounters {
+  std::uint64_t submitted = 0;  ///< tickets submitted to the service
 };
 
-class Server {
+class Server : private SessionHandler {
  public:
   /// Binds the listener (throws std::system_error on failure) but does
   /// not serve yet.
@@ -148,10 +145,10 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  [[nodiscard]] std::uint16_t port() const { return listener_.port(); }
+  [[nodiscard]] std::uint16_t port() const { return frontend_.port(); }
   /// Printable endpoint: "<bind>:<port>" or "unix:<path>".
   [[nodiscard]] const std::string& address() const {
-    return listener_.address();
+    return frontend_.address();
   }
   [[nodiscard]] const ServerConfig& config() const { return config_; }
   /// The bound scrape port; 0 when config.metrics_port is -1 (no
@@ -170,8 +167,6 @@ class Server {
   void stop();
 
  private:
-  friend class Connection;
-
   /// Heterogeneous hasher so a string_view spec (v3's zero-copy path)
   /// probes the memo without materializing a std::string first.
   struct SpecHash {
@@ -180,41 +175,42 @@ class Server {
       return std::hash<std::string_view>{}(spec);
     }
   };
+  /// A submitted ticket's window entry: (session id, window key).
+  struct TicketKey {
+    std::uint64_t session = 0;
+    std::uint64_t key = 0;
+    bool operator==(const TicketKey&) const = default;
+  };
+  struct TicketKeyHash {
+    std::size_t operator()(const TicketKey& k) const;
+  };
 
-  // --- Connection-facing surface (I/O thread only) --------------------
-  EventLoop& loop() { return loop_; }
-  SchedulingService& service() { return service_; }
-  ServerCounters& counters() { return counters_; }
+  // --- SessionHandler (I/O thread only) -------------------------------
+  /// Resolves the spec, answers a cache hit on the spot, submits
+  /// anything else as a ticket.
+  std::optional<ServiceError> schedule(Session& session, std::uint64_t key,
+                                       const RequestView& req,
+                                       const TraceContext& ctx) override;
+  /// Cancels the entry's ticket iff it is still queued.
+  bool cancel(Session& session, std::uint64_t key) override;
+  std::vector<std::pair<std::string, std::uint64_t>> stats_pairs() override;
+  /// Writes the Chrome trace synchronously and answers at once.
+  std::optional<ResponseLine> trace_dump(Session& session, std::uint64_t key,
+                                         std::string path) override;
+  /// A response's last byte reached the kernel: record the transport
+  /// stage histograms (accept-to-flush, serialize-to-flush by priority
+  /// class), the net-layer trace spans, and, past config.slow_ms, log
+  /// the stage breakdown (stderr + structured event log).
+  void record_flushed(const ResponseTiming& timing) override;
+  /// The drain also waits for every submitted ticket's completion.
+  [[nodiscard]] bool drained() const override { return outstanding_ == 0; }
+
   /// Spec -> interned handle, memoized server-wide (all parsing happens
   /// on the I/O thread, so the memo needs no lock). The lookup is
   /// copy-free; the spec string is owned only on first sight. Failures
   /// are typed values: kBadRequest for an unresolvable spec, kStoreFull
   /// (via try_intern) past the store budget.
   Result<TreeHandle, ServiceError> intern_spec(std::string_view spec);
-  /// Registers one submitted ticket for the drain accounting and
-  /// forwards its completion to the loop. Callable from any thread
-  /// (it is the Ticket::on_complete target).
-  void ticket_settled(std::uint64_t conn_id, std::uint64_t key,
-                      const ServiceResult& result);
-  /// ++outstanding_; paired with the ticket_settled posting.
-  void note_submitted();
-  /// Posts the removal of connection `id` (safe from inside any of the
-  /// connection's own methods; idempotent).
-  void defer_close(std::uint64_t conn_id);
-  [[nodiscard]] bool draining() const { return draining_; }
-  /// A response's last byte reached the kernel: record the transport
-  /// stage histograms (accept-to-flush, serialize-to-flush by priority
-  /// class), the net-layer trace spans, and, past config.slow_ms, log
-  /// the stage breakdown (stderr + structured event log).
-  void record_flushed(const ResponseTiming& timing);
-  /// SLO accounting: one response settled for priority class `cls`
-  /// (kPriorityClasses = unclassified), error or success. Feeds the
-  /// windowed error-ratio gauges.
-  void note_response(int cls, bool ok);
-
-  void accept_ready();
-  void begin_drain();
-  void maybe_finish();
   /// Creates the transport histograms and bridges ServerCounters into
   /// the service's registry. The bridge reads plain I/O-thread state;
   /// that is sound because every snapshot consumer in this process (the
@@ -224,22 +220,15 @@ class Server {
   SchedulingService& service_;
   ServerConfig config_;
   EventLoop loop_;
-  Listener listener_;
-  std::unique_ptr<MetricsHttp> metrics_http_;
-  int signal_fd_ = -1;
-  int drain_timer_fd_ = -1;  ///< armed by begin_drain past drain_timeout_ms
-  bool listener_active_ = false;
-
-  std::unordered_map<std::uint64_t, std::unique_ptr<Connection>> conns_;
+  ServerCounters counters_;
   std::unordered_map<std::string, TreeHandle, SpecHash, std::equal_to<>>
       spec_memo_;
-  ServerCounters counters_;
-  std::uint64_t next_conn_id_ = 1;
+  /// Submitted tickets not yet settled on the loop thread, for cancel.
+  std::unordered_map<TicketKey, Ticket, TicketKeyHash> tickets_;
   /// Tickets submitted whose completion has not yet been processed on
   /// the loop thread. The drain waits for zero, which guarantees no
   /// Ticket::on_complete callback can touch a dead Server.
   std::uint64_t outstanding_ = 0;
-  bool draining_ = false;
 
   /// Collector liveness guard: the counters bridge registered with the
   /// service's registry bails once this server is gone, so a registry
@@ -254,11 +243,10 @@ class Server {
   /// the unlabeled aggregate above). Their sliding windows ARE the
   /// per-class rolling p99 the /metrics `_window` gauges export.
   obs::Histogram* h_e2e_class_[kPriorityClasses] = {};
-  /// Windowed SLO accounting: responses / errors per priority class
-  /// ([kPriorityClasses] = all), read by the error-ratio gauge
-  /// collector. Loop-thread state like the counters.
-  obs::SlidingCounter slo_responses_[kPriorityClasses + 1];
-  obs::SlidingCounter slo_errors_[kPriorityClasses + 1];
+
+  /// Declared after the state its sessions call into, so it goes first.
+  Frontend frontend_;
+  std::unique_ptr<MetricsHttp> metrics_http_;
 };
 
 }  // namespace treesched::net

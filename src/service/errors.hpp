@@ -7,9 +7,9 @@
 // so clients never parse prose.
 //
 // Exceptions still exist in two places only:
-//   * the legacy wrapper surfaces (schedule(), schedule_async() futures)
-//     rethrow the original exception when one caused the error (the
-//     `cause` field) or a typed exception mapped from the code;
+//   * the legacy wrapper surface (schedule()) rethrows the original
+//     exception when one caused the error (the `cause` field) or a
+//     typed exception mapped from the code;
 //   * inside the compute engine, where scheduler code throws — submit()
 //     catches at the boundary and converts to a ServiceError.
 
@@ -62,8 +62,8 @@ struct ServiceError {
 // compiling.
 // ---------------------------------------------------------------------------
 
-/// Typed admission-queue rejection, delivered through the legacy
-/// schedule_async future (value-path callers get the ServiceError code).
+/// Typed admission-queue rejection, thrown by the legacy schedule()
+/// (value-path callers get the ServiceError code).
 class QueueError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };

@@ -519,9 +519,8 @@ std::vector<ScheduleResponse> SchedulingService::schedule_batch(
         config_.threads);
     return responses;
   }
-  // Same tickets + ordered collect as schedule_prioritized, minus the
-  // deadlines (stripped above for the width-bound path too): the v1
-  // batch contract. schedule_prioritized is the deadline-honoring batch.
+  // N tickets + ordered collect, minus the deadlines (stripped above for
+  // the width-bound path too): the v1 batch contract.
   std::vector<Ticket> tickets;
   tickets.reserve(reqs.size());
   for (const ScheduleRequest& r : reqs) {
@@ -529,19 +528,6 @@ std::vector<ScheduleResponse> SchedulingService::schedule_batch(
     req.deadline_ms = 0.0;
     tickets.push_back(submit(std::move(req)));
   }
-  return collect_ordered(std::move(tickets));
-}
-
-std::future<ScheduleResponse> SchedulingService::schedule_async(
-    ScheduleRequest req) {
-  return submit(std::move(req)).legacy_future();
-}
-
-std::vector<ScheduleResponse> SchedulingService::schedule_prioritized(
-    const std::vector<ScheduleRequest>& reqs) {
-  std::vector<Ticket> tickets;
-  tickets.reserve(reqs.size());
-  for (const ScheduleRequest& req : reqs) tickets.push_back(submit(req));
   return collect_ordered(std::move(tickets));
 }
 

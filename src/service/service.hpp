@@ -29,12 +29,12 @@
 // it with kCancelled; cancelling anything else is a no-op returning
 // false.
 //
-// The four pre-v2 entry points — schedule(), schedule_batch(),
-// schedule_async(), schedule_prioritized() — are thin wrappers over
-// submit() (batch = N tickets + ordered collect), so determinism, dedup,
-// priority ordering and the destructor's drain guarantee are enforced in
-// exactly one place. The wrappers translate errors back into the legacy
-// conventions (thrown exceptions / ScheduleResponse::error).
+// The two pre-v2 entry points — schedule() and schedule_batch() — are
+// thin wrappers over submit() (batch = N tickets + ordered collect), so
+// determinism, dedup, priority ordering and the destructor's drain
+// guarantee are enforced in exactly one place. The wrappers translate
+// errors back into the legacy conventions (thrown exceptions /
+// ScheduleResponse::error).
 //
 // Guarantees:
 //  * Determinism: a response carries exactly the (makespan, peak memory,
@@ -60,7 +60,6 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -156,24 +155,13 @@ class SchedulingService {
 
   /// N tickets + ordered collect; failures land per-request in
   /// ScheduleResponse::error. Deadlines are ignored on this path (the
-  /// v1 batch contract — use schedule_prioritized or submit() for
-  /// deadline-aware batches). With ServiceConfig::threads nonzero the
-  /// batch runs that wide (worker-inline submissions); otherwise
+  /// v1 batch contract — use submit() for deadline-aware batches).
+  /// With ServiceConfig::threads nonzero the batch runs that wide
+  /// (worker-inline submissions); otherwise
   /// requests flow through the admission queue under their own
   /// priorities — and, unlike the v1 queue-bypassing batch, a bounded
   /// queue (max_pending) can reject items with kQueueFull.
   std::vector<ScheduleResponse> schedule_batch(
-      const std::vector<ScheduleRequest>& reqs);
-
-  /// submit(req) bridged to a std::future that throws the legacy
-  /// exception on error (DeadlineExpired, QueueFull, the scheduler's
-  /// own, ...).
-  std::future<ScheduleResponse> schedule_async(ScheduleRequest req);
-
-  /// N tickets through the queue + ordered collect with failures
-  /// (including kDeadlineExpired) captured per-request in
-  /// ScheduleResponse::error.
-  std::vector<ScheduleResponse> schedule_prioritized(
       const std::vector<ScheduleRequest>& reqs);
 
   [[nodiscard]] CacheStats cache_stats() const { return cache_.stats(); }

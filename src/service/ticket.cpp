@@ -1,5 +1,6 @@
 #include "service/ticket.hpp"
 
+#include <stdexcept>
 #include <utility>
 
 #include "service/request_queue.hpp"
@@ -9,19 +10,6 @@ namespace treesched {
 namespace detail {
 
 namespace {
-
-/// Fulfills the legacy promise from a settled result. Caller holds the
-/// state mutex.
-void fulfill_legacy(TicketState& state) {
-  if (!state.legacy_promise.has_value() || state.legacy_fulfilled) return;
-  state.legacy_fulfilled = true;
-  const ServiceResult& result = *state.result;
-  if (result.ok()) {
-    state.legacy_promise->set_value(result.value());
-  } else {
-    state.legacy_promise->set_exception(to_exception(result.error()));
-  }
-}
 
 ServiceError empty_ticket_error() {
   return ServiceError{ErrorCode::kBadRequest,
@@ -38,7 +26,6 @@ void complete_ticket(const std::shared_ptr<TicketState>& state,
     const std::lock_guard<std::mutex> lock(state->mutex);
     if (state->result.has_value()) return;  // already settled
     state->result.emplace(std::move(result));
-    fulfill_legacy(*state);
     // Claim the completion hook under the mutex — exactly one of
     // {settler, late subscriber} ever sees it non-empty — but run it
     // after unlocking so it may touch the ticket or block.
@@ -105,25 +92,6 @@ void Ticket::on_complete(std::function<void(const ServiceResult&)> fn) {
     // and invoke on this thread, outside the lock.
   }
   fn(*state_->result);
-}
-
-std::future<ScheduleResponse> Ticket::legacy_future() {
-  if (!state_) {
-    std::promise<ScheduleResponse> promise;
-    promise.set_exception(to_exception(detail::empty_ticket_error()));
-    return promise.get_future();
-  }
-  const std::lock_guard<std::mutex> lock(state_->mutex);
-  if (state_->legacy_promise.has_value()) {
-    // The shared promise is single-shot; fail with a clear message
-    // instead of leaking std::future_error from deep inside.
-    throw std::logic_error(
-        "Ticket::legacy_future() may only be called once per ticket");
-  }
-  std::future<ScheduleResponse> future =
-      state_->legacy_promise.emplace().get_future();
-  if (state_->result.has_value()) detail::fulfill_legacy(*state_);
-  return future;
 }
 
 }  // namespace treesched

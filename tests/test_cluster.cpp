@@ -39,6 +39,7 @@
 #include "service/instance_store.hpp"
 #include "service/service.hpp"
 #include "test_helpers.hpp"
+#include "tier_harness.hpp"
 #include "util/hash.hpp"
 
 namespace treesched {
@@ -48,9 +49,10 @@ using cluster::HashRing;
 using cluster::Router;
 using cluster::RouterConfig;
 using net::Client;
-using net::Server;
 using net::ServerConfig;
 using testing::eventually;
+using testing::RouterHarness;
+using testing::ServerHarness;
 
 // ---------------------------------------------------------------------------
 // HashRing: the placement function is a wire-level contract.
@@ -259,34 +261,6 @@ TEST(Fingerprint, EngineeredCollisionInternsDistinctTrees) {
 // End-to-end: real backends, a real router, real loopback sockets.
 // ---------------------------------------------------------------------------
 
-/// One backend node: service + server + I/O thread (test_net's harness).
-class BackendHarness {
- public:
-  explicit BackendHarness(ServerConfig config = {})
-      : service_(ServiceConfig{}), server_(service_, config) {
-    thread_ = std::thread([this] { server_.run(); });
-  }
-
-  ~BackendHarness() { stop(); }
-
-  void stop() {
-    if (thread_.joinable()) {
-      server_.stop();
-      thread_.join();
-    }
-  }
-
-  [[nodiscard]] std::uint16_t port() const { return server_.port(); }
-  [[nodiscard]] std::string name() const {
-    return "127.0.0.1:" + std::to_string(port());
-  }
-
- private:
-  SchedulingService service_;
-  Server server_;
-  std::thread thread_;
-};
-
 /// A hand-driven backend speaking just enough v3 to be marked up by the
 /// router's health checks (it answers ping and stats control frames)
 /// while misbehaving on schedule requests: swallowing them forever
@@ -442,58 +416,6 @@ class FakeNode {
   std::atomic<std::uint64_t> pings_seen_{0};
 };
 
-/// Router + I/O thread. Health cadence is cranked way down so tests
-/// converge in milliseconds instead of the production quarter-second.
-class RouterHarness {
- public:
-  explicit RouterHarness(std::vector<std::string> nodes,
-                         RouterConfig config = {}) {
-    config.nodes = std::move(nodes);
-    if (config.health_interval_ms == 250.0) config.health_interval_ms = 10.0;
-    if (config.ping_timeout_ms == 2000.0) config.ping_timeout_ms = 1000.0;
-    if (config.reconnect_backoff_ms == 500.0) {
-      config.reconnect_backoff_ms = 20.0;
-    }
-    router_ = std::make_unique<Router>(std::move(config));
-    thread_ = std::thread([this] { router_->run(); });
-  }
-
-  ~RouterHarness() { stop(); }
-
-  void stop() {
-    if (thread_.joinable()) {
-      router_->stop();
-      thread_.join();
-    }
-  }
-
-  [[nodiscard]] std::uint16_t port() const { return router_->port(); }
-  [[nodiscard]] Router& router() { return *router_; }
-
-  /// Polls the router's own `stats` verb until it reports `n` live
-  /// backends — requests sent before the first health tick connects
-  /// would be answered node_unavailable, which is correct but not what
-  /// a routing test wants to measure.
-  [[nodiscard]] bool wait_nodes_up(std::uint64_t n,
-                                   std::chrono::milliseconds deadline =
-                                       std::chrono::milliseconds(5000)) {
-    Client probe("127.0.0.1", port());
-    const auto until = std::chrono::steady_clock::now() + deadline;
-    while (std::chrono::steady_clock::now() < until) {
-      const ResponseLine stats = probe.request("stats");
-      for (const auto& [key, value] : stats.stats) {
-        if (key == "nodes_up" && value >= n) return true;
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    }
-    return false;
-  }
-
- private:
-  std::unique_ptr<Router> router_;
-  std::thread thread_;
-};
-
 std::uint64_t stat_value(const ResponseLine& stats, const std::string& key) {
   for (const auto& [k, v] : stats.stats) {
     if (k == key) return v;
@@ -519,8 +441,8 @@ std::string spec_routed_to(const HashRing& ring, std::size_t want) {
 }
 
 TEST(ClusterRouter, RoutesOverBothProtocolsAndSharesTheCacheAcrossThem) {
-  BackendHarness node_a;
-  BackendHarness node_b;
+  ServerHarness node_a;
+  ServerHarness node_b;
   RouterHarness router({node_a.name(), node_b.name()});
   ASSERT_TRUE(router.wait_nodes_up(2));
 
@@ -549,8 +471,8 @@ TEST(ClusterRouter, RoutesOverBothProtocolsAndSharesTheCacheAcrossThem) {
 }
 
 TEST(ClusterRouter, PlacementMatchesAnIndependentlyBuiltRing) {
-  BackendHarness node_a;
-  BackendHarness node_b;
+  ServerHarness node_a;
+  ServerHarness node_b;
   RouterHarness router({node_a.name(), node_b.name()});
   ASSERT_TRUE(router.wait_nodes_up(2));
 
@@ -580,8 +502,8 @@ TEST(ClusterRouter, PlacementMatchesAnIndependentlyBuiltRing) {
 }
 
 TEST(ClusterRouter, ClusterWideCacheHitAfterWarmingTheNodeDirectly) {
-  BackendHarness node_a;
-  BackendHarness node_b;
+  ServerHarness node_a;
+  ServerHarness node_b;
   std::vector<std::string> names{node_a.name(), node_b.name()};
   RouterHarness router(names);
   ASSERT_TRUE(router.wait_nodes_up(2));
@@ -613,7 +535,7 @@ TEST(ClusterRouter, NodeDeathMidRequestRetriesOnTheAlternate) {
   // request arrives — a death timed exactly mid-request. Node 1 is
   // real. The forward must be retried there and the client answered ok.
   FakeNode fake(FakeNode::OnRequest::kCloseAbruptly);
-  BackendHarness real;
+  ServerHarness real;
   std::vector<std::string> names{fake.name(), real.name()};
   RouterConfig config;
   config.retries = 1;
@@ -820,8 +742,8 @@ TEST(ClusterRouter, RejectsDuplicateNodesAndEmptyNodeLists) {
 // ---------------------------------------------------------------------------
 
 TEST(ClusterTrace, MergedDumpCoversRouterAndEveryNode) {
-  BackendHarness node_a;
-  BackendHarness node_b;
+  ServerHarness node_a;
+  ServerHarness node_b;
   char tmpl[] = "/tmp/treesched-trace-XXXXXX";
   const char* dir = ::mkdtemp(tmpl);
   ASSERT_NE(dir, nullptr);
@@ -875,7 +797,7 @@ TEST(ClusterTrace, MergedDumpCoversRouterAndEveryNode) {
 TEST(ClusterTrace, MergedDumpWithoutTraceDirIsRefused) {
   // No trace_dir at all: the dump must be refused up front, exactly
   // like the single-node server refuses server-side file writes.
-  BackendHarness node;
+  ServerHarness node;
   RouterHarness router({node.name()});
   ASSERT_TRUE(router.wait_nodes_up(1));
   Client client("127.0.0.1", router.port());
@@ -890,7 +812,7 @@ TEST(ClusterRouter, PerNodeFailureCountersAndEventLogRecordADeath) {
   // death must surface three ways: per-node stats counters, labeled
   // Prometheus series (same samples), and the structured event log.
   FakeNode fake(FakeNode::OnRequest::kCloseAbruptly);
-  BackendHarness real;
+  ServerHarness real;
   std::vector<std::string> names{fake.name(), real.name()};
   char tmpl[] = "/tmp/treesched-events-XXXXXX";
   const char* dir = ::mkdtemp(tmpl);
@@ -948,7 +870,7 @@ TEST(MaxSpecBytes, ServerRejectsOversizedTreeFilesBeforeReading) {
   ServerConfig config;
   config.tree_dir = dir;
   config.max_spec_bytes = 16;
-  BackendHarness server(config);
+  ServerHarness server(config);
   Client client("127.0.0.1", server.port());
   const ResponseLine resp = client.request("file:big.tree Liu 1 id=1");
   ASSERT_FALSE(resp.ok);
@@ -961,7 +883,7 @@ TEST(MaxSpecBytes, RouterRejectsOversizedTreeFilesAtFingerprintTime) {
   // as exposed to hostile file: specs as a node — the budget must bite
   // at the router before anything is forwarded.
   const std::string dir = make_tree_dir_with("big.tree", 64);
-  BackendHarness node;
+  ServerHarness node;
   RouterConfig config;
   config.tree_dir = dir;
   config.max_spec_bytes = 16;
@@ -981,7 +903,7 @@ TEST(ScheduleServerDrain, DrainTimeoutBoundsClientsThatNeverRead) {
   ServerConfig config;
   config.drain_timeout_ms = 150.0;
   config.max_wbuf = 64 * 1024;
-  auto server = std::make_unique<BackendHarness>(config);
+  auto server = std::make_unique<ServerHarness>(config);
   Client client("127.0.0.1", server->port());
   // Shrink the client's receive window, then pile up answers it never
   // reads: stats lines are kilobytes each, so the server's write buffer

@@ -5,7 +5,10 @@
 // mid-frame disconnect), and end-to-end coverage of the negotiated
 // binary mode over real sockets — pipelined batch frames, out-of-order
 // tagged answers, bit-identical v2/v3 schedule payloads, unix-domain
-// sockets, and the v3 protocol counters in `stats`.
+// sockets, and the v3 protocol counters in `stats`. The client-session
+// tests both tiers share (hostile frames, batch grammar errors,
+// byte-by-byte delivery) run against the server and against a router
+// over one node (tier_harness.hpp).
 
 #include "net/frame.hpp"
 
@@ -26,6 +29,7 @@
 #include "service/request_view.hpp"
 #include "service/service.hpp"
 #include "test_helpers.hpp"
+#include "tier_harness.hpp"
 #include "util/thread_pool.hpp"
 
 namespace treesched {
@@ -48,7 +52,10 @@ using net::Server;
 using net::ServerConfig;
 using testing::admitted;
 using testing::eventually;
+using testing::for_each_tier;
 using testing::GateGuard;
+using testing::ServerHarness;
+using testing::TierHarness;
 
 // ---------------------------------------------------------------------------
 // RequestView: the zero-copy parser, alone and against the v2 parser.
@@ -619,33 +626,6 @@ TEST(FrameCodec, MalformedResponsePayloadsAreRejected) {
 // End-to-end: negotiated binary mode against a real Server.
 // ---------------------------------------------------------------------------
 
-/// Service + server + I/O thread, torn down in the right order.
-class ServerHarness {
- public:
-  explicit ServerHarness(ServerConfig config = {},
-                         ServiceConfig service_config = {})
-      : service_(service_config), server_(service_, config) {
-    thread_ = std::thread([this] { server_.run(); });
-  }
-
-  ~ServerHarness() { stop(); }
-
-  void stop() {
-    if (thread_.joinable()) {
-      server_.stop();
-      thread_.join();
-    }
-  }
-
-  [[nodiscard]] std::uint16_t port() const { return server_.port(); }
-  [[nodiscard]] SchedulingService& service() { return service_; }
-
- private:
-  SchedulingService service_;
-  Server server_;
-  std::thread thread_;
-};
-
 Client connect_v3(const ServerHarness& harness) {
   return Client("127.0.0.1", harness.port(), Protocol::kV3);
 }
@@ -712,18 +692,19 @@ TEST(ScheduleServerV3, TaggedAnswersMayArriveOutOfOrder) {
 }
 
 TEST(ScheduleServerV3, BadGrammarInABatchAnswersTypedErrorsInStreamOrder) {
-  ServerHarness harness;
-  Client client = connect_v3(harness);
-  client.send_batch({"random:100:1 Liu 1", "not a request at all ===",
-                     "random:100:1 Liu 2"});
-  const auto ok1 = client.recv_response();
-  ASSERT_TRUE(ok1 && ok1->ok);
-  const auto err = client.recv_response();
-  ASSERT_TRUE(err.has_value());
-  EXPECT_FALSE(err->ok);
-  EXPECT_EQ(err->code, ErrorCode::kBadRequest);
-  const auto ok2 = client.recv_response();
-  ASSERT_TRUE(ok2 && ok2->ok) << "the connection survives a grammar error";
+  for_each_tier({}, [](TierHarness& tier) {
+    Client client = tier.connect(Protocol::kV3);
+    client.send_batch({"random:100:1 Liu 1", "not a request at all ===",
+                       "random:100:1 Liu 2"});
+    const auto ok1 = client.recv_response();
+    ASSERT_TRUE(ok1 && ok1->ok);
+    const auto err = client.recv_response();
+    ASSERT_TRUE(err.has_value());
+    EXPECT_FALSE(err->ok);
+    EXPECT_EQ(err->code, ErrorCode::kBadRequest);
+    const auto ok2 = client.recv_response();
+    ASSERT_TRUE(ok2 && ok2->ok) << "the connection survives a grammar error";
+  });
 }
 
 TEST(ScheduleServerV3, ControlFramesAnswerPingStatsAndCancel) {
@@ -850,35 +831,36 @@ TEST(ScheduleServerV3, TextClientsAreUntouchedByTheNegotiation) {
 }
 
 TEST(ScheduleServerV3, ByteByByteDeliveryOverTheSocketStillParses) {
-  ServerHarness harness;
-  // A raw text-mode Client so WE control every byte: magic + one
-  // request frame, delivered one byte at a time.
-  Client client("127.0.0.1", harness.port(), Protocol::kText);
-  std::string wire(kFrameMagic);
-  FrameWriter(wire).request("random:200:1 Liu 1 id=3");
-  for (const char c : wire) {
-    send_raw(client, std::string(1, c));
-  }
-  client.shutdown_write();
-  // Read the binary answer through a FrameReader over raw recv.
-  FrameReader reader;
-  for (;;) {
-    Frame frame;
-    const auto status = reader.next(frame);
-    if (status == FrameReader::Status::kFrame) {
-      ResponseLine decoded;
-      std::string error;
-      ASSERT_TRUE(decode_response_frame(frame, decoded, error)) << error;
-      EXPECT_TRUE(decoded.ok);
-      EXPECT_EQ(decoded.id, 3u);
-      break;
+  for_each_tier({}, [](TierHarness& tier) {
+    // A raw text-mode Client so WE control every byte: magic + one
+    // request frame, delivered one byte at a time.
+    Client client = tier.connect(Protocol::kText);
+    std::string wire(kFrameMagic);
+    FrameWriter(wire).request("random:200:1 Liu 1 id=3");
+    for (const char c : wire) {
+      send_raw(client, std::string(1, c));
     }
-    ASSERT_EQ(status, FrameReader::Status::kNeedMore);
-    char buf[512];
-    const ssize_t n = ::recv(client.fd(), buf, sizeof(buf), 0);
-    ASSERT_GT(n, 0) << "EOF before the answer";
-    reader.feed(buf, static_cast<std::size_t>(n));
-  }
+    client.shutdown_write();
+    // Read the binary answer through a FrameReader over raw recv.
+    FrameReader reader;
+    for (;;) {
+      Frame frame;
+      const auto status = reader.next(frame);
+      if (status == FrameReader::Status::kFrame) {
+        ResponseLine decoded;
+        std::string error;
+        ASSERT_TRUE(decode_response_frame(frame, decoded, error)) << error;
+        EXPECT_TRUE(decoded.ok);
+        EXPECT_EQ(decoded.id, 3u);
+        break;
+      }
+      ASSERT_EQ(status, FrameReader::Status::kNeedMore);
+      char buf[512];
+      const ssize_t n = ::recv(client.fd(), buf, sizeof(buf), 0);
+      ASSERT_GT(n, 0) << "EOF before the answer";
+      reader.feed(buf, static_cast<std::size_t>(n));
+    }
+  });
 }
 
 // --- hostile wire behavior -------------------------------------------------
@@ -904,58 +886,62 @@ std::vector<ResponseLine> drain_binary(const Client& client) {
 }
 
 TEST(ScheduleServerV3, GarbageMagicAnswersOneErrorFrameAndCloses) {
-  ServerHarness harness;
-  Client client("127.0.0.1", harness.port(), Protocol::kText);
-  send_raw(client, std::string("\xB3") + "XXX");  // 0xB3, wrong tail
-  const auto responses = drain_binary(client);
-  ASSERT_EQ(responses.size(), 1u);
-  EXPECT_FALSE(responses[0].ok);
-  EXPECT_EQ(responses[0].code, ErrorCode::kBadRequest);
+  for_each_tier({}, [](TierHarness& tier) {
+    Client client = tier.connect(Protocol::kText);
+    send_raw(client, std::string("\xB3") + "XXX");  // 0xB3, wrong tail
+    const auto responses = drain_binary(client);
+    ASSERT_EQ(responses.size(), 1u);
+    EXPECT_FALSE(responses[0].ok);
+    EXPECT_EQ(responses[0].code, ErrorCode::kBadRequest);
+  });
 }
 
 TEST(ScheduleServerV3, TruncatedLengthPrefixAtEofAnswersBadRequest) {
-  ServerHarness harness;
-  Client client("127.0.0.1", harness.port(), Protocol::kText);
-  std::string wire(kFrameMagic);
-  const std::string hdr =
-      header_bytes(static_cast<std::uint8_t>(Opcode::kRequest), 0, 0, 64);
-  wire += hdr.substr(0, 5);  // opcode + flags + reserved + 1 length byte
-  send_raw(client, wire);
-  client.shutdown_write();  // half-close inside the length prefix
-  const auto responses = drain_binary(client);
-  ASSERT_EQ(responses.size(), 1u);
-  EXPECT_FALSE(responses[0].ok);
-  EXPECT_EQ(responses[0].code, ErrorCode::kBadRequest);
+  for_each_tier({}, [](TierHarness& tier) {
+    Client client = tier.connect(Protocol::kText);
+    std::string wire(kFrameMagic);
+    const std::string hdr =
+        header_bytes(static_cast<std::uint8_t>(Opcode::kRequest), 0, 0, 64);
+    wire += hdr.substr(0, 5);  // opcode + flags + reserved + 1 length byte
+    send_raw(client, wire);
+    client.shutdown_write();  // half-close inside the length prefix
+    const auto responses = drain_binary(client);
+    ASSERT_EQ(responses.size(), 1u);
+    EXPECT_FALSE(responses[0].ok);
+    EXPECT_EQ(responses[0].code, ErrorCode::kBadRequest);
+  });
 }
 
 TEST(ScheduleServerV3, OversizedFrameLengthIsRefusedUpFront) {
   ServerConfig config;
   config.max_frame = 4096;
-  ServerHarness harness(config);
-  Client client("127.0.0.1", harness.port(), Protocol::kText);
-  std::string wire(kFrameMagic);
-  // Claims 256 MiB; not a single payload byte follows — the server must
-  // answer from the header alone, never waiting for (or buffering) it.
-  wire += header_bytes(static_cast<std::uint8_t>(Opcode::kRequest), 0, 0,
-                       256u << 20);
-  send_raw(client, wire);
-  const auto responses = drain_binary(client);
-  ASSERT_EQ(responses.size(), 1u);
-  EXPECT_FALSE(responses[0].ok);
-  EXPECT_EQ(responses[0].code, ErrorCode::kBadRequest);
-  EXPECT_NE(responses[0].message.find("exceeds"), std::string::npos);
+  for_each_tier(config, [](TierHarness& tier) {
+    Client client = tier.connect(Protocol::kText);
+    std::string wire(kFrameMagic);
+    // Claims 256 MiB; not a single payload byte follows — the tier must
+    // answer from the header alone, never waiting for (or buffering) it.
+    wire += header_bytes(static_cast<std::uint8_t>(Opcode::kRequest), 0, 0,
+                         256u << 20);
+    send_raw(client, wire);
+    const auto responses = drain_binary(client);
+    ASSERT_EQ(responses.size(), 1u);
+    EXPECT_FALSE(responses[0].ok);
+    EXPECT_EQ(responses[0].code, ErrorCode::kBadRequest);
+    EXPECT_NE(responses[0].message.find("exceeds"), std::string::npos);
+  });
 }
 
 TEST(ScheduleServerV3, UnknownOpcodeIsRefused) {
-  ServerHarness harness;
-  Client client("127.0.0.1", harness.port(), Protocol::kText);
-  std::string wire(kFrameMagic);
-  wire += header_bytes(0x7f, 0, 0, 0);
-  send_raw(client, wire);
-  const auto responses = drain_binary(client);
-  ASSERT_EQ(responses.size(), 1u);
-  EXPECT_FALSE(responses[0].ok);
-  EXPECT_EQ(responses[0].code, ErrorCode::kBadRequest);
+  for_each_tier({}, [](TierHarness& tier) {
+    Client client = tier.connect(Protocol::kText);
+    std::string wire(kFrameMagic);
+    wire += header_bytes(0x7f, 0, 0, 0);
+    send_raw(client, wire);
+    const auto responses = drain_binary(client);
+    ASSERT_EQ(responses.size(), 1u);
+    EXPECT_FALSE(responses[0].ok);
+    EXPECT_EQ(responses[0].code, ErrorCode::kBadRequest);
+  });
 }
 
 TEST(ScheduleServerV3, TracedRequestFrameIsServedLikeAnUntracedOne) {

@@ -2,9 +2,9 @@
 // class preemption, EDF within a class, aging against starvation, typed
 // expiry/rejection/cancellation errors, counter balance under producer,
 // consumer and canceller contention, and bit-identical results vs.
-// direct registry calls. The legacy schedule_async/schedule_prioritized
-// wrappers are exercised here; the Ticket surface itself is pinned by
-// tests/test_tickets.cpp.
+// direct registry calls. Service-level cases submit tickets (and use
+// the legacy schedule() where the thrown type is the point); the Ticket
+// surface itself is pinned by tests/test_tickets.cpp.
 
 #include "service/request_queue.hpp"
 
@@ -346,7 +346,9 @@ TEST(ScheduleAsync, MatchesDirectRegistryCallsBitIdentically) {
       req.p = p;
       req.want_schedule = true;
       req.priority = classes[i++ % 3];
-      const ScheduleResponse resp = service.schedule_async(req).get();
+      const ServiceResult result = service.submit(req).wait();
+      ASSERT_TRUE(result.ok()) << algo << " p=" << p;
+      const ScheduleResponse& resp = result.value();
       EXPECT_EQ(resp.makespan, expect_sim.makespan) << algo << " p=" << p;
       EXPECT_EQ(resp.peak_memory, expect_sim.peak_memory) << algo;
       ASSERT_NE(resp.schedule, nullptr);
@@ -362,8 +364,10 @@ TEST(ScheduleAsync, DeliversSchedulerErrorsThroughTheFuture) {
   req.tree = service.intern(weighted_tree(2));
   req.algo = "NoSuchAlgo";
   req.p = 2;
-  EXPECT_THROW((void)service.schedule_async(req).get(),
-               std::invalid_argument);
+  const ServiceResult result = service.submit(req).wait();
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.error().code, ErrorCode::kUnknownAlgorithm);
+  EXPECT_THROW((void)service.schedule(req), std::invalid_argument);
 }
 
 TEST(ScheduleAsync, ExpiredRequestsNeverReachTheSchedulers) {
@@ -383,16 +387,16 @@ TEST(ScheduleAsync, ExpiredRequestsNeverReachTheSchedulers) {
   // many-core machines, and an idle worker would answer a doomed request
   // before its deadline lapsed.
   const std::size_t kBacklog = 2 * ThreadPool::shared().size() + 6;
-  std::vector<std::future<ScheduleResponse>> backlog;
+  std::vector<Ticket> backlog;
   for (std::size_t i = 0; i < kBacklog; ++i) {
     ScheduleRequest req;
     req.tree = heavy;
     req.algo = "TestGate";
     req.p = 2 + static_cast<int>(i);
     req.priority = Priority::kInteractive;
-    backlog.push_back(service.schedule_async(req));
+    backlog.push_back(service.submit(req));
   }
-  std::vector<std::future<ScheduleResponse>> doomed;
+  std::vector<Ticket> doomed;
   for (int i = 0; i < 6; ++i) {
     ScheduleRequest req;
     req.tree = light;
@@ -400,14 +404,17 @@ TEST(ScheduleAsync, ExpiredRequestsNeverReachTheSchedulers) {
     req.p = 1;
     req.priority = Priority::kBulk;
     req.deadline_ms = 0.01;
-    doomed.push_back(service.schedule_async(req));
+    doomed.push_back(service.submit(req));
   }
   std::this_thread::sleep_for(1ms);  // the deadlines lapse while queued
   gate.open();
-  for (auto& f : backlog) EXPECT_TRUE(f.get().ok());
-  for (auto& f : doomed) {
-    EXPECT_THROW((void)f.get(), DeadlineExpired)
-        << "the legacy future delivers the typed expiry exception";
+  for (Ticket& t : backlog) EXPECT_TRUE(t.wait().ok());
+  for (Ticket& t : doomed) {
+    const ServiceResult result = t.wait();
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.error().code, ErrorCode::kDeadlineExpired);
+    EXPECT_THROW((void)unwrap(result), DeadlineExpired)
+        << "the legacy surface throws the typed expiry exception";
   }
   const CacheStats cs = service.cache_stats();
   EXPECT_EQ(cs.misses, kBacklog)
@@ -434,14 +441,16 @@ TEST(ScheduleAsync, PrioritizedBatchCapturesPerRequestFailuresInOrder) {
   reqs[2].algo = "Liu";
   reqs[2].p = 1;
   reqs[2].priority = Priority::kInteractive;
-  const std::vector<ScheduleResponse> responses =
-      service.schedule_prioritized(reqs);
-  ASSERT_EQ(responses.size(), 3u);
-  EXPECT_TRUE(responses[0].ok());
-  EXPECT_FALSE(responses[1].ok());
-  EXPECT_EQ(responses[1].error->code, ErrorCode::kUnknownAlgorithm);
-  EXPECT_TRUE(responses[2].ok());
-  EXPECT_EQ(responses[0].makespan, service.schedule(reqs[0]).makespan);
+  std::vector<Ticket> tickets;
+  for (const ScheduleRequest& req : reqs) tickets.push_back(service.submit(req));
+  std::vector<ServiceResult> results;
+  for (Ticket& t : tickets) results.push_back(t.wait());
+  ASSERT_EQ(results.size(), 3u);
+  EXPECT_TRUE(results[0].ok());
+  ASSERT_FALSE(results[1].ok());
+  EXPECT_EQ(results[1].error().code, ErrorCode::kUnknownAlgorithm);
+  EXPECT_TRUE(results[2].ok());
+  EXPECT_EQ(results[0].value().makespan, service.schedule(reqs[0]).makespan);
 }
 
 TEST(ScheduleAsync, SubmittingFromPoolWorkersDoesNotDeadlock) {
@@ -457,7 +466,7 @@ TEST(ScheduleAsync, SubmittingFromPoolWorkersDoesNotDeadlock) {
     req.algo = (i % 2 == 0) ? "ParSubtrees" : "ParInnerFirst";
     req.p = 1 + static_cast<int>(i);
     req.priority = Priority::kInteractive;
-    if (service.schedule_async(req).get().ok()) answered.fetch_add(1);
+    if (service.submit(req).wait().ok()) answered.fetch_add(1);
   });
   EXPECT_EQ(answered.load(), 8);
 }
@@ -492,7 +501,7 @@ TEST(ScheduleAsync, StressCountersBalanceAndNothingStarves) {
   producers.reserve(kProducers);
   for (int t = 0; t < kProducers; ++t) {
     producers.emplace_back([&, t] {
-      std::vector<std::future<ScheduleResponse>> futures;
+      std::vector<Ticket> tickets;
       std::vector<std::size_t> tree_of;
       for (int i = 0; i < kPerProducer; ++i) {
         const std::size_t ti = static_cast<std::size_t>(t + i) % 3;
@@ -504,19 +513,23 @@ TEST(ScheduleAsync, StressCountersBalanceAndNothingStarves) {
         // Every 5th request carries a deadline tight enough that some
         // expire under contention; everything else must complete.
         if (i % 5 == 0) req.deadline_ms = 0.05;
-        futures.push_back(service.schedule_async(std::move(req)));
+        tickets.push_back(service.submit(std::move(req)));
         tree_of.push_back(ti);
       }
-      for (std::size_t i = 0; i < futures.size(); ++i) {
-        try {
-          const ScheduleResponse resp = futures[i].get();
-          completed_seen.fetch_add(1);
-          if (resp.makespan != expected[tree_of[i]].makespan ||
-              resp.peak_memory != expected[tree_of[i]].peak_memory) {
+      for (std::size_t i = 0; i < tickets.size(); ++i) {
+        const ServiceResult result = tickets[i].wait();
+        if (!result.ok()) {
+          if (result.error().code == ErrorCode::kDeadlineExpired) {
+            expired_seen.fetch_add(1);
+          } else {
             wrong.fetch_add(1);
           }
-        } catch (const DeadlineExpired&) {
-          expired_seen.fetch_add(1);
+          continue;
+        }
+        completed_seen.fetch_add(1);
+        if (result.value().makespan != expected[tree_of[i]].makespan ||
+            result.value().peak_memory != expected[tree_of[i]].peak_memory) {
+          wrong.fetch_add(1);
         }
       }
     });
@@ -528,7 +541,7 @@ TEST(ScheduleAsync, StressCountersBalanceAndNothingStarves) {
   EXPECT_EQ(wrong.load(), 0) << "queued answers must be bit-identical";
   EXPECT_EQ(completed_seen.load() + expired_seen.load(),
             static_cast<int>(kTotal))
-      << "every future resolves: nothing starves, nothing is dropped";
+      << "every ticket resolves: nothing starves, nothing is dropped";
 
   const QueueStats qs = service.queue_stats();
   std::uint64_t admitted = 0, completed = 0, expired = 0, rejected = 0;

@@ -494,25 +494,11 @@ TEST(LegacyWrappers, ScheduleThrowsWhatTheTicketCarries) {
   EXPECT_EQ(via_wrapper.peak_memory, via_ticket.value().peak_memory);
 }
 
-TEST(LegacyWrappers, LegacyFutureIsSingleShot) {
-  SchedulingService service;
-  ScheduleRequest req;
-  req.tree = service.intern(weighted_tree(12));
-  req.algo = "ParSubtrees";
-  req.p = 2;
-  Ticket ticket = service.submit(std::move(req));
-  std::future<ScheduleResponse> future = ticket.legacy_future();
-  EXPECT_THROW((void)ticket.legacy_future(), std::logic_error)
-      << "the underlying promise has exactly one future";
-  EXPECT_TRUE(future.get().ok());
-}
-
 TEST(LegacyWrappers, ScheduleBatchIgnoresDeadlinesLikeV1) {
   // schedule_batch keeps the v1 contract: deadlines are ignored on both
   // its paths (width-bound: inline-vs-queued placement is a scheduling
   // accident that must not pick which items expire; queued: stripped
-  // before delegating). schedule_prioritized is the deadline-honoring
-  // batch.
+  // before delegating). submit() is the deadline-honoring path.
   for (const unsigned threads : {0u, 2u}) {
     ServiceConfig config;
     config.threads = threads;
