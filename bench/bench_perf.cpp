@@ -11,6 +11,9 @@
 //  * ParSubtreesOptim and CappedSubtrees on forks ("BM_Fork/<Name>"),
 //    where every leaf is its own subtree: near-linear, so a per-subtree
 //    cost proportional to n shows up as quadratic growth
+//  * spec resolve ("BM_SpecResolve/{grid,synthetic}/<arg>"): the
+//    tree_from_spec call a server makes for each first-seen spec, priced
+//    against the resolved tree's size; near-linear for both kinds
 // plus one end-to-end benchmark per registered (non-oracle) scheduling
 // algorithm ("BM_Sched/<Name>"), registered dynamically from the registry
 // in main() so new algorithms are benchmarked without touching this file,
@@ -23,7 +26,7 @@
 // the CI perf-smoke step uploads as an artifact.
 //
 // Smoke run for the perf pipeline:
-//   bench_perf --benchmark_filter='BM_Sched|BM_Service' \
+//   bench_perf --benchmark_filter='BM_Sched|BM_Service|BM_SpecResolve' \
 //       --benchmark_min_time=0.01 --bench_json=BENCH_PR2.json
 
 #include <benchmark/benchmark.h>
@@ -33,6 +36,7 @@
 #include <string>
 #include <vector>
 
+#include "campaign/dataset.hpp"
 #include "core/simulator.hpp"
 #include "parallel/par_deepest_first.hpp"
 #include "parallel/par_inner_first.hpp"
@@ -149,6 +153,28 @@ BENCHMARK_CAPTURE(BM_Fork, ParSubtreesOptim, "ParSubtreesOptim")
 BENCHMARK_CAPTURE(BM_Fork, CappedSubtrees, "CappedSubtrees")
     ->Arg(10000)->Arg(20000)->Arg(40000)
     ->Unit(benchmark::kMillisecond)->Complexity();
+
+// Spec resolve: `<kind>:<arg>:1` through tree_from_spec, the whole
+// pipeline behind a first-seen spec (grid: pattern, nested dissection,
+// column counts, amalgamation; synthetic: one tree draw). N is the
+// resolved tree's size, so the fit prices cost per task.
+void BM_SpecResolve(benchmark::State& state, const char* kind) {
+  const std::string spec =
+      std::string(kind) + ":" + std::to_string(state.range(0)) + ":1";
+  NodeId size = 0;
+  for (auto _ : state) {
+    const Tree tree = tree_from_spec(spec);
+    size = tree.size();
+    benchmark::DoNotOptimize(size);
+  }
+  state.SetComplexityN(size);
+}
+BENCHMARK_CAPTURE(BM_SpecResolve, grid, "grid")
+    ->Arg(20)->Arg(40)->Arg(80)->Arg(160)
+    ->Unit(benchmark::kMicrosecond)->Complexity();
+BENCHMARK_CAPTURE(BM_SpecResolve, synthetic, "synthetic")
+    ->Arg(1000)->Arg(4000)->Arg(16000)->Arg(64000)
+    ->Unit(benchmark::kMicrosecond)->Complexity();
 
 // One end-to-end benchmark per registered algorithm on a fixed mid-size
 // tree: the perf-trajectory signal for the whole roster.

@@ -5,6 +5,7 @@
 #include <filesystem>
 #include <limits>
 #include <sstream>
+#include <stdexcept>
 
 #include "spmatrix/amalgamation.hpp"
 #include "spmatrix/assembly.hpp"
@@ -49,24 +50,26 @@ Tree random_md_assembly_tree(int n, double avg_degree, std::int64_t z,
 Tree synthetic_assembly_tree(NodeId n, double depth_bias, Rng& rng) {
   // Random topology, then assembly-style weights: each node gets
   // eta in [1, 16] and mu = 1 + round(c * sqrt(subtree node count)), the
-  // front-size scaling of 2D nested dissection.
+  // front-size scaling of 2D nested dissection. The topology is
+  // random_tree's, drawn node by node without building that tree.
+  if (n < 1) throw std::invalid_argument("synthetic_assembly_tree: n >= 1");
   RandomTreeParams params;
   params.n = n;
   params.depth_bias = depth_bias;
-  Tree shape = random_tree(params, rng);
-  const std::vector<NodeId> post = shape.natural_postorder();
-  std::vector<std::int64_t> subtree_nodes(static_cast<std::size_t>(n), 0);
-  for (NodeId i : post) {
-    subtree_nodes[i] = 1;
-    for (NodeId c : shape.children(i)) subtree_nodes[i] += subtree_nodes[c];
-  }
   std::vector<NodeId> parent(static_cast<std::size_t>(n));
+  for (NodeId i = 0; i < n; ++i) {
+    parent[i] = random_tree_node(params, i, rng).parent;
+  }
+  // parent[i] < i: one descending pass sums every subtree.
+  std::vector<std::int64_t> subtree_nodes(static_cast<std::size_t>(n), 1);
+  for (NodeId i = n - 1; i > 0; --i) {
+    subtree_nodes[parent[i]] += subtree_nodes[i];
+  }
   std::vector<MemSize> out(static_cast<std::size_t>(n));
   std::vector<MemSize> exec(static_cast<std::size_t>(n));
   std::vector<double> work(static_cast<std::size_t>(n));
   const double scale = rng.uniform_real(0.5, 2.0);
   for (NodeId i = 0; i < n; ++i) {
-    parent[i] = shape.parent(i);
     const auto eta = static_cast<std::int64_t>(1 + rng.uniform(16));
     auto mu = static_cast<std::int64_t>(
         1.0 + scale * std::sqrt(static_cast<double>(subtree_nodes[i])));
@@ -157,10 +160,12 @@ namespace {
 /// integer. Rejects negative values (no sign accepted at all) and turns
 /// std::out_of_range's useless what() into a message naming the field —
 /// the same contract request_line.cpp's parse_uint_field gives protocol
-/// fields. `max_value` 0 means "only the 64-bit range bounds it".
+/// fields. `max_value` 0 means "only the 64-bit range bounds it"; values
+/// below `min_value` are rejected too.
 std::uint64_t parse_spec_uint(const std::string& spec, const char* field,
                               const std::string& value,
-                              std::uint64_t max_value) {
+                              std::uint64_t max_value,
+                              std::uint64_t min_value = 0) {
   if (value.empty() ||
       value.find_first_not_of("0123456789") != std::string::npos) {
     throw std::invalid_argument("tree spec \"" + spec + "\": " + field +
@@ -179,6 +184,11 @@ std::uint64_t parse_spec_uint(const std::string& spec, const char* field,
     throw std::invalid_argument(
         "tree spec \"" + spec + "\": " + field + " value " + value +
         " exceeds this front-end's limit of " + std::to_string(max_value));
+  }
+  if (parsed < min_value) {
+    throw std::invalid_argument("tree spec \"" + spec + "\": " + field +
+                                " value " + value + " is below the minimum " +
+                                "of " + std::to_string(min_value));
   }
   return parsed;
 }
@@ -263,8 +273,10 @@ Tree tree_from_spec(const std::string& spec, const TreeSpecOptions& opts) {
                                     std::numeric_limits<int>::max())))));
     const int nx =
         static_cast<int>(parse_spec_uint(spec, "nx", args[0], grid_cap));
+    // z >= 1 is checked here, before the pattern and the factorization
+    // are built: amalgamate would reject z = 0 only after all of that.
     const auto z = static_cast<std::int64_t>(parse_spec_uint(
-        spec, "z", args[1], std::numeric_limits<std::int64_t>::max()));
+        spec, "z", args[1], std::numeric_limits<std::int64_t>::max(), 1));
     return grid2d_assembly_tree(nx, nx, z);
   }
   if (kind == "synthetic") {

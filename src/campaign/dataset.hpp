@@ -81,7 +81,7 @@ struct TreeSpecOptions {
 /// line, shared by the stdin and TCP front-ends:
 ///   file:<path>             a treesched-tree v1 file
 ///   random:<n>:<seed>       random weighted tree
-///   grid:<nx>:<z>           2D-grid assembly tree
+///   grid:<nx>:<z>           2D-grid assembly tree, amalgamation cap z >= 1
 ///   synthetic:<n>:<seed>    assembly-like synthetic tree
 /// Throws std::invalid_argument naming the offending spec (file paths
 /// containing ':' are not supported — rename the file). Numeric fields

@@ -6,11 +6,19 @@ namespace treesched {
 
 std::vector<int> elimination_tree(const SparsePattern& a,
                                   const Ordering& perm) {
-  const int n = a.size();
-  if (static_cast<int>(perm.size()) != n) {
+  if (static_cast<int>(perm.size()) != a.size()) {
     throw std::invalid_argument("elimination_tree: bad permutation");
   }
-  const Ordering inv = inverse_ordering(perm);
+  return elimination_tree(a, perm, inverse_ordering(perm));
+}
+
+std::vector<int> elimination_tree(const SparsePattern& a,
+                                  const Ordering& perm, const Ordering& inv) {
+  const int n = a.size();
+  if (static_cast<int>(perm.size()) != n ||
+      static_cast<int>(inv.size()) != n) {
+    throw std::invalid_argument("elimination_tree: bad permutation");
+  }
   std::vector<int> parent(static_cast<std::size_t>(n), -1);
   std::vector<int> ancestor(static_cast<std::size_t>(n), -1);
   for (int j = 0; j < n; ++j) {

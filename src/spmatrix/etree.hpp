@@ -17,4 +17,8 @@ namespace treesched {
 std::vector<int> elimination_tree(const SparsePattern& a,
                                   const Ordering& perm);
 
+/// As above, for callers that already hold inv = inverse_ordering(perm).
+std::vector<int> elimination_tree(const SparsePattern& a,
+                                  const Ordering& perm, const Ordering& inv);
+
 }  // namespace treesched

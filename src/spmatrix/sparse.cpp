@@ -1,6 +1,7 @@
 #include "spmatrix/sparse.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 
 namespace treesched {
@@ -30,35 +31,46 @@ SparsePattern::SparsePattern(int n, std::vector<std::pair<int, int>> edges)
 }
 
 SparsePattern grid2d_pattern(int nx, int ny) {
-  if (nx < 1 || ny < 1) throw std::invalid_argument("grid2d: bad dims");
-  std::vector<std::pair<int, int>> edges;
-  edges.reserve(static_cast<std::size_t>(nx) * ny * 2);
-  auto id = [nx](int x, int y) { return x + nx * y; };
-  for (int y = 0; y < ny; ++y) {
-    for (int x = 0; x < nx; ++x) {
-      if (x + 1 < nx) edges.emplace_back(id(x, y), id(x + 1, y));
-      if (y + 1 < ny) edges.emplace_back(id(x, y), id(x, y + 1));
-    }
-  }
-  return SparsePattern(nx * ny, std::move(edges));
+  return grid3d_pattern(nx, ny, 1);
 }
 
 SparsePattern grid3d_pattern(int nx, int ny, int nz) {
   if (nx < 1 || ny < 1 || nz < 1) {
     throw std::invalid_argument("grid3d: bad dims");
   }
-  std::vector<std::pair<int, int>> edges;
-  auto id = [nx, ny](int x, int y, int z) { return x + nx * (y + ny * z); };
+  const std::int64_t plane = static_cast<std::int64_t>(nx) * ny;
+  const std::int64_t n = plane * nz;
+  if (n > std::numeric_limits<int>::max()) {
+    throw std::invalid_argument("grid3d: more vertices than an int holds");
+  }
+  // Each row's neighbors in ascending order: v - nx*ny, v - nx, v - 1,
+  // v + 1, v + nx, v + nx*ny (the ones inside the grid).
+  SparsePattern a;
+  a.n_ = static_cast<int>(n);
+  a.begin_.resize(static_cast<std::size_t>(n) + 1);
+  const std::int64_t edges = (nx - 1) * std::int64_t{ny} * nz +
+                             std::int64_t{nx} * (ny - 1) * nz +
+                             plane * (nz - 1);
+  a.adj_.resize(static_cast<std::size_t>(2 * edges));
+  const int step_y = nx;
+  const int step_z = static_cast<int>(plane);
+  std::int64_t k = 0;
+  int v = 0;
   for (int z = 0; z < nz; ++z) {
     for (int y = 0; y < ny; ++y) {
-      for (int x = 0; x < nx; ++x) {
-        if (x + 1 < nx) edges.emplace_back(id(x, y, z), id(x + 1, y, z));
-        if (y + 1 < ny) edges.emplace_back(id(x, y, z), id(x, y + 1, z));
-        if (z + 1 < nz) edges.emplace_back(id(x, y, z), id(x, y, z + 1));
+      for (int x = 0; x < nx; ++x, ++v) {
+        a.begin_[v] = k;
+        if (z > 0) a.adj_[k++] = v - step_z;
+        if (y > 0) a.adj_[k++] = v - step_y;
+        if (x > 0) a.adj_[k++] = v - 1;
+        if (x + 1 < nx) a.adj_[k++] = v + 1;
+        if (y + 1 < ny) a.adj_[k++] = v + step_y;
+        if (z + 1 < nz) a.adj_[k++] = v + step_z;
       }
     }
   }
-  return SparsePattern(nx * ny * nz, std::move(edges));
+  a.begin_[v] = k;
+  return a;
 }
 
 SparsePattern random_pattern(int n, double avg_degree, Rng& rng) {

@@ -1,7 +1,9 @@
 #pragma once
 // Symmetric sparse-matrix *patterns* (structure only — the scheduling
 // problem never needs numerical values). Stored as full (both-direction)
-// CSR adjacency without the diagonal.
+// CSR adjacency without the diagonal, each row's neighbors in ascending
+// order. Grid patterns are emitted row by row straight into that form;
+// only edge lists (random patterns) go through a sort and a dedupe.
 //
 // This module replaces the University of Florida collection in the paper's
 // pipeline: grid Laplacians are the classic model problem for multifrontal
@@ -36,17 +38,20 @@ class SparsePattern {
   }
 
  private:
+  friend SparsePattern grid3d_pattern(int nx, int ny, int nz);
+
   int n_ = 0;
   std::vector<std::int64_t> begin_;
   std::vector<int> adj_;
 };
 
 /// 5-point 2D grid Laplacian pattern on nx * ny vertices
-/// (vertex (x, y) has index x + nx * y).
+/// (vertex (x, y) has index x + nx * y): grid3d_pattern(nx, ny, 1).
 SparsePattern grid2d_pattern(int nx, int ny);
 
 /// 7-point 3D grid Laplacian pattern on nx * ny * nz vertices
-/// (vertex (x, y, z) has index x + nx * (y + ny * z)).
+/// (vertex (x, y, z) has index x + nx * (y + ny * z)), built as sorted
+/// CSR in O(nx * ny * nz).
 SparsePattern grid3d_pattern(int nx, int ny, int nz);
 
 /// Connected random symmetric pattern with ~avg_degree neighbors per

@@ -1,12 +1,17 @@
 #pragma once
 // Symbolic Cholesky factorization: column counts of the factor L
-// (the paper's Matlab `symbfact` analogue).
+// (the paper's Matlab `symbfact` analogue), without building L.
 //
-// struct(L_{*j}) = {j} ∪ {i > j : A_{ij} != 0}
-//                ∪ ( ∪_{c child of j in etree} struct(L_{*c}) \ {c} )
-// computed bottom-up with a marker array; the explicit per-column pattern
-// of a child is freed as soon as its parent consumed it, so the working
-// set stays proportional to the frontier.
+// Gilbert, Ng and Peyton, "An efficient algorithm to compute row and
+// column counts for sparse Cholesky factorization", SIAM J. Matrix Anal.
+// Appl. 15(4), 1994 (`cs_counts` in Davis, "Direct Methods for Sparse
+// Linear Systems", SIAM, 2006). The nonzeros of row i of L form a
+// subtree of the elimination tree, and column j's count is the number of
+// these row subtrees that contain j. One etree-postorder pass finds the
+// leaves of every row subtree and the least common ancestors of
+// consecutive leaves, and turns them into per-column deltas whose subtree
+// sums are the counts. O(|A| α(n)) time with a path-compressed ancestor
+// forest, O(n) space.
 
 #include <cstdint>
 #include <vector>

@@ -1,5 +1,6 @@
 #include "trees/generators.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -257,6 +258,32 @@ Tree chains_tree(int chains, int len) {
 // Random trees.
 // ---------------------------------------------------------------------------
 
+RandomNode random_tree_node(const RandomTreeParams& params, NodeId i,
+                            Rng& rng) {
+  RandomNode node;
+  if (i > 0) {
+    if (params.depth_bias <= 0.0) {
+      node.parent =
+          static_cast<NodeId>(rng.uniform(static_cast<std::uint64_t>(i)));
+    } else {
+      const double u = rng.uniform01();
+      const double frac = std::pow(u, 1.0 / (1.0 + params.depth_bias));
+      node.parent = static_cast<NodeId>(
+          std::min<std::uint64_t>(static_cast<std::uint64_t>(i) - 1,
+                                  static_cast<std::uint64_t>(
+                                      frac * static_cast<double>(i))));
+    }
+  }
+  node.output_size = params.min_output +
+                     rng.uniform(params.max_output - params.min_output + 1);
+  node.exec_size =
+      params.min_exec + rng.uniform(params.max_exec - params.min_exec + 1);
+  node.work = params.min_work == params.max_work
+                  ? params.min_work
+                  : rng.uniform_real(params.min_work, params.max_work);
+  return node;
+}
+
 Tree random_tree(const RandomTreeParams& params, Rng& rng) {
   if (params.n < 1) throw std::invalid_argument("random_tree: n >= 1");
   if (params.max_output < params.min_output ||
@@ -266,28 +293,8 @@ Tree random_tree(const RandomTreeParams& params, Rng& rng) {
   }
   TreeBuilder b;
   for (NodeId i = 0; i < params.n; ++i) {
-    NodeId parent = kNoNode;
-    if (i > 0) {
-      if (params.depth_bias <= 0.0) {
-        parent = static_cast<NodeId>(rng.uniform(static_cast<std::uint64_t>(i)));
-      } else {
-        const double u = rng.uniform01();
-        const double frac = std::pow(u, 1.0 / (1.0 + params.depth_bias));
-        parent = static_cast<NodeId>(
-            std::min<std::uint64_t>(static_cast<std::uint64_t>(i) - 1,
-                                    static_cast<std::uint64_t>(
-                                        frac * static_cast<double>(i))));
-      }
-    }
-    const MemSize out =
-        params.min_output +
-        rng.uniform(params.max_output - params.min_output + 1);
-    const MemSize ex =
-        params.min_exec + rng.uniform(params.max_exec - params.min_exec + 1);
-    const double wk = params.min_work == params.max_work
-                          ? params.min_work
-                          : rng.uniform_real(params.min_work, params.max_work);
-    b.add_node(parent, out, ex, wk);
+    const RandomNode node = random_tree_node(params, i, rng);
+    b.add_node(node.parent, node.output_size, node.exec_size, node.work);
   }
   return std::move(b).build();
 }

@@ -98,7 +98,22 @@ struct RandomTreeParams {
 };
 
 /// Uniform-attachment random tree with the given weight distributions.
+/// Node 0 is the root and every other node's parent has a smaller id
+/// (parent[i] < i), so one descending pass over the ids visits every
+/// child before its parent.
 Tree random_tree(const RandomTreeParams& params, Rng& rng);
+
+/// Node i of random_tree(params, rng): its parent (kNoNode for i == 0,
+/// else < i) and weights, drawn from `rng` exactly as random_tree draws
+/// them. Calling it for i = 0, 1, ..., n-1 replays random_tree's draws.
+struct RandomNode {
+  NodeId parent = kNoNode;
+  MemSize output_size = 0;
+  MemSize exec_size = 0;
+  double work = 0.0;
+};
+RandomNode random_tree_node(const RandomTreeParams& params, NodeId i,
+                            Rng& rng);
 
 /// Pebble-game random tree (f=1, n=0, w=1) with n nodes.
 Tree random_pebble_tree(NodeId n, Rng& rng, double depth_bias = 0.0);

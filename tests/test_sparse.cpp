@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <set>
+#include <string>
+#include <vector>
 
 namespace treesched {
 namespace {
@@ -46,6 +49,44 @@ TEST(Grid2d, DegenerateLine) {
   SparsePattern a = grid2d_pattern(5, 1);
   EXPECT_EQ(a.size(), 5);
   EXPECT_EQ(a.num_edges(), 4);
+}
+
+void expect_same_rows(const SparsePattern& got, const SparsePattern& want) {
+  ASSERT_EQ(got.size(), want.size());
+  EXPECT_EQ(got.num_edges(), want.num_edges());
+  for (int v = 0; v < want.size(); ++v) {
+    const auto g = got.neighbors(v);
+    const auto w = want.neighbors(v);
+    EXPECT_EQ(std::vector<int>(g.begin(), g.end()),
+              std::vector<int>(w.begin(), w.end()))
+        << "vertex " << v;
+  }
+}
+
+TEST(Grid3d, RowsEqualTheSortedEdgeListPattern) {
+  // Grids are emitted straight as CSR; each row must hold exactly the
+  // neighbors the edge-list constructor produces, in ascending order.
+  for (const auto& [nx, ny, nz] :
+       std::vector<std::array<int, 3>>{{1, 1, 1}, {5, 1, 1}, {1, 5, 1},
+                                       {1, 1, 5}, {4, 3, 1}, {3, 4, 2},
+                                       {2, 5, 3}, {4, 4, 4}}) {
+    SCOPED_TRACE(std::to_string(nx) + "x" + std::to_string(ny) + "x" +
+                 std::to_string(nz));
+    std::vector<std::pair<int, int>> edges;
+    auto id = [&](int x, int y, int z) { return x + nx * (y + ny * z); };
+    for (int z = 0; z < nz; ++z) {
+      for (int y = 0; y < ny; ++y) {
+        for (int x = 0; x < nx; ++x) {
+          if (x + 1 < nx) edges.emplace_back(id(x, y, z), id(x + 1, y, z));
+          if (y + 1 < ny) edges.emplace_back(id(x, y, z), id(x, y + 1, z));
+          if (z + 1 < nz) edges.emplace_back(id(x, y, z), id(x, y, z + 1));
+        }
+      }
+    }
+    const SparsePattern want(nx * ny * nz, std::move(edges));
+    expect_same_rows(grid3d_pattern(nx, ny, nz), want);
+    if (nz == 1) expect_same_rows(grid2d_pattern(nx, ny), want);
+  }
 }
 
 TEST(RandomPattern, ConnectedAndSized) {
