@@ -235,12 +235,12 @@ class Stream {
     line.kind = ResponseLine::Kind::kStats;
     line.ok = true;
     line.id = parsed.id;
-    // The stream's transport counters, then the shared service
-    // vocabulary (service_stats_pairs keeps both front-ends aligned).
+    // The stream's own counters, then the service registry's keys —
+    // the same samples a --metrics-port scrape renders.
     line.stats = {{"pending", pending_.size()},
                   {"lines", lines_},
                   {"parse_errors", parse_errors_}};
-    for (auto& pair : service_stats_pairs(service_)) {
+    for (auto& pair : service_.registry().snapshot().stats_pairs()) {
       line.stats.push_back(std::move(pair));
     }
     std::cout << format_response_line(line) << "\n";
@@ -435,7 +435,6 @@ int main(int argc, char** argv) {
     ServiceConfig config;
     config.cache_bytes =
         static_cast<std::size_t>(args.get_int("cache-mb", 256)) << 20;
-    config.threads = static_cast<unsigned>(args.get_int("threads", 0));
     config.validate = args.get_bool("validate", false);
     config.queue.age_after =
         std::chrono::milliseconds(args.get_int("age-ms", 250));

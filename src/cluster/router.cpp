@@ -102,80 +102,108 @@ Router::~Router() {
 }
 
 void Router::init_metrics() {
-  // Same bridge idiom as the server's: plain loop-thread counters read
-  // by a collector, sound because every snapshot consumer (the stats
-  // verb, the /metrics endpoint) runs on this same loop thread.
+  // Same collector idiom as the server's: plain loop-thread counters
+  // read at snapshot time, sound because every snapshot consumer (the
+  // stats verb, the /metrics endpoint) runs on this same loop thread.
+  // Samples without a Prometheus name report on the stats line only.
   registry_.register_collector(
       [this, alive = std::weak_ptr<bool>(alive_)](obs::RegistrySnapshot& out) {
         if (alive.expired()) return;
         const RouterCounters& rc = counters_;
-        auto counter = [&](const char* name, const char* help, double v) {
+        auto sample = [&](const char* name, std::string labels,
+                          const char* help, obs::MetricKind kind,
+                          std::uint64_t v, std::string key) {
           out.samples.push_back(obs::MetricSample{
-              name, "", help, obs::MetricKind::kCounter, v, ""});
+              name, std::move(labels), help, kind, static_cast<double>(v),
+              std::move(key)});
         };
-        auto gauge = [&](const char* name, const char* help, double v) {
-          out.samples.push_back(obs::MetricSample{
-              name, "", help, obs::MetricKind::kGauge, v, ""});
+        auto counter = [&](const char* name, const char* help,
+                           std::uint64_t v, const char* key) {
+          sample(name, "", help, obs::MetricKind::kCounter, v, key);
+        };
+        auto gauge = [&](const char* name, const char* help, std::uint64_t v,
+                         const char* key) {
+          sample(name, "", help, obs::MetricKind::kGauge, v, key);
+        };
+        auto stat = [&](std::string key, std::uint64_t v) {
+          sample("", "", "", obs::MetricKind::kGauge, v, std::move(key));
         };
         counter("treesched_router_accepted_total",
-                "Client connections accepted",
-                static_cast<double>(rc.accepted));
-        counter("treesched_router_requests_total",
-                "Client requests framed",
-                static_cast<double>(rc.lines));
+                "Client connections accepted", rc.accepted, "accepted");
+        stat("rejected_conns", rc.rejected_conns);
+        counter("treesched_router_requests_total", "Client requests framed",
+                rc.lines, "lines");
         counter("treesched_router_forwarded_total",
-                "Forwards handed to a backend node",
-                static_cast<double>(rc.forwarded));
+                "Forwards handed to a backend node", rc.forwarded,
+                "forwarded");
         counter("treesched_router_responses_total",
-                "Backend answers delivered to clients",
-                static_cast<double>(rc.responses));
+                "Backend answers delivered to clients", rc.responses,
+                "responses");
         counter("treesched_router_retried_total",
-                "Forwards re-routed after a node death",
-                static_cast<double>(rc.retried));
+                "Forwards re-routed after a node death", rc.retried,
+                "retried");
         counter("treesched_router_node_unavailable_total",
                 "Requests answered with the typed node_unavailable error",
-                static_cast<double>(rc.node_unavailable));
+                rc.node_unavailable, "node_unavailable");
         counter("treesched_router_queue_full_total",
-                "Requests refused by upstream backpressure",
-                static_cast<double>(rc.queue_full));
+                "Requests refused by upstream backpressure", rc.queue_full,
+                "queue_full");
         counter("treesched_router_node_failures_total",
-                "Backend node-death events",
-                static_cast<double>(rc.node_failures));
+                "Backend node-death events", rc.node_failures,
+                "node_failures");
+        stat("connects", rc.connects);
+        stat("orphan_responses", rc.orphan_responses);
+        stat("cancelled", rc.cancelled);
+        stat("v3_conns", rc.v3_conns);
+        stat("frames_in", rc.frames_in);
+        stat("frames_bad", rc.frames_bad);
+        stat("batch_requests", rc.batch_requests);
         counter("treesched_router_parse_errors_total",
-                "Requests rejected by the grammar",
-                static_cast<double>(rc.parse_errors));
+                "Requests rejected by the grammar", rc.parse_errors,
+                "parse_errors");
         gauge("treesched_router_connections", "Open client connections",
-              static_cast<double>(frontend_.sessions()));
+              frontend_.sessions(), "conns");
+        stat("nodes", upstreams_.size());
         std::size_t up = 0;
         for (const auto& node : upstreams_) {
           if (node->state() == Upstream::State::kUp) ++up;
         }
-        gauge("treesched_router_nodes_up", "Backend nodes currently up",
-              static_cast<double>(up));
+        gauge("treesched_router_nodes_up", "Backend nodes currently up", up,
+              "nodes_up");
         for (std::size_t i = 0; i < upstreams_.size(); ++i) {
-          const std::string node_label =
-              "node=\"" + upstreams_[i]->name() + "\"";
-          out.samples.push_back(obs::MetricSample{
-              "treesched_router_node_routed_total", node_label,
-              "Forwards routed to this backend node",
-              obs::MetricKind::kCounter, static_cast<double>(routed_[i]),
-              ""});
-          out.samples.push_back(obs::MetricSample{
-              "treesched_router_node_disconnects_total", node_label,
-              "Death events of this backend node",
-              obs::MetricKind::kCounter,
-              static_cast<double>(upstreams_[i]->disconnects()), ""});
-          out.samples.push_back(obs::MetricSample{
-              "treesched_router_node_retries_total", node_label,
-              "Forwards this node's deaths handed back with retry budget",
-              obs::MetricKind::kCounter,
-              static_cast<double>(upstreams_[i]->retries()), ""});
-          out.samples.push_back(obs::MetricSample{
-              "treesched_router_node_last_error_code", node_label,
-              "Numeric reason of this node's last death (0 = never died)",
-              obs::MetricKind::kGauge,
-              static_cast<double>(upstreams_[i]->last_error_code()), ""});
+          const Upstream& node = *upstreams_[i];
+          const std::string label = "node=\"" + node.name() + "\"";
+          const std::string prefix = "node" + std::to_string(i) + "_";
+          sample("treesched_router_node_routed_total", label,
+                 "Forwards routed to this backend node",
+                 obs::MetricKind::kCounter, routed_[i], prefix + "routed");
+          stat(prefix + "up", node.state() == Upstream::State::kUp ? 1 : 0);
+          stat(prefix + "inflight", node.inflight());
+          stat(prefix + "queued", node.queued());
+          sample("treesched_router_node_disconnects_total", label,
+                 "Death events of this backend node",
+                 obs::MetricKind::kCounter, node.disconnects(),
+                 prefix + "disconnects");
+          sample("treesched_router_node_retries_total", label,
+                 "Forwards this node's deaths handed back with retry budget",
+                 obs::MetricKind::kCounter, node.retries(),
+                 prefix + "retries");
+          sample("treesched_router_node_last_error_code", label,
+                 "Numeric reason of this node's last death (0 = never died)",
+                 obs::MetricKind::kGauge, node.last_error_code(),
+                 prefix + "last_error_code");
         }
+        // Cluster-wide service view: the last polled stats of every node,
+        // summed under a backend_ prefix. std::map keeps the key order
+        // stable run to run; a node that is down contributes nothing (its
+        // snapshot cleared with the socket).
+        std::map<std::string, std::uint64_t> backend;
+        for (const auto& node : upstreams_) {
+          for (const auto& [key, value] : node->last_stats()) {
+            backend[key] += value;
+          }
+        }
+        for (const auto& [key, value] : backend) stat("backend_" + key, value);
       });
   h_upstream_ = &registry_.histogram(
       "treesched_router_upstream_seconds", "",
@@ -558,60 +586,6 @@ void Router::settle_error(std::uint64_t conn_id, std::uint64_t key,
   net::Session* session = frontend_.find(conn_id);
   if (session == nullptr) return;
   session->deliver(key, net::error_answer(code, std::move(message)));
-}
-
-std::vector<std::pair<std::string, std::uint64_t>> Router::stats_pairs() {
-  const RouterCounters& rc = counters_;
-  std::size_t up = 0;
-  for (const auto& node : upstreams_) {
-    if (node->state() == Upstream::State::kUp) ++up;
-  }
-  std::vector<std::pair<std::string, std::uint64_t>> out = {
-      {"conns", frontend_.sessions()},
-      {"nodes", upstreams_.size()},
-      {"nodes_up", up},
-      {"accepted", rc.accepted},
-      {"rejected_conns", rc.rejected_conns},
-      {"lines", rc.lines},
-      {"forwarded", rc.forwarded},
-      {"responses", rc.responses},
-      {"retried", rc.retried},
-      {"node_unavailable", rc.node_unavailable},
-      {"queue_full", rc.queue_full},
-      {"node_failures", rc.node_failures},
-      {"connects", rc.connects},
-      {"orphan_responses", rc.orphan_responses},
-      {"cancelled", rc.cancelled},
-      {"v3_conns", rc.v3_conns},
-      {"frames_in", rc.frames_in},
-      {"frames_bad", rc.frames_bad},
-      {"batch_requests", rc.batch_requests},
-      {"parse_errors", rc.parse_errors},
-  };
-  for (std::size_t i = 0; i < upstreams_.size(); ++i) {
-    const std::string prefix = "node" + std::to_string(i) + "_";
-    out.emplace_back(prefix + "routed", routed_[i]);
-    out.emplace_back(prefix + "up",
-                     upstreams_[i]->state() == Upstream::State::kUp ? 1 : 0);
-    out.emplace_back(prefix + "inflight", upstreams_[i]->inflight());
-    out.emplace_back(prefix + "queued", upstreams_[i]->queued());
-    out.emplace_back(prefix + "disconnects", upstreams_[i]->disconnects());
-    out.emplace_back(prefix + "retries", upstreams_[i]->retries());
-    out.emplace_back(prefix + "last_error_code",
-                     upstreams_[i]->last_error_code());
-  }
-  // Cluster-wide service view: sum the last polled stats snapshot of
-  // every node under a backend_ prefix. std::map keeps the key order
-  // stable run to run; a node that is down contributes nothing (its
-  // snapshot cleared with the socket).
-  std::map<std::string, std::uint64_t> agg;
-  for (const auto& node : upstreams_) {
-    for (const auto& [key, value] : node->last_stats()) agg[key] += value;
-  }
-  for (const auto& [key, value] : agg) {
-    out.emplace_back("backend_" + key, value);
-  }
-  return out;
 }
 
 }  // namespace treesched::cluster

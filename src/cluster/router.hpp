@@ -51,10 +51,14 @@
 // errors, never a hang, never a dropped response. The dead node
 // reconnects with backoff and resumes taking its arc of the ring.
 //
-// `stats` answers with the router's own counters, per-node routing
-// counters, and a backend_-prefixed aggregate summed over each node's
-// periodically-polled stats. The same numbers export through the PR-7
-// metrics registry on --metrics-port (GET /metrics, Prometheus text).
+// Observability: one collector reports the router's numbers through its
+// metrics registry, so `stats` and --metrics-port (GET /metrics,
+// Prometheus text) read the same samples. The stats line carries the
+// router's own counters, the per-node ones (nodeK_routed, nodeK_up,
+// ...), a backend_-prefixed aggregate summed over each node's
+// periodically-polled stats (stats only), and the upstream latency
+// summary (upstream_count, upstream_window_count,
+// upstream_p50_us/_p90_us/_p99_us).
 
 #include <cstdint>
 #include <functional>
@@ -155,8 +159,8 @@ struct RouterConfig {
   std::size_t spec_memo_max = 65536;
 };
 
-/// Monotonic router counters (loop-thread state, reported by `stats`
-/// and bridged into the metrics registry).
+/// Monotonic router counters (loop-thread state, reported by the
+/// router's collector to `stats` and /metrics).
 struct RouterCounters : net::SessionCounters {
   std::uint64_t forwarded = 0;        ///< forwards handed to an upstream
   std::uint64_t responses = 0;        ///< backend answers delivered
@@ -225,9 +229,6 @@ class Router : private net::SessionHandler {
   /// clients. Cancel is rare and the node list short, so every node is
   /// asked.
   bool cancel(net::Session& session, std::uint64_t key) override;
-  /// Router counters, per-node routing counters, then the
-  /// backend_-prefixed aggregate.
-  std::vector<std::pair<std::string, std::uint64_t>> stats_pairs() override;
   /// Broadcasts `trace start`/`trace stop` to every live backend
   /// (fire-and-forget; nodes that are down catch up on reconnect when
   /// tracing is still enabled).
@@ -277,6 +278,9 @@ class Router : private net::SessionHandler {
   /// the in-flight merged dump finish without that node.
   void on_trace_pull_failed(std::size_t node);
 
+  /// Creates the upstream histograms and registers the collector that
+  /// reports RouterCounters, the per-node counters and the backend_
+  /// sums.
   void init_metrics();
   /// Delivers a router-generated error to a client window entry.
   void settle_error(std::uint64_t conn_id, std::uint64_t key,

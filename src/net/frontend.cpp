@@ -22,6 +22,7 @@ Frontend::Frontend(EventLoop& loop, SessionHandler& handler,
     : loop_(loop),
       handler_(handler),
       counters_(counters),
+      registry_(registry),
       config_(std::move(config)),
       listener_(config_.listen) {
   if (!config_.log_json.empty() && !obs::EventLog::global().enabled()) {
@@ -36,7 +37,7 @@ Frontend::Frontend(EventLoop& loop, SessionHandler& handler,
   // slots are loop-thread state like the counters; every snapshot
   // consumer (the stats verb, the /metrics endpoint) runs on that
   // thread too.
-  registry.register_collector(
+  registry_.register_collector(
       [this, alive = std::weak_ptr<bool>(alive_)](obs::RegistrySnapshot& out) {
         if (alive.expired()) return;
         for (int c = 0; c <= kPriorityClasses; ++c) {

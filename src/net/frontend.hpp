@@ -2,7 +2,8 @@
 // The client-facing lifecycle both tiers share (src/net/): the listener
 // and its max_conns greeting, the live sessions, the graceful drain and
 // its drain_timeout_ms ceiling, the SIGTERM/SIGINT signalfd, the
-// --log-json sink, and the windowed SLO error-ratio gauges. The server
+// --log-json sink, the windowed SLO error-ratio gauges, and the tier's
+// metrics registry, which its sessions answer `stats` from. The server
 // (net/server.hpp) and the cluster router (cluster/router.hpp) each own
 // one and hand it their SessionHandler; everything here runs on the
 // tier's event-loop thread.
@@ -50,8 +51,8 @@ inline constexpr int kSloNone = -1;
 class Frontend {
  public:
   /// Binds the listener and opens the event-log sink (both throw
-  /// std::system_error) and registers the SLO gauges; does not serve
-  /// yet.
+  /// std::system_error) and registers the SLO gauges with `registry`;
+  /// does not serve yet.
   Frontend(EventLoop& loop, SessionHandler& handler,
            SessionCounters& counters, obs::MetricsRegistry& registry,
            FrontendConfig config);
@@ -86,6 +87,9 @@ class Frontend {
   EventLoop& loop() { return loop_; }
   SessionHandler& handler() { return handler_; }
   SessionCounters& counters() { return counters_; }
+  /// The tier's registry: `stats` answers with its snapshot, the
+  /// /metrics endpoint renders the same one.
+  obs::MetricsRegistry& registry() { return registry_; }
   [[nodiscard]] const SessionConfig& session_config() const {
     return config_.session;
   }
@@ -102,6 +106,7 @@ class Frontend {
   EventLoop& loop_;
   SessionHandler& handler_;
   SessionCounters& counters_;
+  obs::MetricsRegistry& registry_;
   const FrontendConfig config_;
   Listener listener_;
   bool listening_ = false;

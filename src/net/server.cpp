@@ -72,53 +72,52 @@ Server::~Server() { *alive_ = false; }
 
 void Server::init_metrics() {
   obs::MetricsRegistry& reg = service_.registry();
-  // The bridge reads loop-thread counters without synchronization — see
-  // the declaration comment for why every snapshot consumer is that
-  // same thread. Empty stats_key throughout: the `stats` verb reports
-  // these counters directly (transport keys lead the stats line).
+  // The collector reads loop-thread counters without synchronization —
+  // see the declaration comment for why every snapshot consumer is that
+  // same thread. It registers after the service's, so the transport
+  // keys follow the service's on the stats line.
   reg.register_collector(
       [this, alive = std::weak_ptr<bool>(alive_)](obs::RegistrySnapshot& out) {
         if (alive.expired()) return;
         const ServerCounters& sc = counters_;
-        auto counter = [&](const char* name, const char* help, double v) {
+        auto counter = [&](const char* name, const char* help, double v,
+                           const char* key) {
           out.samples.push_back(obs::MetricSample{
-              name, "", help, obs::MetricKind::kCounter, v, ""});
+              name, "", help, obs::MetricKind::kCounter, v, key});
         };
-        auto gauge = [&](const char* name, const char* help, double v) {
+        auto gauge = [&](const char* name, const char* help, double v,
+                         const char* key) {
           out.samples.push_back(obs::MetricSample{
-              name, "", help, obs::MetricKind::kGauge, v, ""});
+              name, "", help, obs::MetricKind::kGauge, v, key});
         };
         counter("treesched_server_accepted_total", "Connections accepted",
-                static_cast<double>(sc.accepted));
+                sc.accepted, "accepted");
         counter("treesched_server_rejected_conns_total",
-                "Connections turned away at max_conns",
-                static_cast<double>(sc.rejected_conns));
+                "Connections turned away at max_conns", sc.rejected_conns,
+                "rejected_conns");
         counter("treesched_server_requests_total",
                 "Requests framed (text lines and binary payloads alike)",
-                static_cast<double>(sc.lines));
+                sc.lines, "lines");
         counter("treesched_server_submitted_total",
-                "Tickets submitted to the service",
-                static_cast<double>(sc.submitted));
+                "Tickets submitted to the service", sc.submitted, "submitted");
         counter("treesched_server_v3_conns_total",
-                "Connections that negotiated binary protocol v3",
-                static_cast<double>(sc.v3_conns));
-        counter("treesched_server_frames_total",
-                "Well-formed v3 frames parsed",
-                static_cast<double>(sc.frames_in));
+                "Connections that negotiated binary protocol v3", sc.v3_conns,
+                "v3_conns");
+        counter("treesched_server_frames_total", "Well-formed v3 frames parsed",
+                sc.frames_in, "frames_in");
         counter("treesched_server_frames_bad_total",
-                "Protocol-violating v3 frames",
-                static_cast<double>(sc.frames_bad));
+                "Protocol-violating v3 frames", sc.frames_bad, "frames_bad");
         counter("treesched_server_batch_requests_total",
-                "Requests that arrived inside batch frames",
-                static_cast<double>(sc.batch_requests));
+                "Requests that arrived inside batch frames", sc.batch_requests,
+                "batch_requests");
         counter("treesched_server_parse_errors_total",
-                "Requests rejected by the grammar",
-                static_cast<double>(sc.parse_errors));
+                "Requests rejected by the grammar", sc.parse_errors,
+                "parse_errors");
         gauge("treesched_server_connections", "Open connections",
-              static_cast<double>(frontend_.sessions()));
+              frontend_.sessions(), "conns");
         gauge("treesched_server_outstanding",
-              "Submitted tickets not yet settled",
-              static_cast<double>(outstanding_));
+              "Submitted tickets not yet settled", outstanding_,
+              "outstanding");
       });
   h_net_e2e_ = &reg.histogram(
       "treesched_net_e2e_seconds", "",
@@ -296,29 +295,6 @@ bool Server::cancel(Session& session, std::uint64_t key) {
   // posts the answer like any other.
   const auto it = tickets_.find(TicketKey{session.id(), key});
   return it != tickets_.end() && it->second.cancel();
-}
-
-std::vector<std::pair<std::string, std::uint64_t>> Server::stats_pairs() {
-  // Transport counters first, then the shared service vocabulary
-  // (service_stats_pairs keeps both front-ends aligned).
-  const ServerCounters& sc = counters_;
-  std::vector<std::pair<std::string, std::uint64_t>> out = {
-      {"conns", frontend_.sessions()},
-      {"accepted", sc.accepted},
-      {"rejected_conns", sc.rejected_conns},
-      {"lines", sc.lines},
-      {"submitted", sc.submitted},
-      {"outstanding", outstanding_},
-      {"v3_conns", sc.v3_conns},
-      {"frames_in", sc.frames_in},
-      {"frames_bad", sc.frames_bad},
-      {"batch_requests", sc.batch_requests},
-      {"parse_errors", sc.parse_errors},
-  };
-  for (auto& pair : service_stats_pairs(service_)) {
-    out.push_back(std::move(pair));
-  }
-  return out;
 }
 
 std::optional<ResponseLine> Server::trace_dump(Session& /*session*/,

@@ -33,6 +33,13 @@
 // queue_full), at most max_wbuf buffered response bytes per connection
 // (past it the connection stops reading until the client drains), at
 // most max_line text-line / max_frame binary-frame bytes per request.
+//
+// Observability: the server reports through the service's registry, so
+// `stats` and the --metrics-port scrape read the same samples. The
+// stats line carries the service's keys (queue, cache, store, pool),
+// then the server's transport keys (conns, lines, frames, ...), then
+// the stage-histogram summaries (<key>_count, _window_count,
+// _p50_us/_p90_us/_p99_us).
 
 #include <cstdint>
 #include <functional>
@@ -130,7 +137,8 @@ struct ServerConfig {
   double drain_timeout_ms = 0.0;
 };
 
-/// Monotonic server counters (I/O-thread state, reported by `stats`).
+/// Monotonic server counters (I/O-thread state, reported by the
+/// server's collector to `stats` and /metrics).
 struct ServerCounters : SessionCounters {
   std::uint64_t submitted = 0;  ///< tickets submitted to the service
 };
@@ -193,7 +201,6 @@ class Server : private SessionHandler {
                                        const TraceContext& ctx) override;
   /// Cancels the entry's ticket iff it is still queued.
   bool cancel(Session& session, std::uint64_t key) override;
-  std::vector<std::pair<std::string, std::uint64_t>> stats_pairs() override;
   /// Writes the Chrome trace synchronously and answers at once.
   std::optional<ResponseLine> trace_dump(Session& session, std::uint64_t key,
                                          std::string path) override;
@@ -211,8 +218,9 @@ class Server : private SessionHandler {
   /// are typed values: kBadRequest for an unresolvable spec, kStoreFull
   /// (via try_intern) past the store budget.
   Result<TreeHandle, ServiceError> intern_spec(std::string_view spec);
-  /// Creates the transport histograms and bridges ServerCounters into
-  /// the service's registry. The bridge reads plain I/O-thread state;
+  /// Creates the transport histograms and registers the collector that
+  /// reports ServerCounters through the service's registry, to `stats`
+  /// and /metrics alike. The collector reads plain I/O-thread state;
   /// that is sound because every snapshot consumer in this process (the
   /// `stats` verb, the /metrics endpoint) runs on the loop thread too.
   void init_metrics();
@@ -230,9 +238,9 @@ class Server : private SessionHandler {
   /// Ticket::on_complete callback can touch a dead Server.
   std::uint64_t outstanding_ = 0;
 
-  /// Collector liveness guard: the counters bridge registered with the
-  /// service's registry bails once this server is gone, so a registry
-  /// that outlives the server stays safe to snapshot.
+  /// Collector liveness guard: the counters' collector registered with
+  /// the service's registry bails once this server is gone, so a
+  /// registry that outlives the server stays safe to snapshot.
   std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
   /// Transport stage histograms (owned by the service's registry).
   /// h_write_stall_[kPriorityClasses] is the class="all" aggregate that

@@ -343,7 +343,7 @@ void Session::dispatch_request(const RequestView& req,
       line.ok = true;
       line.id = req.id;
       if (line.kind == ResponseLine::Kind::kStats) {
-        line.stats = frontend_.handler().stats_pairs();
+        line.stats = frontend_.registry().snapshot().stats_pairs();
       }
       answer_now(line, kSloNone);
       return;

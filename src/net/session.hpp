@@ -31,6 +31,8 @@
 //  * ping / stats / trace answer at once, out of band of the window —
 //    except a trace dump the handler settles later, which takes a
 //    window entry so untagged answers behind it keep their order.
+//    `stats` answers with the tier's metrics registry, the same samples
+//    its /metrics endpoint renders (Frontend::registry()).
 //  * Output: answers are encoded straight into a bounded write buffer in
 //    the session's protocol and flushed once per read burst or delivery
 //    batch. Past max_wbuf buffered bytes the session stops reading until
@@ -78,8 +80,9 @@ struct ResponseTiming {
   std::uint64_t trace_id = 0;
 };
 
-/// The protocol counters both tiers keep under the same names (reported
-/// by `stats` and bridged into each tier's metrics registry).
+/// The protocol counters both tiers keep under the same names; each
+/// tier's collector reports them through its metrics registry, to
+/// `stats` and /metrics alike.
 struct SessionCounters {
   std::uint64_t accepted = 0;        ///< connections accepted
   std::uint64_t rejected_conns = 0;  ///< turned away at max_conns
@@ -108,7 +111,9 @@ struct SessionConfig {
   std::string started;
 };
 
-/// What a tier does with the requests its sessions frame.
+/// What a tier does with the requests its sessions frame. Only the
+/// verbs whose meaning differs between tiers reach it: ping and stats
+/// are the session's own.
 class SessionHandler {
  public:
   /// Takes parsed schedule request `req` as window entry `key` of
@@ -126,10 +131,6 @@ class SessionHandler {
   /// longer be stopped. Also called for every unsettled entry when a
   /// session dies, which then drops whatever is delivered.
   virtual bool cancel(Session& session, std::uint64_t key) = 0;
-
-  /// The `stats` verb's payload.
-  virtual std::vector<std::pair<std::string, std::uint64_t>>
-  stats_pairs() = 0;
 
   /// `trace start` or `trace stop` just switched the process tracer.
   virtual void trace_switched(bool /*on*/) {}

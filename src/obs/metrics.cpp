@@ -214,54 +214,6 @@ std::string index_key(const std::string& name, const std::string& labels) {
 }
 }  // namespace
 
-Counter& MetricsRegistry::counter(const std::string& name,
-                                  const std::string& labels,
-                                  const std::string& help,
-                                  const std::string& stats_key) {
-  std::lock_guard<std::mutex> lock(mu_);
-  const std::string key = index_key(name, labels);
-  if (auto it = index_.find(key); it != index_.end()) {
-    if (it->second.first != Slot::kCounter) {
-      throw std::invalid_argument("metric registered with a different type: " +
-                                  name);
-    }
-    return counters_[it->second.second].metric;
-  }
-  auto& entry = counters_.emplace_back();
-  entry.name = name;
-  entry.labels = labels;
-  entry.help = help;
-  entry.stats_key = stats_key;
-  const auto slot = std::make_pair(Slot::kCounter, counters_.size() - 1);
-  index_.emplace(key, slot);
-  order_.push_back(slot);
-  return counters_.back().metric;
-}
-
-Gauge& MetricsRegistry::gauge(const std::string& name,
-                              const std::string& labels,
-                              const std::string& help,
-                              const std::string& stats_key) {
-  std::lock_guard<std::mutex> lock(mu_);
-  const std::string key = index_key(name, labels);
-  if (auto it = index_.find(key); it != index_.end()) {
-    if (it->second.first != Slot::kGauge) {
-      throw std::invalid_argument("metric registered with a different type: " +
-                                  name);
-    }
-    return gauges_[it->second.second].metric;
-  }
-  auto& entry = gauges_.emplace_back();
-  entry.name = name;
-  entry.labels = labels;
-  entry.help = help;
-  entry.stats_key = stats_key;
-  const auto slot = std::make_pair(Slot::kGauge, gauges_.size() - 1);
-  index_.emplace(key, slot);
-  order_.push_back(slot);
-  return gauges_.back().metric;
-}
-
 Histogram& MetricsRegistry::histogram(const std::string& name,
                                       const std::string& labels,
                                       const std::string& help,
@@ -270,21 +222,15 @@ Histogram& MetricsRegistry::histogram(const std::string& name,
                                       const std::string& stats_key) {
   std::lock_guard<std::mutex> lock(mu_);
   const std::string key = index_key(name, labels);
-  if (auto it = index_.find(key); it != index_.end()) {
-    if (it->second.first != Slot::kHistogram) {
-      throw std::invalid_argument("metric registered with a different type: " +
-                                  name);
-    }
-    return histograms_[it->second.second].metric;
+  if (const auto it = index_.find(key); it != index_.end()) {
+    return histograms_[it->second].metric;
   }
   auto& entry = histograms_.emplace_back(std::move(bounds), scale);
   entry.name = name;
   entry.labels = labels;
   entry.help = help;
   entry.stats_key = stats_key;
-  const auto slot = std::make_pair(Slot::kHistogram, histograms_.size() - 1);
-  index_.emplace(key, slot);
-  order_.push_back(slot);
+  index_.emplace(key, histograms_.size() - 1);
   return entry.metric;
 }
 
@@ -297,30 +243,10 @@ RegistrySnapshot MetricsRegistry::snapshot() const {
   std::lock_guard<std::mutex> lock(mu_);
   RegistrySnapshot out;
   for (const Collector& fn : collectors_) fn(out);
-  for (const auto& [slot, idx] : order_) {
-    switch (slot) {
-      case Slot::kCounter: {
-        const CounterEntry& e = counters_[idx];
-        out.samples.push_back(MetricSample{
-            e.name, e.labels, e.help, MetricKind::kCounter,
-            static_cast<double>(e.metric.value()), e.stats_key});
-        break;
-      }
-      case Slot::kGauge: {
-        const GaugeEntry& e = gauges_[idx];
-        out.samples.push_back(MetricSample{
-            e.name, e.labels, e.help, MetricKind::kGauge,
-            static_cast<double>(e.metric.value()), e.stats_key});
-        break;
-      }
-      case Slot::kHistogram: {
-        const HistogramEntry& e = histograms_[idx];
-        out.histograms.push_back(HistogramSample{
-            e.name, e.labels, e.help, e.scale, e.stats_key,
-            e.metric.snapshot(), e.metric.windowed_snapshot()});
-        break;
-      }
-    }
+  for (const HistogramEntry& e : histograms_) {
+    out.histograms.push_back(HistogramSample{
+        e.name, e.labels, e.help, e.scale, e.stats_key, e.metric.snapshot(),
+        e.metric.windowed_snapshot()});
   }
   return out;
 }

@@ -1,13 +1,24 @@
 #pragma once
-// Metrics registry (src/obs/): named counters, gauges, and fixed-bucket
-// histograms with cheap hot-path updates, snapshotable without stopping
-// the world.
+// Metrics registry (src/obs/): the one source of both operator views —
+// the `stats` control verb and the Prometheus exposition on
+// --metrics-port read the same snapshot.
 //
-// Hot-path contract: Counter::inc and Histogram::record are relaxed
-// atomic adds — no locks, no allocation, safe from any thread including
-// the server's I/O thread and pool workers. Histograms shard their
-// bucket arrays by thread so concurrent recorders don't fight over one
-// cache line; shards merge at snapshot time.
+// A snapshot holds two kinds of entries. Scalars are MetricSamples that
+// *collectors* append at snapshot time: callbacks that read the state a
+// component already keeps (CacheStats, QueueStats, the session counters,
+// ...), so nothing is counted twice and nothing is counted on the hot
+// path. Each sample carries its Prometheus name and labels and its
+// `stats` key. Histograms are the one metric the registry owns: fixed
+// buckets, cheap hot-path updates, snapshotable without stopping the
+// world. Collectors run under the registry mutex; they must only read
+// atomics or otherwise thread-safe state (or state of the one thread
+// every snapshot consumer runs on).
+//
+// Hot-path contract: Histogram::record is relaxed atomic adds — no
+// locks, no allocation, safe from any thread including the server's I/O
+// thread and pool workers. Histograms shard their bucket arrays by
+// thread so concurrent recorders don't fight over one cache line;
+// shards merge at snapshot time.
 //
 // Value domain: histograms store unsigned integers (nanoseconds for
 // latency, bytes for memory) and keep *exact* integer sums, so derived
@@ -15,13 +26,8 @@
 // when the stages partition the interval. `scale` only applies at
 // export time (ns -> seconds for Prometheus).
 //
-// The registry hands out node-stable references: a `Counter&` obtained
-// once may be cached and hammered forever. Legacy stats structs
-// (CacheStats, QueueStats, ServerCounters, ...) are bridged by
-// *collectors* — callbacks that append samples to a snapshot — so the
-// existing accessors stay the source of truth and nothing is counted
-// twice. Collectors run under the registry mutex; they must only read
-// atomics or otherwise thread-safe state.
+// The registry hands out node-stable references: a `Histogram&`
+// obtained once may be cached and hammered forever.
 
 #include <atomic>
 #include <cstdint>
@@ -48,36 +54,6 @@ std::uint64_t now_ns() noexcept;
 /// the hot path takes no lock and stays TSan-clean.
 inline constexpr unsigned kWindowSlots = 12;
 inline constexpr std::uint64_t kWindowPeriodNs = 5'000'000'000ULL;
-
-/// Monotonically increasing count. Padded to a cache line so adjacent
-/// registry entries don't false-share.
-class Counter {
- public:
-  void inc(std::uint64_t n = 1) noexcept {
-    v_.fetch_add(n, std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t value() const noexcept {
-    return v_.load(std::memory_order_relaxed);
-  }
-
- private:
-  alignas(64) std::atomic<std::uint64_t> v_{0};
-};
-
-/// Point-in-time signed value (queue depth, bytes resident).
-class Gauge {
- public:
-  void set(std::int64_t v) noexcept { v_.store(v, std::memory_order_relaxed); }
-  void add(std::int64_t d) noexcept {
-    v_.fetch_add(d, std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::int64_t value() const noexcept {
-    return v_.load(std::memory_order_relaxed);
-  }
-
- private:
-  alignas(64) std::atomic<std::int64_t> v_{0};
-};
 
 /// Merged view of one histogram: cumulative-free bucket counts plus the
 /// exact integer sum/count. Quantiles interpolate linearly inside the
@@ -149,9 +125,9 @@ class Histogram {
 
 /// Windowed event counter: same epoch-tagged slot ring as the
 /// histograms' window view, for rates that must reflect the last minute
-/// (request and error counts feeding the SLO error-ratio gauges).
-/// Lifetime totals belong in a Counter; this type only answers "how
-/// many in the window".
+/// (request and error counts feeding the SLO error-ratio gauges). It
+/// only answers "how many in the window"; lifetime totals are the
+/// owning component's counters, read by a collector.
 class SlidingCounter {
  public:
   void inc(std::uint64_t n = 1) noexcept { add_at(n, now_ns()); }
@@ -171,10 +147,12 @@ class SlidingCounter {
 
 enum class MetricKind { kCounter, kGauge };
 
-/// One exported scalar. `labels` is the pre-rendered inner label string
-/// (e.g. `class="interactive"`), empty for none. `stats_key` is the
-/// short key used by the `stats` control verb; empty means the sample
-/// only appears in the Prometheus exposition.
+/// One exported scalar, appended by a collector. `labels` is the
+/// pre-rendered inner label string (e.g. `class="interactive"`), empty
+/// for none. `stats_key` is the short key used by the `stats` control
+/// verb. An empty `stats_key` means the sample only appears in the
+/// Prometheus exposition; an empty `name` means it only appears on the
+/// `stats` line (render_prometheus skips it).
 struct MetricSample {
   std::string name;
   std::string labels;
@@ -213,37 +191,26 @@ struct RegistrySnapshot {
   stats_pairs() const;
 };
 
-/// Get-or-create by (name, labels); insertion order is preserved in
-/// snapshots so exported text is stable run to run.
+/// Collectors plus owned histograms. Histograms are get-or-create by
+/// (name, labels); creation order is preserved in snapshots so exported
+/// text is stable run to run.
 class MetricsRegistry {
  public:
   using Collector = std::function<void(RegistrySnapshot&)>;
 
-  Counter& counter(const std::string& name, const std::string& labels,
-                   const std::string& help, const std::string& stats_key = "");
-  Gauge& gauge(const std::string& name, const std::string& labels,
-               const std::string& help, const std::string& stats_key = "");
   Histogram& histogram(const std::string& name, const std::string& labels,
                        const std::string& help,
                        std::vector<std::uint64_t> bounds, double scale,
                        const std::string& stats_key = "");
 
-  /// Collectors run first at snapshot time, in registration order —
-  /// register the legacy bridge before creating owned metrics when the
-  /// legacy keys must lead the stats line.
+  /// Collectors run at snapshot time in registration order, so their
+  /// samples lead the stats line in that order, ahead of the histogram
+  /// summaries.
   void register_collector(Collector fn);
 
   [[nodiscard]] RegistrySnapshot snapshot() const;
 
  private:
-  struct CounterEntry {
-    std::string name, labels, help, stats_key;
-    Counter metric;
-  };
-  struct GaugeEntry {
-    std::string name, labels, help, stats_key;
-    Gauge metric;
-  };
   struct HistogramEntry {
     std::string name, labels, help, stats_key;
     double scale;
@@ -251,14 +218,10 @@ class MetricsRegistry {
     HistogramEntry(std::vector<std::uint64_t> bounds, double s)
         : scale(s), metric(std::move(bounds)) {}
   };
-  enum class Slot { kCounter, kGauge, kHistogram };
 
   mutable std::mutex mu_;
-  std::deque<CounterEntry> counters_;
-  std::deque<GaugeEntry> gauges_;
   std::deque<HistogramEntry> histograms_;
-  std::vector<std::pair<Slot, std::size_t>> order_;
-  std::map<std::string, std::pair<Slot, std::size_t>> index_;
+  std::map<std::string, std::size_t> index_;  ///< (name, labels) -> entry
   std::vector<Collector> collectors_;
 };
 

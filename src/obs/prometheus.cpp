@@ -58,9 +58,11 @@ std::string render_prometheus(const RegistrySnapshot& snap) {
 
   // Group scalar samples by metric name (the format requires one
   // contiguous block per name), preserving first-appearance order.
+  // Nameless samples exist only for the stats verb.
   std::vector<std::pair<std::string, std::vector<const MetricSample*>>> groups;
   std::map<std::string, std::size_t> group_index;
   for (const MetricSample& s : snap.samples) {
+    if (s.name.empty()) continue;
     auto [it, inserted] = group_index.emplace(s.name, groups.size());
     if (inserted) groups.emplace_back(s.name, std::vector<const MetricSample*>{});
     groups[it->second].second.push_back(&s);

@@ -12,7 +12,8 @@ namespace treesched::obs {
 /// HELP/TYPE once per metric name, then one sample line per
 /// (labels) series; histograms expand to cumulative _bucket{le=...}
 /// series plus _sum and _count, with bounds scaled to the exposition
-/// unit (seconds for latency).
+/// unit (seconds for latency). Nameless (stats-only) samples are
+/// skipped.
 std::string render_prometheus(const RegistrySnapshot& snap);
 
 }  // namespace treesched::obs

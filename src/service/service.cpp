@@ -1,6 +1,5 @@
 #include "service/service.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <sstream>
 #include <stdexcept>
@@ -9,7 +8,6 @@
 #include "core/simulator.hpp"
 #include "obs/trace.hpp"
 #include "sched/validate.hpp"
-#include "util/parallel.hpp"
 #include "util/thread_pool.hpp"
 
 namespace treesched {
@@ -64,10 +62,10 @@ void SchedulingService::init_metrics() {
   }
   h_dispatch_ = stage_hist("dispatch", kPriorityClasses, "stage_dispatch");
 
-  // Legacy-stats bridge: cache/queue/store/pool accessors stay the
-  // source of truth; this collector projects them into the exposition
-  // at snapshot time. All of them read atomics or take their own locks,
-  // so a scrape from any thread is safe.
+  // The service's scalars: the cache/queue/store/pool accessors stay the
+  // source of truth, and this collector projects them into both views at
+  // snapshot time. All of them read atomics or take their own locks, so
+  // a snapshot from any thread is safe.
   registry_->register_collector(
       [this, alive = std::weak_ptr<bool>(alive_)](obs::RegistrySnapshot& out) {
         if (alive.expired()) return;
@@ -75,69 +73,87 @@ void SchedulingService::init_metrics() {
         const QueueStats qs = queue_stats();
         const InstanceStore::Stats ss = store_stats();
         const ThreadPool::Stats ps = ThreadPool::shared().stats();
-        auto counter = [&](const char* name, const char* help,
-                           std::string labels, double v) {
+        auto sample = [&](obs::MetricKind kind, const char* name,
+                          const char* help, std::string labels, double v,
+                          std::string key) {
           out.samples.push_back(obs::MetricSample{
-              name, std::move(labels), help, obs::MetricKind::kCounter, v, ""});
+              name, std::move(labels), help, kind, v, std::move(key)});
         };
-        auto gauge = [&](const char* name, const char* help,
-                         std::string labels, double v) {
-          out.samples.push_back(obs::MetricSample{
-              name, std::move(labels), help, obs::MetricKind::kGauge, v, ""});
+        using enum obs::MetricKind;
+        // Stats only: the all-class queue totals (Prometheus sums the
+        // class series itself) and the queue's own wait-sample p99s.
+        auto stat = [&](std::string key, double v) {
+          sample(kGauge, "", "", "", v, std::move(key));
         };
+        ClassQueueStats total;
+        for (const ClassQueueStats& q : qs.by_class) {
+          total.admitted += q.admitted;
+          total.completed += q.completed;
+          total.expired += q.expired;
+          total.cancelled += q.cancelled;
+          total.rejected += q.rejected;
+        }
+        stat("queue_pending", qs.pending());
+        stat("queue_admitted", total.admitted);
+        stat("queue_completed", total.completed);
+        stat("queue_expired", total.expired);
+        stat("queue_cancelled", total.cancelled);
+        stat("queue_rejected", total.rejected);
         for (std::size_t c = 0; c < kPriorityClasses; ++c) {
           const ClassQueueStats& q = qs.by_class[c];
-          std::string cls = "class=\"";
-          cls += kClassLabel[c];
-          cls += "\"";
-          counter("treesched_queue_admitted_total",
-                  "Requests pushed at admission, accepted or rejected", cls,
-                  static_cast<double>(q.admitted));
-          counter("treesched_queue_rejected_total",
-                  "Requests turned away at admission (queue full)", cls,
-                  static_cast<double>(q.rejected));
-          counter("treesched_queue_completed_total",
-                  "Requests popped live and handed to a worker", cls,
-                  static_cast<double>(q.completed));
-          counter("treesched_queue_expired_total",
-                  "Requests whose deadline lapsed while queued", cls,
-                  static_cast<double>(q.expired));
-          counter("treesched_queue_cancelled_total",
-                  "Requests removed while queued by cancel", cls,
-                  static_cast<double>(q.cancelled));
-          counter("treesched_queue_aged_total",
-                  "Priority-class promotions granted to waiting requests",
-                  cls, static_cast<double>(q.aged));
-          gauge("treesched_queue_pending", "Currently queued requests", cls,
-                static_cast<double>(q.pending));
+          const std::string cls =
+              std::string("class=\"") + kClassLabel[c] + "\"";
+          const std::string suffix = std::string("_") + kClassLabel[c];
+          sample(kCounter, "treesched_queue_admitted_total",
+                 "Requests pushed at admission, accepted or rejected", cls,
+                 q.admitted, "queue_admitted" + suffix);
+          sample(kCounter, "treesched_queue_rejected_total",
+                 "Requests turned away at admission (queue full)", cls,
+                 q.rejected, "queue_rejected" + suffix);
+          sample(kCounter, "treesched_queue_completed_total",
+                 "Requests popped live and handed to a worker", cls,
+                 q.completed, "queue_completed" + suffix);
+          sample(kCounter, "treesched_queue_expired_total",
+                 "Requests whose deadline lapsed while queued", cls, q.expired,
+                 "queue_expired" + suffix);
+          sample(kCounter, "treesched_queue_cancelled_total",
+                 "Requests removed while queued by cancel", cls, q.cancelled,
+                 "queue_cancelled" + suffix);
+          sample(kCounter, "treesched_queue_aged_total",
+                 "Priority-class promotions granted to waiting requests", cls,
+                 q.aged, "queue_aged" + suffix);
+          sample(kGauge, "treesched_queue_pending", "Currently queued requests",
+                 cls, q.pending, "queue_pending" + suffix);
+          stat("queue_wait_p99_us" + suffix, q.wait_ms_p99 * 1000.0);
         }
-        counter("treesched_cache_hits_total", "Result-cache hits", "",
-                static_cast<double>(cs.hits));
-        counter("treesched_cache_misses_total", "Result-cache misses", "",
-                static_cast<double>(cs.misses));
-        counter("treesched_cache_evictions_total", "Result-cache evictions",
-                "", static_cast<double>(cs.evictions));
-        gauge("treesched_cache_entries", "Cached results resident", "",
-              static_cast<double>(cs.entries));
-        gauge("treesched_cache_bytes", "Result-cache bytes resident", "",
-              static_cast<double>(cs.bytes));
-        gauge("treesched_store_trees", "Interned trees resident", "",
-              static_cast<double>(ss.unique_trees));
-        gauge("treesched_store_bytes", "Instance-store bytes resident", "",
-              static_cast<double>(ss.bytes));
-        counter("treesched_store_rejected_total",
-                "Trees rejected by the instance-store byte budget", "",
-                static_cast<double>(ss.rejected));
-        gauge("treesched_pool_threads", "Shared thread-pool workers", "",
-              static_cast<double>(ps.threads));
-        counter("treesched_pool_submitted_total",
-                "Jobs enqueued on the shared pool", "",
-                static_cast<double>(ps.submitted));
-        counter("treesched_pool_executed_total",
-                "Jobs finished on the shared pool", "",
-                static_cast<double>(ps.executed));
-        gauge("treesched_pool_pending", "Jobs enqueued, not yet picked up",
-              "", static_cast<double>(ps.pending));
+        sample(kCounter, "treesched_cache_hits_total", "Result-cache hits", "",
+               cs.hits, "cache_hits");
+        sample(kCounter, "treesched_cache_misses_total", "Result-cache misses",
+               "", cs.misses, "cache_misses");
+        sample(kCounter, "treesched_cache_evictions_total",
+               "Result-cache evictions", "", cs.evictions, "cache_evictions");
+        sample(kGauge, "treesched_cache_entries", "Cached results resident", "",
+               cs.entries, "cache_entries");
+        sample(kGauge, "treesched_cache_bytes", "Result-cache bytes resident",
+               "", cs.bytes, "cache_bytes");
+        sample(kGauge, "treesched_store_trees", "Interned trees resident", "",
+               ss.unique_trees, "store_trees");
+        sample(kGauge, "treesched_store_bytes", "Instance-store bytes resident",
+               "", ss.bytes, "store_bytes");
+        sample(kCounter, "treesched_store_rejected_total",
+               "Trees rejected by the instance-store byte budget", "",
+               ss.rejected, "store_rejected");
+        sample(kGauge, "treesched_pool_threads", "Shared thread-pool workers",
+               "", ps.threads, "pool_threads");
+        sample(kCounter, "treesched_pool_submitted_total",
+               "Jobs enqueued on the shared pool", "", ps.submitted,
+               "pool_submitted");
+        sample(kCounter, "treesched_pool_executed_total",
+               "Jobs finished on the shared pool", "", ps.executed,
+               "pool_executed");
+        sample(kGauge, "treesched_pool_pending",
+               "Jobs enqueued, not yet picked up", "", ps.pending,
+               "pool_pending");
       });
 }
 
@@ -497,30 +513,8 @@ ScheduleResponse SchedulingService::schedule(const ScheduleRequest& req) {
 
 std::vector<ScheduleResponse> SchedulingService::schedule_batch(
     const std::vector<ScheduleRequest>& reqs) {
-  std::vector<ScheduleResponse> responses(reqs.size());
-  if (config_.threads != 0) {
-    // An explicit thread bound is a compute-parallelism promise the
-    // shared-pool admission queue cannot keep (drain jobs fan out over
-    // the whole pool), so honor it with `threads`-wide submissions —
-    // worker-claimed items compute inline; items claimed by the
-    // participating caller flow through the queue (they may finish
-    // after the workers' share, but the compute width stays bounded).
-    // Deadlines are ignored on the whole of schedule_batch, as on the
-    // v1 synchronous batch: on this width-bound path whether an item
-    // lands on a worker (inline, deadline moot) or the caller (queued)
-    // is a scheduling accident that must not pick which items expire.
-    parallel_for(
-        reqs.size(),
-        [&](std::size_t i) {
-          ScheduleRequest req = reqs[i];
-          req.deadline_ms = 0.0;
-          responses[i] = to_response(submit(std::move(req)).wait());
-        },
-        config_.threads);
-    return responses;
-  }
-  // N tickets + ordered collect, minus the deadlines (stripped above for
-  // the width-bound path too): the v1 batch contract.
+  // N tickets + ordered collect, minus the deadlines: the v1 batch
+  // contract.
   std::vector<Ticket> tickets;
   tickets.reserve(reqs.size());
   for (const ScheduleRequest& r : reqs) {
@@ -538,67 +532,6 @@ std::vector<ScheduleResponse> SchedulingService::collect_ordered(
     responses[i] = to_response(tickets[i].wait());
   }
   return responses;
-}
-
-std::vector<std::pair<std::string, std::uint64_t>> service_stats_pairs(
-    const SchedulingService& service) {
-  const CacheStats cs = service.cache_stats();
-  const QueueStats qs = service.queue_stats();
-  const InstanceStore::Stats ss = service.store_stats();
-  std::uint64_t admitted = 0, completed = 0, expired = 0, cancelled = 0,
-                rejected = 0;
-  for (const ClassQueueStats& c : qs.by_class) {
-    admitted += c.admitted;
-    completed += c.completed;
-    expired += c.expired;
-    cancelled += c.cancelled;
-    rejected += c.rejected;
-  }
-  std::vector<std::pair<std::string, std::uint64_t>> pairs = {
-      {"queue_pending", qs.pending()},
-      {"queue_admitted", admitted},
-      {"queue_completed", completed},
-      {"queue_expired", expired},
-      {"queue_cancelled", cancelled},
-      {"queue_rejected", rejected},
-      {"cache_hits", cs.hits},
-      {"cache_misses", cs.misses},
-      {"cache_entries", cs.entries},
-      {"cache_bytes", cs.bytes},
-      {"cache_evictions", cs.evictions},
-      {"store_trees", ss.unique_trees},
-      {"store_bytes", ss.bytes},
-      {"store_rejected", ss.rejected},
-  };
-  // Everything after the legacy block is additive vocabulary (ISSUE 7):
-  // per-class queue keys (both front-ends get them from this one
-  // function — that is the parity guarantee), the shared pool, and the
-  // stage-histogram summaries from the service's registry.
-  static constexpr const char* kClassKey[kPriorityClasses] = {
-      "interactive", "batch", "bulk"};
-  for (std::size_t c = 0; c < kPriorityClasses; ++c) {
-    const ClassQueueStats& q = qs.by_class[c];
-    const std::string suffix = std::string("_") + kClassKey[c];
-    pairs.emplace_back("queue_pending" + suffix, q.pending);
-    pairs.emplace_back("queue_admitted" + suffix, q.admitted);
-    pairs.emplace_back("queue_completed" + suffix, q.completed);
-    pairs.emplace_back("queue_expired" + suffix, q.expired);
-    pairs.emplace_back("queue_cancelled" + suffix, q.cancelled);
-    pairs.emplace_back("queue_rejected" + suffix, q.rejected);
-    pairs.emplace_back("queue_aged" + suffix, q.aged);
-    pairs.emplace_back(
-        "queue_wait_p99_us" + suffix,
-        static_cast<std::uint64_t>(std::max(0.0, q.wait_ms_p99 * 1000.0)));
-  }
-  const ThreadPool::Stats ps = ThreadPool::shared().stats();
-  pairs.emplace_back("pool_threads", ps.threads);
-  pairs.emplace_back("pool_submitted", ps.submitted);
-  pairs.emplace_back("pool_executed", ps.executed);
-  pairs.emplace_back("pool_pending", ps.pending);
-  for (auto& kv : service.registry().snapshot().stats_pairs()) {
-    pairs.push_back(std::move(kv));
-  }
-  return pairs;
 }
 
 }  // namespace treesched

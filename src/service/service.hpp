@@ -83,10 +83,6 @@ namespace treesched {
 struct ServiceConfig {
   /// Result-cache budget; 0 disables caching (every request recomputes).
   std::size_t cache_bytes = ResultCache::kDefaultByteBudget;
-  /// Parallelism bound for schedule_batch (0 = the shared thread pool's
-  /// size via the admission queue; nonzero runs the batch exactly this
-  /// wide).
-  unsigned threads = 0;
   /// Validate every computed schedule (sched/validate.hpp, including the
   /// request's memory cap) before caching it — defense in depth at ~2x
   /// compute cost; off by default, the simulator already rejects
@@ -98,10 +94,10 @@ struct ServiceConfig {
   /// throws StoreFull and try_intern() returns kStoreFull past it.
   InstanceStoreConfig store;
   /// Metrics registry the service records into (stage histograms,
-  /// per-algorithm distributions) and bridges its legacy stats onto
-  /// (cache/queue/store/pool collectors for the Prometheus exposition).
-  /// null = the service creates a private one; share a registry to
-  /// co-export front-end counters from the same scrape endpoint.
+  /// per-algorithm distributions) and reports its cache/queue/store/pool
+  /// counters through (one collector feeding both `stats` and the
+  /// Prometheus exposition). null = the service creates a private one;
+  /// share a registry to report front-end counters beside the service's.
   std::shared_ptr<obs::MetricsRegistry> registry;
 };
 
@@ -156,9 +152,7 @@ class SchedulingService {
   /// N tickets + ordered collect; failures land per-request in
   /// ScheduleResponse::error. Deadlines are ignored on this path (the
   /// v1 batch contract — use submit() for deadline-aware batches).
-  /// With ServiceConfig::threads nonzero the batch runs that wide
-  /// (worker-inline submissions); otherwise
-  /// requests flow through the admission queue under their own
+  /// Requests flow through the admission queue under their own
   /// priorities — and, unlike the v1 queue-bypassing batch, a bounded
   /// queue (max_pending) can reject items with kQueueFull.
   std::vector<ScheduleResponse> schedule_batch(
@@ -172,9 +166,9 @@ class SchedulingService {
   [[nodiscard]] const ServiceConfig& config() const { return config_; }
 
   /// The registry this service records into (the configured one, or the
-  /// private default). Snapshot it for the Prometheus exposition; its
-  /// collectors reference this service, so don't snapshot a registry
-  /// that outlives the service it was configured into.
+  /// private default). Its snapshot is what `stats` and /metrics report:
+  /// the service's collector (queue totals and per-class counters, cache,
+  /// store, pool), then the stage-histogram summaries.
   [[nodiscard]] obs::MetricsRegistry& registry() const { return *registry_; }
   [[nodiscard]] const std::shared_ptr<obs::MetricsRegistry>&
   registry_ptr() const {
@@ -199,7 +193,7 @@ class SchedulingService {
   /// compute stages and hands the stamps back in the response.
   ServiceResult evaluate(ScheduleRequest& req);
 
-  /// Wires the stage/algorithm histograms and the legacy-stats bridge
+  /// Wires the stage/algorithm histograms and the counters' collector
   /// into registry_. Called once from the constructor.
   void init_metrics();
 
@@ -274,16 +268,5 @@ class SchedulingService {
   std::condition_variable async_cv_;
   std::size_t async_outstanding_ = 0;
 };
-
-/// The queue/cache/store counters a `stats` protocol line reports, in a
-/// stable order — the single source both wire front-ends (stdin and
-/// TCP) share, so their stats vocabularies cannot silently diverge.
-/// Front-ends prepend their transport-specific keys (connection counts,
-/// window depth) before these. The legacy fourteen keys lead unchanged;
-/// after them come the per-class queue keys, the shared pool's
-/// counters, and the stage-histogram summaries
-/// (<key>_count/_p50_us/_p90_us/_p99_us) from the service's registry.
-std::vector<std::pair<std::string, std::uint64_t>> service_stats_pairs(
-    const SchedulingService& service);
 
 }  // namespace treesched

@@ -6,7 +6,8 @@
 // independently built ring, cluster-wide cache hits through the router,
 // node death mid-request with retry-on-alternate, the typed
 // node_unavailable error, upstream backpressure, router-side cancel,
-// and the drain-timeout bound on both the router and the server.
+// the drain-timeout bound on both the router and the server, and the
+// router's stats vocabulary pinned as golden tables.
 
 #include "cluster/ring.hpp"
 
@@ -494,11 +495,38 @@ TEST(ClusterRouter, PlacementMatchesAnIndependentlyBuiltRing) {
     // backend reports in tree= — pin that they agree on the wire.
     EXPECT_EQ(resp.tree_hash, fp) << spec;
   }
+  // perfbench reads nodes_up, node0_routed, node1_routed and retried by
+  // name (a missing key would read as 0 there; stat_value fails here).
   const ResponseLine stats = client.request("stats");
+  EXPECT_EQ(stat_value(stats, "nodes_up"), 2u);
   EXPECT_EQ(stat_value(stats, "node0_routed"), predicted[0]);
   EXPECT_EQ(stat_value(stats, "node1_routed"), predicted[1]);
+  EXPECT_EQ(stat_value(stats, "retried"), 0u);
   EXPECT_EQ(stat_value(stats, "forwarded"), 8u);
   EXPECT_EQ(stat_value(stats, "responses"), 8u);
+}
+
+TEST(ClusterRouter, StatsCarryTheUpstreamLatencySummary) {
+  // Every answered forward records one upstream round trip, and the
+  // `stats` line reports that histogram's summary next to the counters.
+  ServerHarness node;
+  RouterHarness router({node.name()});
+  ASSERT_TRUE(router.wait_nodes_up(1));
+  Client client("127.0.0.1", router.port());
+  for (int seed = 1; seed <= 6; ++seed) {
+    ASSERT_TRUE(client.request("random:80:" + std::to_string(seed) + " Liu 1")
+                    .ok);
+  }
+  const ResponseLine stats = client.request("stats");
+  EXPECT_EQ(stat_value(stats, "responses"), 6u);
+  EXPECT_EQ(stat_value(stats, "upstream_count"),
+            stat_value(stats, "responses"));
+  EXPECT_EQ(stat_value(stats, "upstream_window_count"), 6u);
+  EXPECT_GT(stat_value(stats, "upstream_p99_us"), 0u);
+  EXPECT_GE(stat_value(stats, "upstream_p99_us"),
+            stat_value(stats, "upstream_p90_us"));
+  EXPECT_GE(stat_value(stats, "upstream_p90_us"),
+            stat_value(stats, "upstream_p50_us"));
 }
 
 TEST(ClusterRouter, ClusterWideCacheHitAfterWarmingTheNodeDirectly) {
@@ -920,6 +948,138 @@ TEST(ScheduleServerDrain, DrainTimeoutBoundsClientsThatNeverRead) {
       std::chrono::steady_clock::now() - start);
   EXPECT_LT(elapsed.count(), 3000)
       << "drain must be bounded by --drain-timeout-ms";
+}
+
+// ---------------------------------------------------------------------------
+// The router's stats vocabulary, pinned like the server's in test_net:
+// its `stats` keys, its /metrics series, and the keys that report a
+// Prometheus sample.
+// ---------------------------------------------------------------------------
+
+/// The router's `stats` keys over one node, after its first stats poll
+/// of that node (the backend_ sums appear then).
+const std::vector<std::string> kRouterStatsKeys = {
+    "accepted", "backend_accepted", "backend_batch_requests",
+    "backend_cache_bytes", "backend_cache_entries", "backend_cache_evictions",
+    "backend_cache_hits", "backend_cache_misses", "backend_conns",
+    "backend_e2e_count", "backend_e2e_p50_us", "backend_e2e_p90_us",
+    "backend_e2e_p99_us", "backend_e2e_window_count", "backend_frames_bad",
+    "backend_frames_in", "backend_lines", "backend_net_e2e_count",
+    "backend_net_e2e_p50_us", "backend_net_e2e_p90_us",
+    "backend_net_e2e_p99_us", "backend_net_e2e_window_count",
+    "backend_outstanding", "backend_parse_errors", "backend_pool_executed",
+    "backend_pool_pending", "backend_pool_submitted", "backend_pool_threads",
+    "backend_queue_admitted", "backend_queue_admitted_batch",
+    "backend_queue_admitted_bulk", "backend_queue_admitted_interactive",
+    "backend_queue_aged_batch", "backend_queue_aged_bulk",
+    "backend_queue_aged_interactive", "backend_queue_cancelled",
+    "backend_queue_cancelled_batch", "backend_queue_cancelled_bulk",
+    "backend_queue_cancelled_interactive", "backend_queue_completed",
+    "backend_queue_completed_batch", "backend_queue_completed_bulk",
+    "backend_queue_completed_interactive", "backend_queue_expired",
+    "backend_queue_expired_batch", "backend_queue_expired_bulk",
+    "backend_queue_expired_interactive", "backend_queue_pending",
+    "backend_queue_pending_batch", "backend_queue_pending_bulk",
+    "backend_queue_pending_interactive", "backend_queue_rejected",
+    "backend_queue_rejected_batch", "backend_queue_rejected_bulk",
+    "backend_queue_rejected_interactive", "backend_queue_wait_p99_us_batch",
+    "backend_queue_wait_p99_us_bulk", "backend_queue_wait_p99_us_interactive",
+    "backend_rejected_conns", "backend_stage_compute_count",
+    "backend_stage_compute_p50_us", "backend_stage_compute_p90_us",
+    "backend_stage_compute_p99_us", "backend_stage_compute_window_count",
+    "backend_stage_dispatch_count", "backend_stage_dispatch_p50_us",
+    "backend_stage_dispatch_p90_us", "backend_stage_dispatch_p99_us",
+    "backend_stage_dispatch_window_count", "backend_stage_queue_wait_count",
+    "backend_stage_queue_wait_p50_us", "backend_stage_queue_wait_p90_us",
+    "backend_stage_queue_wait_p99_us", "backend_stage_queue_wait_window_count",
+    "backend_stage_write_stall_count", "backend_stage_write_stall_p50_us",
+    "backend_stage_write_stall_p90_us", "backend_stage_write_stall_p99_us",
+    "backend_stage_write_stall_window_count", "backend_store_bytes",
+    "backend_store_rejected", "backend_store_trees", "backend_submitted",
+    "backend_v3_conns", "batch_requests", "cancelled", "connects", "conns",
+    "forwarded", "frames_bad", "frames_in", "lines", "node0_disconnects",
+    "node0_inflight", "node0_last_error_code", "node0_queued", "node0_retries",
+    "node0_routed", "node0_up", "node_failures", "node_unavailable", "nodes",
+    "nodes_up", "orphan_responses", "parse_errors", "queue_full",
+    "rejected_conns", "responses", "retried", "upstream_count",
+    "upstream_p50_us", "upstream_p90_us", "upstream_p99_us",
+    "upstream_window_count", "v3_conns",
+};
+
+/// Its /metrics series, the node's address spelled NODE.
+const std::vector<std::string> kRouterSeries = {
+    "treesched_router_accepted_total", "treesched_router_connections",
+    "treesched_router_forwarded_total",
+    "treesched_router_node_disconnects_total{node=\"NODE\"}",
+    "treesched_router_node_failures_total",
+    "treesched_router_node_last_error_code{node=\"NODE\"}",
+    "treesched_router_node_retries_total{node=\"NODE\"}",
+    "treesched_router_node_routed_total{node=\"NODE\"}",
+    "treesched_router_node_unavailable_total", "treesched_router_nodes_up",
+    "treesched_router_parse_errors_total", "treesched_router_queue_full_total",
+    "treesched_router_requests_total", "treesched_router_responses_total",
+    "treesched_router_retried_total",
+    "treesched_router_slo_error_ratio{class=\"all\"}",
+    "treesched_router_slo_error_ratio{class=\"batch\"}",
+    "treesched_router_slo_error_ratio{class=\"bulk\"}",
+    "treesched_router_slo_error_ratio{class=\"interactive\"}",
+    "treesched_router_upstream_seconds_count",
+    "treesched_router_upstream_seconds_count{class=\"batch\"}",
+    "treesched_router_upstream_seconds_count{class=\"bulk\"}",
+    "treesched_router_upstream_seconds_count{class=\"interactive\"}",
+};
+
+/// Every router stats key that has a Prometheus twin, with the twin
+/// (`node` labels name the router's only node).
+std::vector<testing::Twin> router_twins(const std::string& node) {
+  const std::string label = "{node=\"" + node + "\"}";
+  return {
+      {"accepted", "treesched_router_accepted_total"},
+      {"lines", "treesched_router_requests_total"},
+      {"forwarded", "treesched_router_forwarded_total"},
+      {"responses", "treesched_router_responses_total"},
+      {"retried", "treesched_router_retried_total"},
+      {"node_unavailable", "treesched_router_node_unavailable_total"},
+      {"queue_full", "treesched_router_queue_full_total"},
+      {"node_failures", "treesched_router_node_failures_total"},
+      {"parse_errors", "treesched_router_parse_errors_total"},
+      {"conns", "treesched_router_connections"},
+      {"nodes_up", "treesched_router_nodes_up"},
+      {"node0_routed", "treesched_router_node_routed_total" + label},
+      {"node0_disconnects", "treesched_router_node_disconnects_total" + label},
+      {"node0_retries", "treesched_router_node_retries_total" + label},
+      {"node0_last_error_code",
+       "treesched_router_node_last_error_code" + label},
+      {"upstream_count", "treesched_router_upstream_seconds_count"},
+  };
+}
+
+TEST(StatsVocabulary, RouterViewsMatchTheGoldensAndAgree) {
+  ServerHarness node;
+  RouterConfig config;
+  config.metrics_port = 0;
+  RouterHarness router({node.name()}, config);
+  ASSERT_TRUE(router.wait_nodes_up(1));
+  Client probe("127.0.0.1", router.port());
+  ASSERT_TRUE(probe.request("random:200:1 Liu 1").ok);
+  ASSERT_TRUE(probe.request("random:200:1 Liu 1").cache_hit);
+  std::vector<std::string> keys;
+  ASSERT_TRUE(eventually([&] {
+    keys = testing::stats_keys(probe.request("stats"));
+    return std::any_of(keys.begin(), keys.end(), [](const std::string& key) {
+      return key.rfind("backend_", 0) == 0;
+    });
+  })) << "the router never polled its node's stats";
+  testing::expect_same_set(keys, kRouterStatsKeys);
+  std::vector<std::string> series = testing::exposition_series(
+      testing::scrape_metrics(router.router().metrics_port()));
+  for (std::string& s : series) {
+    const std::size_t at = s.find(node.name());
+    if (at != std::string::npos) s.replace(at, node.name().size(), "NODE");
+  }
+  testing::expect_same_set(series, kRouterSeries);
+  testing::expect_twins_agree(probe, router.router().metrics_port(),
+                              router_twins(node.name()));
 }
 
 }  // namespace

@@ -7,7 +7,8 @@
 // abrupt disconnect, write backpressure, and graceful drain. The tests
 // of the client session both tiers share run once against the server
 // and once against a router over one node (tier_harness.hpp), as do the
-// window-bound and SLO-accounting tests.
+// window-bound and SLO-accounting tests. The server's stats vocabulary
+// (its `stats` keys and /metrics series) is pinned as golden tables.
 
 #include "net/line_framer.hpp"
 
@@ -872,6 +873,199 @@ TEST(SloErrorRatio, RouterCountsItsOwnImmediateErrors) {
   EXPECT_DOUBLE_EQ(slo_ratio(metrics, name, "bulk"), 0.0);
   EXPECT_DOUBLE_EQ(slo_ratio(metrics, name, "all"), 1.0);
   ::close(dead);
+}
+
+// ---------------------------------------------------------------------------
+// The server's stats vocabulary. Both operator views read one registry,
+// so the `stats` keys, the /metrics series and the keys that report a
+// Prometheus sample are pinned as tables: a rename or a dropped key
+// fails here, not silently in a reader that looks keys up by name
+// (perfbench reads a missing key as 0).
+// ---------------------------------------------------------------------------
+
+/// The server's `stats` keys after a miss, a hit and a v3 batch.
+const std::vector<std::string> kServerStatsKeys = {
+    "accepted", "batch_requests", "cache_bytes", "cache_entries",
+    "cache_evictions", "cache_hits", "cache_misses", "conns", "e2e_count",
+    "e2e_p50_us", "e2e_p90_us", "e2e_p99_us", "e2e_window_count", "frames_bad",
+    "frames_in", "lines", "net_e2e_count", "net_e2e_p50_us", "net_e2e_p90_us",
+    "net_e2e_p99_us", "net_e2e_window_count", "outstanding", "parse_errors",
+    "pool_executed", "pool_pending", "pool_submitted", "pool_threads",
+    "queue_admitted", "queue_admitted_batch", "queue_admitted_bulk",
+    "queue_admitted_interactive", "queue_aged_batch", "queue_aged_bulk",
+    "queue_aged_interactive", "queue_cancelled", "queue_cancelled_batch",
+    "queue_cancelled_bulk", "queue_cancelled_interactive", "queue_completed",
+    "queue_completed_batch", "queue_completed_bulk",
+    "queue_completed_interactive", "queue_expired", "queue_expired_batch",
+    "queue_expired_bulk", "queue_expired_interactive", "queue_pending",
+    "queue_pending_batch", "queue_pending_bulk", "queue_pending_interactive",
+    "queue_rejected", "queue_rejected_batch", "queue_rejected_bulk",
+    "queue_rejected_interactive", "queue_wait_p99_us_batch",
+    "queue_wait_p99_us_bulk", "queue_wait_p99_us_interactive",
+    "rejected_conns", "stage_compute_count", "stage_compute_p50_us",
+    "stage_compute_p90_us", "stage_compute_p99_us",
+    "stage_compute_window_count", "stage_dispatch_count",
+    "stage_dispatch_p50_us", "stage_dispatch_p90_us", "stage_dispatch_p99_us",
+    "stage_dispatch_window_count", "stage_queue_wait_count",
+    "stage_queue_wait_p50_us", "stage_queue_wait_p90_us",
+    "stage_queue_wait_p99_us", "stage_queue_wait_window_count",
+    "stage_write_stall_count", "stage_write_stall_p50_us",
+    "stage_write_stall_p90_us", "stage_write_stall_p99_us",
+    "stage_write_stall_window_count", "store_bytes", "store_rejected",
+    "store_trees", "submitted", "v3_conns",
+};
+
+/// Its /metrics series after the same traffic (see exposition_series).
+const std::vector<std::string> kServerSeries = {
+    "treesched_algo_compute_seconds_count{algo=\"Liu\"}",
+    "treesched_algo_peak_memory_bytes_count{algo=\"Liu\"}",
+    "treesched_cache_bytes", "treesched_cache_entries",
+    "treesched_cache_evictions_total", "treesched_cache_hits_total",
+    "treesched_cache_misses_total", "treesched_net_e2e_seconds_count",
+    "treesched_net_e2e_seconds_count{class=\"batch\"}",
+    "treesched_net_e2e_seconds_count{class=\"bulk\"}",
+    "treesched_net_e2e_seconds_count{class=\"interactive\"}",
+    "treesched_pool_executed_total", "treesched_pool_pending",
+    "treesched_pool_submitted_total", "treesched_pool_threads",
+    "treesched_queue_admitted_total{class=\"batch\"}",
+    "treesched_queue_admitted_total{class=\"bulk\"}",
+    "treesched_queue_admitted_total{class=\"interactive\"}",
+    "treesched_queue_aged_total{class=\"batch\"}",
+    "treesched_queue_aged_total{class=\"bulk\"}",
+    "treesched_queue_aged_total{class=\"interactive\"}",
+    "treesched_queue_cancelled_total{class=\"batch\"}",
+    "treesched_queue_cancelled_total{class=\"bulk\"}",
+    "treesched_queue_cancelled_total{class=\"interactive\"}",
+    "treesched_queue_completed_total{class=\"batch\"}",
+    "treesched_queue_completed_total{class=\"bulk\"}",
+    "treesched_queue_completed_total{class=\"interactive\"}",
+    "treesched_queue_expired_total{class=\"batch\"}",
+    "treesched_queue_expired_total{class=\"bulk\"}",
+    "treesched_queue_expired_total{class=\"interactive\"}",
+    "treesched_queue_pending{class=\"batch\"}",
+    "treesched_queue_pending{class=\"bulk\"}",
+    "treesched_queue_pending{class=\"interactive\"}",
+    "treesched_queue_rejected_total{class=\"batch\"}",
+    "treesched_queue_rejected_total{class=\"bulk\"}",
+    "treesched_queue_rejected_total{class=\"interactive\"}",
+    "treesched_request_e2e_seconds_count",
+    "treesched_request_e2e_seconds_count{class=\"batch\"}",
+    "treesched_request_e2e_seconds_count{class=\"bulk\"}",
+    "treesched_request_e2e_seconds_count{class=\"interactive\"}",
+    "treesched_server_accepted_total", "treesched_server_batch_requests_total",
+    "treesched_server_connections", "treesched_server_frames_bad_total",
+    "treesched_server_frames_total", "treesched_server_outstanding",
+    "treesched_server_parse_errors_total",
+    "treesched_server_rejected_conns_total", "treesched_server_requests_total",
+    "treesched_server_submitted_total", "treesched_server_v3_conns_total",
+    "treesched_slo_error_ratio{class=\"all\"}",
+    "treesched_slo_error_ratio{class=\"batch\"}",
+    "treesched_slo_error_ratio{class=\"bulk\"}",
+    "treesched_slo_error_ratio{class=\"interactive\"}",
+    "treesched_stage_seconds_count{stage=\"compute\",class=\"all\"}",
+    "treesched_stage_seconds_count{stage=\"compute\",class=\"batch\"}",
+    "treesched_stage_seconds_count{stage=\"compute\",class=\"bulk\"}",
+    "treesched_stage_seconds_count{stage=\"compute\",class=\"interactive\"}",
+    "treesched_stage_seconds_count{stage=\"dispatch\",class=\"all\"}",
+    "treesched_stage_seconds_count{stage=\"queue_wait\",class=\"all\"}",
+    "treesched_stage_seconds_count{stage=\"queue_wait\",class=\"batch\"}",
+    "treesched_stage_seconds_count{stage=\"queue_wait\",class=\"bulk\"}",
+    "treesched_stage_seconds_count{stage=\"queue_wait\",class=\"interactive\"}",
+    "treesched_stage_seconds_count{stage=\"write_stall\",class=\"all\"}",
+    "treesched_stage_seconds_count{stage=\"write_stall\",class=\"batch\"}",
+    "treesched_stage_seconds_count{stage=\"write_stall\",class=\"bulk\"}",
+    "treesched_stage_seconds_count{stage=\"write_stall\",class=\"interactive\"}",
+    "treesched_store_bytes", "treesched_store_rejected_total",
+    "treesched_store_trees",
+};
+
+/// The node keys perfbench reads.
+const std::vector<std::string> kPerfbenchNodeKeys = {
+    "cache_hits",      "cache_misses",
+    "cache_evictions", "store_trees",
+    "store_bytes",     "queue_rejected",
+    "queue_wait_p99_us_interactive", "queue_wait_p99_us_bulk"};
+
+/// Every server stats key that has a Prometheus twin, with the twin.
+std::vector<testing::Twin> server_twins() {
+  std::vector<testing::Twin> twins = {
+      {"cache_hits", "treesched_cache_hits_total"},
+      {"cache_misses", "treesched_cache_misses_total"},
+      {"cache_evictions", "treesched_cache_evictions_total"},
+      {"cache_entries", "treesched_cache_entries"},
+      {"cache_bytes", "treesched_cache_bytes"},
+      {"store_trees", "treesched_store_trees"},
+      {"store_bytes", "treesched_store_bytes"},
+      {"store_rejected", "treesched_store_rejected_total"},
+      {"pool_threads", "treesched_pool_threads"},
+      {"pool_submitted", "treesched_pool_submitted_total"},
+      {"pool_executed", "treesched_pool_executed_total"},
+      {"pool_pending", "treesched_pool_pending"},
+      {"conns", "treesched_server_connections"},
+      {"accepted", "treesched_server_accepted_total"},
+      {"rejected_conns", "treesched_server_rejected_conns_total"},
+      {"lines", "treesched_server_requests_total"},
+      {"submitted", "treesched_server_submitted_total"},
+      {"outstanding", "treesched_server_outstanding"},
+      {"v3_conns", "treesched_server_v3_conns_total"},
+      {"frames_in", "treesched_server_frames_total"},
+      {"frames_bad", "treesched_server_frames_bad_total"},
+      {"batch_requests", "treesched_server_batch_requests_total"},
+      {"parse_errors", "treesched_server_parse_errors_total"},
+      {"e2e_count", "treesched_request_e2e_seconds_count"},
+      {"net_e2e_count", "treesched_net_e2e_seconds_count"},
+  };
+  for (const char* stage :
+       {"queue_wait", "dispatch", "compute", "write_stall"}) {
+    twins.push_back({std::string("stage_") + stage + "_count",
+                     std::string("treesched_stage_seconds_count{stage=\"") +
+                         stage + "\",class=\"all\"}"});
+  }
+  for (const char* cls : {"interactive", "batch", "bulk"}) {
+    const std::string label = std::string("{class=\"") + cls + "\"}";
+    for (const char* counter : {"admitted", "rejected", "completed", "expired",
+                                "cancelled", "aged"}) {
+      twins.push_back({std::string("queue_") + counter + "_" + cls,
+                       std::string("treesched_queue_") + counter + "_total" +
+                           label});
+    }
+    twins.push_back({std::string("queue_pending_") + cls,
+                     "treesched_queue_pending" + label});
+  }
+  return twins;
+}
+
+/// A miss, a hit and a v3 batch frame, each client gone when it returns.
+void miss_hit_and_batch(std::uint16_t port) {
+  Client text("127.0.0.1", port);
+  ASSERT_TRUE(text.request("random:200:1 Liu 1").ok);
+  ASSERT_TRUE(text.request("random:200:1 Liu 1").cache_hit);
+  Client binary("127.0.0.1", port, net::Protocol::kV3);
+  binary.send_batch({"random:200:1 Liu 1 id=1", "random:200:2 Liu 1 id=2"});
+  for (int i = 0; i < 2; ++i) {
+    const std::optional<ResponseLine> answer = binary.recv_response();
+    ASSERT_TRUE(answer.has_value() && answer->ok);
+  }
+}
+
+TEST(StatsVocabulary, ServerViewsMatchTheGoldensAndAgree) {
+  ServerConfig config;
+  config.metrics_port = 0;
+  ServerHarness harness(config);
+  miss_hit_and_batch(harness.port());
+  Client probe = connect(harness);
+  const std::vector<std::string> keys =
+      testing::stats_keys(probe.request("stats"));
+  testing::expect_same_set(keys, kServerStatsKeys);
+  for (const std::string& key : kPerfbenchNodeKeys) {
+    EXPECT_NE(std::find(keys.begin(), keys.end(), key), keys.end())
+        << "perfbench reads " << key;
+  }
+  testing::expect_same_set(
+      testing::exposition_series(
+          testing::scrape_metrics(harness.metrics_port())),
+      kServerSeries);
+  testing::expect_twins_agree(probe, harness.metrics_port(), server_twins());
 }
 
 }  // namespace

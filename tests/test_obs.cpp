@@ -1,10 +1,10 @@
 // The observability layer (src/obs/): histogram bucket math (inclusive
-// upper bounds, overflow, shard merge), exact concurrent counters (the
+// upper bounds, overflow, shard merge), exact concurrent counting (the
 // TSan job runs this file), registry get-or-create identity and
-// snapshot ordering, the stats-verb projection, golden Prometheus text
-// exposition, Chrome trace JSON, and — the acceptance criterion worth
-// pinning — per-stage histogram means summing to the end-to-end mean
-// through a live SchedulingService.
+// snapshot ordering, the stats-verb projection of collector samples and
+// histograms, golden Prometheus text exposition, Chrome trace JSON, and
+// — the acceptance criterion worth pinning — per-stage histogram means
+// summing to the end-to-end mean through a live SchedulingService.
 
 #include "obs/metrics.hpp"
 
@@ -13,6 +13,7 @@
 #include <atomic>
 #include <cstdint>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -31,10 +32,9 @@
 namespace treesched {
 namespace {
 
-using obs::Counter;
-using obs::Gauge;
 using obs::Histogram;
 using obs::HistogramSnapshot;
+using obs::MetricSample;
 using obs::MetricsRegistry;
 using obs::RegistrySnapshot;
 using obs::Stage;
@@ -114,65 +114,90 @@ TEST(ObsHistogram, ShardsMergeExactlyUnderConcurrentRecorders) {
 }
 
 TEST(ObsCounter, ConcurrentIncrementsAreExact) {
-  Counter c;
-  Gauge g;
+  // The sliding window's counter under concurrent adds inside one
+  // epoch. The slot is claimed first: adds racing the claim's zeroing
+  // may be lost from the window by design (see kWindowSlots).
+  obs::SlidingCounter c;
+  const std::uint64_t now = 40 * obs::kWindowPeriodNs;
+  c.add_at(0, now);
   constexpr int kThreads = 8;
   constexpr std::uint64_t kPerThread = 100000;
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&] {
-      for (std::uint64_t i = 0; i < kPerThread; ++i) {
-        c.inc();
-        g.add(1);
-        g.add(-1);
-      }
+      for (std::uint64_t i = 0; i < kPerThread; ++i) c.add_at(1, now);
     });
   }
   for (auto& th : threads) th.join();
-  EXPECT_EQ(c.value(), kThreads * kPerThread);
-  EXPECT_EQ(g.value(), 0);
+  EXPECT_EQ(c.windowed_at(now), kThreads * kPerThread);
 }
 
 // ---------------------------------------------------------------------------
 // Registry identity, ordering, and the stats-verb projection.
 // ---------------------------------------------------------------------------
 
+/// Registers a collector that appends `samples` at every snapshot.
+void add_samples(MetricsRegistry& reg, std::vector<MetricSample> samples) {
+  reg.register_collector([samples = std::move(samples)](RegistrySnapshot& out) {
+    out.samples.insert(out.samples.end(), samples.begin(), samples.end());
+  });
+}
+
+MetricSample counter(std::string name, std::string labels, std::string help,
+                     double v, std::string stats_key = "") {
+  return MetricSample{std::move(name), std::move(labels), std::move(help),
+                      obs::MetricKind::kCounter, v, std::move(stats_key)};
+}
+
+MetricSample gauge(std::string name, std::string labels, std::string help,
+                   double v, std::string stats_key = "") {
+  return MetricSample{std::move(name), std::move(labels), std::move(help),
+                      obs::MetricKind::kGauge, v, std::move(stats_key)};
+}
+
 TEST(ObsRegistry, GetOrCreateIsKeyedByNameAndLabels) {
   MetricsRegistry reg;
-  Counter& a = reg.counter("hits_total", "", "help");
-  Counter& b = reg.counter("hits_total", "", "different help ignored");
+  Histogram& a = reg.histogram("lat", "", "help", {1, 2}, 1.0);
+  Histogram& b = reg.histogram("lat", "", "different help ignored", {1, 2},
+                               1.0);
   EXPECT_EQ(&a, &b) << "same (name, labels) must return the same node";
-  Counter& c = reg.counter("hits_total", "class=\"bulk\"", "help");
+  Histogram& c = reg.histogram("lat", "class=\"bulk\"", "help", {1, 2}, 1.0);
   EXPECT_NE(&a, &c) << "labels are part of the identity";
-  Histogram& h1 = reg.histogram("lat", "", "help", {1, 2}, 1.0);
-  Histogram& h2 = reg.histogram("lat", "", "help", {1, 2}, 1.0);
-  EXPECT_EQ(&h1, &h2);
+  EXPECT_THROW(reg.histogram("bad", "", "help", {2, 1}, 1.0),
+               std::invalid_argument);
+  EXPECT_EQ(reg.snapshot().histograms.size(), 2u)
+      << "a histogram that failed to construct is not registered";
 }
 
 TEST(ObsRegistry, SnapshotRunsCollectorsFirstThenOwnedInOrder) {
   MetricsRegistry reg;
-  reg.counter("owned_a_total", "", "a").inc(1);
-  reg.register_collector([](RegistrySnapshot& out) {
-    out.samples.push_back(obs::MetricSample{"bridged_total", "", "b",
-                                            obs::MetricKind::kCounter, 7.0,
-                                            "bridged"});
-  });
-  reg.counter("owned_b_total", "", "b").inc(2);
+  reg.histogram("owned_a", "", "a", {10}, 1.0, "a").record(1);
+  add_samples(reg, {counter("first_total", "", "f", 7.0, "first")});
+  reg.histogram("owned_b", "", "b", {10}, 1.0, "b").record(2);
+  add_samples(reg, {counter("second_total", "", "s", 2.0, "second")});
   const RegistrySnapshot snap = reg.snapshot();
-  ASSERT_EQ(snap.samples.size(), 3u);
-  EXPECT_EQ(snap.samples[0].name, "bridged_total")
-      << "collectors run first so legacy keys lead the stats line";
-  EXPECT_EQ(snap.samples[1].name, "owned_a_total");
-  EXPECT_EQ(snap.samples[2].name, "owned_b_total");
-  EXPECT_EQ(snap.samples[1].value, 1.0);
-  EXPECT_EQ(snap.samples[2].value, 2.0);
+  ASSERT_EQ(snap.samples.size(), 2u);
+  EXPECT_EQ(snap.samples[0].name, "first_total")
+      << "collectors run in registration order";
+  EXPECT_EQ(snap.samples[1].name, "second_total");
+  EXPECT_EQ(snap.samples[0].value, 7.0);
+  EXPECT_EQ(snap.samples[1].value, 2.0);
+  ASSERT_EQ(snap.histograms.size(), 2u);
+  EXPECT_EQ(snap.histograms[0].name, "owned_a") << "creation order";
+  EXPECT_EQ(snap.histograms[1].name, "owned_b");
+  const auto pairs = snap.stats_pairs();
+  ASSERT_GE(pairs.size(), 3u);
+  EXPECT_EQ(pairs[0].first, "first") << "collector keys lead the stats line";
+  EXPECT_EQ(pairs[1].first, "second");
+  EXPECT_EQ(pairs[2].first, "a_count");
 }
 
 TEST(ObsRegistry, StatsPairsProjectKeyedEntriesOnly) {
   MetricsRegistry reg;
-  reg.counter("keyed_total", "", "h", "keyed").inc(3);
-  reg.counter("prom_only_total", "", "h").inc(9);
-  reg.gauge("depth", "", "h", "depth").set(-4);
+  add_samples(reg, {counter("keyed_total", "", "h", 3.0, "keyed"),
+                    counter("prom_only_total", "", "h", 9.0),
+                    gauge("depth", "", "h", -4.0, "depth"),
+                    gauge("", "", "", 5.0, "stats_only")});
   Histogram& h =
       reg.histogram("lat_seconds", "", "h",
                     Histogram::latency_bounds_ns(), 1e-9, "lat");
@@ -191,6 +216,8 @@ TEST(ObsRegistry, StatsPairsProjectKeyedEntriesOnly) {
       << "empty stats_key means Prometheus-only";
   ASSERT_NE(find("depth"), nullptr);
   EXPECT_EQ(*find("depth"), 0u) << "gauges clamp at zero on the stats line";
+  ASSERT_NE(find("stats_only"), nullptr) << "an empty name means stats-only";
+  EXPECT_EQ(*find("stats_only"), 5u);
   ASSERT_NE(find("lat_count"), nullptr);
   EXPECT_EQ(*find("lat_count"), 2u);
   ASSERT_NE(find("lat_p50_us"), nullptr)
@@ -205,13 +232,16 @@ TEST(ObsRegistry, StatsPairsProjectKeyedEntriesOnly) {
 
 TEST(ObsPrometheus, GoldenExposition) {
   MetricsRegistry reg;
-  reg.counter("treesched_requests_total", "", "Requests seen").inc(5);
-  reg.gauge("treesched_conns", "", "Open connections").set(2);
-  Counter& hit = reg.counter("treesched_cache_total", "kind=\"hit\"", "Cache");
-  Counter& miss =
-      reg.counter("treesched_cache_total", "kind=\"miss\"", "Cache");
-  hit.inc(3);
-  miss.inc(1);
+  // One collector's scalars; the nameless stats-only sample between the
+  // two cache series must not render.
+  add_samples(reg, {counter("treesched_requests_total", "", "Requests seen",
+                            5.0, "requests"),
+                    gauge("treesched_conns", "", "Open connections", 2.0),
+                    counter("treesched_cache_total", "kind=\"hit\"", "Cache",
+                            3.0),
+                    gauge("", "", "", 4.0, "stats_only"),
+                    counter("treesched_cache_total", "kind=\"miss\"", "Cache",
+                            1.0)});
   Histogram& h = reg.histogram("treesched_lat_seconds", "", "Latency",
                                {1000000000ull, 2000000000ull}, 1e-9);
   h.record(500000000);   // 0.5s -> bucket le=1

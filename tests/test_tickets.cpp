@@ -495,28 +495,20 @@ TEST(LegacyWrappers, ScheduleThrowsWhatTheTicketCarries) {
 }
 
 TEST(LegacyWrappers, ScheduleBatchIgnoresDeadlinesLikeV1) {
-  // schedule_batch keeps the v1 contract: deadlines are ignored on both
-  // its paths (width-bound: inline-vs-queued placement is a scheduling
-  // accident that must not pick which items expire; queued: stripped
-  // before delegating). submit() is the deadline-honoring path.
-  for (const unsigned threads : {0u, 2u}) {
-    ServiceConfig config;
-    config.threads = threads;
-    SchedulingService service(config);
-    const TreeHandle handle = service.intern(weighted_tree(13));
-    std::vector<ScheduleRequest> reqs(8);
-    for (std::size_t i = 0; i < reqs.size(); ++i) {
-      reqs[i].tree = handle;
-      reqs[i].algo = "ParInnerFirst";
-      reqs[i].p = 2 + static_cast<int>(i % 4);
-      reqs[i].deadline_ms = 0.0001;  // would expire if queued with it
-    }
-    const std::vector<ScheduleResponse> responses =
-        service.schedule_batch(reqs);
-    for (const ScheduleResponse& resp : responses) {
-      EXPECT_TRUE(resp.ok())
-          << "no schedule_batch item may expire (threads=" << threads << ")";
-    }
+  // schedule_batch keeps the v1 contract: deadlines are stripped before
+  // the requests are queued. submit() is the deadline-honoring path.
+  SchedulingService service;
+  const TreeHandle handle = service.intern(weighted_tree(13));
+  std::vector<ScheduleRequest> reqs(8);
+  for (std::size_t i = 0; i < reqs.size(); ++i) {
+    reqs[i].tree = handle;
+    reqs[i].algo = "ParInnerFirst";
+    reqs[i].p = 2 + static_cast<int>(i % 4);
+    reqs[i].deadline_ms = 0.0001;  // would expire if queued with it
+  }
+  const std::vector<ScheduleResponse> responses = service.schedule_batch(reqs);
+  for (const ScheduleResponse& resp : responses) {
+    EXPECT_TRUE(resp.ok()) << "no schedule_batch item may expire";
   }
 }
 

@@ -12,8 +12,10 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
+#include <iterator>
 #include <limits>
 #include <memory>
 #include <string>
@@ -25,6 +27,7 @@
 #include "net/client.hpp"
 #include "net/server.hpp"
 #include "service/service.hpp"
+#include "test_helpers.hpp"
 
 namespace treesched::testing {
 
@@ -216,6 +219,109 @@ inline double metric_value(const std::string& exposition,
   const std::size_t at = ("\n" + exposition).find(needle);
   if (at == std::string::npos) return std::numeric_limits<double>::quiet_NaN();
   return std::strtod(exposition.c_str() + at + needle.size() - 1, nullptr);
+}
+
+/// The keys of a `stats` answer, in answer order.
+inline std::vector<std::string> stats_keys(const ResponseLine& stats) {
+  std::vector<std::string> keys;
+  for (const auto& [key, value] : stats.stats) keys.push_back(key);
+  return keys;
+}
+
+/// The series of a Prometheus exposition: `name{labels}` of every
+/// scalar sample and the `_count` series of every histogram. The
+/// bucket, sum and sliding-window lines a histogram also renders are
+/// left out; test_obs pins how they derive from the same series.
+inline std::vector<std::string> exposition_series(
+    const std::string& exposition) {
+  std::vector<std::string> histograms;
+  std::vector<std::string> series;
+  std::size_t at = 0;
+  while (at < exposition.size()) {
+    std::size_t end = exposition.find('\n', at);
+    if (end == std::string::npos) end = exposition.size();
+    const std::string line = exposition.substr(at, end - at);
+    at = end + 1;
+    if (line.rfind("# TYPE ", 0) == 0) {
+      const std::size_t space = line.find(' ', 7);
+      if (line.substr(space + 1) == "histogram") {
+        histograms.push_back(line.substr(7, space - 7));
+      }
+      continue;
+    }
+    if (line.empty() || line[0] == '#') continue;
+    const std::string sample = line.substr(0, line.rfind(' '));
+    const std::string name = sample.substr(0, sample.find('{'));
+    bool derived = false;
+    for (const std::string& h : histograms) {
+      for (const char* suffix :
+           {"_bucket", "_sum", "_window", "_window_count"}) {
+        derived = derived || name == h + suffix;
+      }
+    }
+    if (!derived) series.push_back(sample);
+  }
+  return series;
+}
+
+/// Expects `got` to hold exactly the strings of `want`, each once, and
+/// names the missing, the unexpected and the repeated ones.
+inline void expect_same_set(std::vector<std::string> got,
+                            std::vector<std::string> want) {
+  std::sort(got.begin(), got.end());
+  std::sort(want.begin(), want.end());
+  std::vector<std::string> missing, unexpected, repeated;
+  std::set_difference(want.begin(), want.end(), got.begin(), got.end(),
+                      std::back_inserter(missing));
+  std::set_difference(got.begin(), got.end(), want.begin(), want.end(),
+                      std::back_inserter(unexpected));
+  for (std::size_t i = 1; i < got.size(); ++i) {
+    if (got[i] == got[i - 1]) repeated.push_back(got[i]);
+  }
+  const auto list = [](const std::vector<std::string>& items) {
+    std::string out;
+    for (const std::string& item : items) out += "\n  " + item;
+    return out;
+  };
+  EXPECT_TRUE(missing.empty()) << "missing:" << list(missing);
+  EXPECT_TRUE(unexpected.empty()) << "unexpected:" << list(unexpected);
+  EXPECT_TRUE(repeated.empty()) << "repeated:" << list(repeated);
+}
+
+/// A stats key and the Prometheus series that reports the same number.
+struct Twin {
+  std::string key;
+  std::string series;
+};
+
+/// Expects every twin to read the same in a `stats` answer on `probe`
+/// and in a scrape of `metrics_port` taken right after it. An idle
+/// tier answers both from the same state; the retry only waits out a
+/// connection still closing or a pool job still counting itself done.
+inline void expect_twins_agree(net::Client& probe, std::uint16_t metrics_port,
+                               const std::vector<Twin>& twins) {
+  std::string mismatches;
+  eventually([&] {
+    mismatches.clear();
+    const ResponseLine stats = probe.request("stats");
+    const std::string metrics = scrape_metrics(metrics_port);
+    for (const Twin& twin : twins) {
+      const auto it = std::find_if(
+          stats.stats.begin(), stats.stats.end(),
+          [&](const auto& pair) { return pair.first == twin.key; });
+      const double scraped = metric_value(metrics, twin.series);
+      if (it == stats.stats.end() ||
+          static_cast<double>(it->second) != scraped) {
+        mismatches += "\n  " + twin.key + "=" +
+                      (it == stats.stats.end() ? std::string("absent")
+                                               : std::to_string(it->second)) +
+                      " but " + twin.series + " " + std::to_string(scraped);
+      }
+    }
+    return mismatches.empty();
+  });
+  EXPECT_TRUE(mismatches.empty()) << "stats and /metrics disagree:"
+                                  << mismatches;
 }
 
 }  // namespace treesched::testing
