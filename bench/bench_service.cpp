@@ -269,9 +269,10 @@ LoopbackResult run_loopback(const LoopbackSpec& spec, std::size_t clients,
   net::ServerConfig server_config;  // TCP: port 0 = ephemeral
   const std::string unix_path =
       "/tmp/treesched_bench_" + std::to_string(::getpid()) + ".sock";
-  if (spec.unix_socket) server_config.unix_path = unix_path;
+  if (spec.unix_socket) server_config.frontend.listen.unix_path = unix_path;
   // Batched clients park up to `batch` requests per frame in the window.
-  server_config.max_pending = std::max<std::size_t>(64, spec.batch + 8);
+  server_config.frontend.session.max_pending =
+      std::max<std::size_t>(64, spec.batch + 8);
   net::Server server(service, server_config);
   std::thread io([&server] { server.run(); });
   const auto connect = [&] {

@@ -12,30 +12,31 @@
 //   $ printf 'random:500:1 ParSubtrees 8 id=1\n' | nc 127.0.0.1 3713
 //   ok id=1 tree=... makespan=... priority=batch
 //
-// --nodes host:port,... names the backends (required). --port 0 picks
-// an ephemeral client port (printed on stdout, for scripts); --bind
-// sets the address. --vnodes and --load-factor shape the ring;
+// The router's own flags: --nodes host:port,... names the backends
+// (required). --vnodes and --load-factor shape the ring;
 // --upstream-window / --upstream-queue / --upstream-wbuf-kb bound each
 // backend pipe; --retries is the retry-on-alternate budget after a node
 // death. --health-interval-ms / --ping-timeout-ms / --backoff-ms drive
-// failure detection and reconnects. Client-side limits (--max-conns,
-// --max-pending, --max-wbuf-kb, --max-frame-kb) and spec hygiene
-// (--tree-dir, --max-spec-nodes, --max-spec-bytes) match
-// schedule_server's flags — the router resolves specs itself to compute
-// routing fingerprints, so it needs the same tree files the nodes see.
-// --metrics-port serves GET /metrics (0 = ephemeral, printed);
-// --trace-dir allows `trace dump=` — on the router this is the MERGED
-// cluster dump (its own spans plus every live node's, one pid each);
-// --log-json PATH appends structured JSON-lines events (node deaths,
-// reconnects, retries, drains) to PATH; "-" = stdout.
-// --drain-timeout-ms caps the SIGTERM drain exactly like the server's.
+// failure detection and reconnects.
+//
+// Every other flag is schedule_server's, read by the same function
+// (net::parse_frontend_flags) with the same defaults: --port (0 =
+// ephemeral, printed on stdout, for scripts), --bind, the client-side
+// limits (--max-conns, --max-pending, --max-wbuf-kb, --max-frame-kb),
+// spec hygiene (--tree-dir, --max-spec-nodes, --max-spec-bytes — the
+// router resolves specs itself to compute routing fingerprints, so it
+// needs the same tree files the nodes see), --metrics-port (GET
+// /metrics, 0 = ephemeral, printed), --trace-dir (allows `trace dump=`
+// — on the router this is the MERGED cluster dump: its own spans plus
+// every live node's, one pid each), --log-json PATH (node deaths,
+// reconnects, retries, drains; "-" = stdout) and --drain-timeout-ms.
+// These bound clients only: frames from the nodes are bounded by the
+// protocol default, not by --max-frame-kb.
 //
 // Failure semantics: a dead node's unanswered requests are retried on
 // the next ring alternate (they are deterministic — re-execution is
 // safe) or answered with the typed node_unavailable error. Clients
 // always get an answer; SIGTERM/SIGINT drain gracefully.
-
-#include <signal.h>
 
 #include <iostream>
 
@@ -47,28 +48,10 @@ int main(int argc, char** argv) {
   try {
     CliArgs args(argc, argv);
     cluster::RouterConfig config;
-    config.port = static_cast<std::uint16_t>(args.get_int("port", 0));
-    config.bind = args.get("bind", "127.0.0.1");
+    config.frontend = net::parse_frontend_flags(args);
     config.nodes = split_csv(args.get("nodes", ""));
     config.vnodes = static_cast<int>(args.get_int("vnodes", 64));
     config.load_factor = args.get_double("load-factor", 1.25);
-    config.max_conns = static_cast<std::size_t>(args.get_int("max-conns", 256));
-    config.max_pending =
-        static_cast<std::size_t>(args.get_int("max-pending", 64));
-    config.max_wbuf =
-        static_cast<std::size_t>(args.get_int("max-wbuf-kb", 256)) << 10;
-    config.max_frame =
-        static_cast<std::size_t>(args.get_int("max-frame-kb", 1024)) << 10;
-    config.handle_signals = true;
-    config.metrics_port = static_cast<int>(args.get_int("metrics-port", -1));
-    config.trace_dir = args.get("trace-dir", "");
-    config.log_json = args.get("log-json", "");
-    config.tree_dir = args.get("tree-dir", "");
-    config.max_spec_nodes =
-        static_cast<std::uint64_t>(args.get_int("max-spec-nodes", 2'000'000));
-    config.max_spec_bytes = static_cast<std::uint64_t>(
-        args.get_int("max-spec-bytes", 16 << 20));
-    config.drain_timeout_ms = args.get_double("drain-timeout-ms", 0.0);
     config.upstream_window =
         static_cast<std::size_t>(args.get_int("upstream-window", 128));
     config.upstream_queue =
@@ -85,15 +68,8 @@ int main(int argc, char** argv) {
           "--nodes host:port[,host:port...] is required");
     }
 
-    // Block SIGTERM/SIGINT before the loop starts so only the router's
-    // signalfd ever sees them (same contract as schedule_server).
-    sigset_t mask;
-    sigemptyset(&mask);
-    sigaddset(&mask, SIGTERM);
-    sigaddset(&mask, SIGINT);
-    if (pthread_sigmask(SIG_BLOCK, &mask, nullptr) != 0) {
-      throw std::runtime_error("pthread_sigmask failed");
-    }
+    // Before the loop starts, so only the router's signalfd sees them.
+    net::block_drain_signals();
 
     cluster::Router router(std::move(config));
     // Machine-read by scripts (the e2e test binds port 0): keep the

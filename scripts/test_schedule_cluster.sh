@@ -63,9 +63,17 @@ port_a=$(wait_port "$workdir/node_a_out" "$node_a_pid" "node A")
 port_b=$(wait_port "$workdir/node_b_out" "$node_b_pid" "node B")
 
 mkdir "$workdir/traces"
+# Every shared client-facing flag is set off its default, loose enough
+# for what the clients below send. --max-frame-kb 2 is below the size of
+# a node's own stats reply: the backend_ aggregate below shows that the
+# router reads its nodes under the protocol's frame bound, not under its
+# clients'.
 "$router_bin" --port 0 --nodes "127.0.0.1:$port_a,127.0.0.1:$port_b" \
     --metrics-port 0 --health-interval-ms 25 --backoff-ms 50 \
     --trace-dir "$workdir/traces" --log-json "$workdir/events.jsonl" \
+    --max-frame-kb 2 --max-conns 32 --max-pending 16 --max-wbuf-kb 128 \
+    --max-spec-nodes 100000 --max-spec-bytes 65536 \
+    --drain-timeout-ms 10000 \
     > "$workdir/router_out" 2> "$workdir/router_err" &
 router_pid=$!
 rport=$(wait_port "$workdir/router_out" "$router_pid" "router")

@@ -49,29 +49,16 @@ std::pair<std::string, std::uint16_t> parse_node(const std::string& spec) {
 Router::Router(RouterConfig config)
     : config_(std::move(config)),
       ring_(config_.vnodes),
-      frontend_(loop_, *this, counters_, registry_,
-                net::FrontendConfig{
-                    .listen = {.bind = config_.bind,
-                               .port = config_.port,
-                               .unix_path = {}},
-                    .max_conns = config_.max_conns,
-                    .session = {.max_pending = config_.max_pending,
-                                .max_wbuf = config_.max_wbuf,
-                                .max_line = config_.max_line,
-                                .max_frame = config_.max_frame,
-                                .trace_dir = config_.trace_dir,
-                                .tier = "router",
-                                .started = "forwarded"},
-                    .handle_signals = config_.handle_signals,
-                    .log_json = config_.log_json,
-                    .drain_timeout_ms = config_.drain_timeout_ms,
+      frontend_(loop_, *this, counters_, registry_, config_.frontend,
+                net::TierWording{
+                    .tier = "router",
+                    .started = "forwarded",
                     .slo_metric = "treesched_router_slo_error_ratio"}) {
   if (config_.nodes.empty()) {
     throw std::invalid_argument("router needs at least one backend node");
   }
-  if (config_.max_pending == 0 || config_.upstream_window == 0) {
-    throw std::invalid_argument(
-        "max_pending and upstream_window must be >= 1");
+  if (config_.upstream_window == 0) {
+    throw std::invalid_argument("upstream_window must be >= 1");
   }
   for (const std::string& spec : config_.nodes) {
     auto [host, port] = parse_node(spec);
@@ -86,14 +73,6 @@ Router::Router(RouterConfig config)
     trace_pull_failures_.push_back(0);
   }
   init_metrics();
-  if (config_.metrics_port >= 0) {
-    metrics_http_ = std::make_unique<net::MetricsHttp>(
-        loop_, registry_,
-        net::ListenerConfig{
-            .bind = config_.metrics_bind,
-            .port = static_cast<std::uint16_t>(config_.metrics_port),
-            .unix_path = {}});
-  }
 }
 
 Router::~Router() {
@@ -223,7 +202,6 @@ void Router::init_metrics() {
 
 void Router::run() {
   frontend_.start();
-  if (metrics_http_) metrics_http_->start();
   // Periodic health driver: connects, pings, timeouts, stats polls. It
   // stays armed through the drain — a node that dies mid-drain must
   // still fail over or error out the forwards it holds, or the drain
@@ -252,7 +230,6 @@ void Router::run() {
     for (auto& node : upstreams_) node->health_tick(now);
   }
   loop_.run();
-  if (metrics_http_) metrics_http_->stop();
   frontend_.finish();
   if (health_timer_fd_ >= 0) {
     loop_.remove(health_timer_fd_);
@@ -368,16 +345,12 @@ Result<std::uint64_t, ServiceError> Router::fingerprint_spec(
   try {
     // Same bounds a node enforces: hostile specs are the router's
     // problem too, and they must fail BEFORE any allocation or read.
-    TreeSpecOptions limits;
-    limits.max_nodes = config_.max_spec_nodes;
-    limits.allow_file = !config_.tree_dir.empty();
-    limits.file_dir = config_.tree_dir;
-    limits.max_file_bytes = config_.max_spec_bytes;
     // Build the tree just long enough to fingerprint it — the routing
     // key must be bit-identical to what the node's store will compute,
     // and hashing the resolved tree (not the spec text) is what makes
     // `random:500:1` and an equivalent file: spec land on one node.
-    const Tree tree = tree_from_spec(std::string(spec), limits);
+    const Tree tree =
+        tree_from_spec(std::string(spec), frontend_.spec_options());
     const std::uint64_t fp = tree_fingerprint(tree);
     if (spec_memo_.size() >= config_.spec_memo_max) spec_memo_.clear();
     spec_memo_.emplace(std::string(spec), fp);

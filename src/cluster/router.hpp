@@ -12,9 +12,12 @@
 //      └─── response ────┘   └─── deliver() <─────┘ (id remapped)
 //
 // The client side is the server's: each client is a net::Session
-// (net/session.hpp), and a net::Frontend runs accept, drain and
-// signals. The router is the SessionHandler, and its answers differ
-// from a node's only where routing demands it:
+// (net/session.hpp), and a net::Frontend runs accept, drain, signals
+// and /metrics under the same FrontendConfig and flags as a node
+// (RouterConfig::frontend); the rest of RouterConfig shapes the ring,
+// the upstream pipes and the health checks. The router is the
+// SessionHandler, and its answers differ from a node's only where
+// routing demands it:
 //  * a schedule request never touches a scheduler here — resolve the
 //    spec to its routing fingerprint, route, wait for the node's answer,
 //    whose upstream id is replaced by the client's own tag;
@@ -75,8 +78,6 @@
 #include "net/event_loop.hpp"
 #include "net/frame.hpp"
 #include "net/frontend.hpp"
-#include "net/line_framer.hpp"
-#include "net/metrics_http.hpp"
 #include "net/session.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -87,10 +88,11 @@
 namespace treesched::cluster {
 
 struct RouterConfig {
-  /// IPv4 address the client-facing listener binds.
-  std::string bind = "127.0.0.1";
-  /// Client-facing TCP port; 0 = kernel-assigned (see Router::port()).
-  std::uint16_t port = 0;
+  /// The client-facing side, the same settings and flags as the
+  /// single-node server's (net/frontend.hpp). Its limits bound clients
+  /// only: the router's own frames from its nodes are bounded by the
+  /// protocol default (net::kDefaultMaxFrame), whatever max_frame says.
+  net::FrontendConfig frontend;
   /// Backend endpoints, "host:port" each. At least one; duplicates are
   /// rejected (one ring identity = one socket).
   std::vector<std::string> nodes;
@@ -100,39 +102,9 @@ struct RouterConfig {
   /// ceil(c * (total + 1) / live) in-flight forwards is skipped for the
   /// next ring alternate. Larger = stickier placement, spikier load.
   double load_factor = 1.25;
-  /// Client-facing limits, same meaning as the single-node server's.
-  std::size_t max_conns = 256;
-  std::size_t max_pending = 64;
-  std::size_t max_wbuf = 256 * 1024;
-  std::size_t max_line = net::LineFramer::kDefaultMaxLine;
-  std::size_t max_frame = net::kDefaultMaxFrame;
-  /// Install a signalfd for SIGTERM/SIGINT and drain gracefully (the
-  /// caller must block both signals first, like schedule_server does).
-  bool handle_signals = false;
-  /// Prometheus endpoint: -1 = none, 0 = ephemeral, else the port.
-  int metrics_port = -1;
-  std::string metrics_bind = "127.0.0.1";
-  /// Directory `trace dump=<file>` may write (router-side spans); empty
-  /// disables dumps — same confinement contract as the server's.
-  std::string trace_dir;
-  /// Structured JSON-lines event sink: a path (O_APPEND) or "-" for
-  /// stdout; empty disables. Process-wide — the first open wins.
-  std::string log_json;
-  /// Directory `file:` tree specs may be read from WHEN FINGERPRINTING.
-  /// The router resolves specs itself to compute the routing key, so it
-  /// needs the same tree files the backends have (a shared directory in
-  /// practice). Empty refuses file: specs at the router.
-  std::string tree_dir;
-  /// Spec bounds enforced at fingerprint time, before any allocation or
-  /// read — the router is as exposed to hostile specs as a node is.
-  std::uint64_t max_spec_nodes = 2'000'000;
-  std::uint64_t max_spec_bytes = 16 << 20;
-  /// Graceful-drain ceiling in ms; 0 = wait forever. Same contract as
-  /// the server: past it, clients that never read are closed.
-  double drain_timeout_ms = 0.0;
-  /// Per-node forwarding window: at most this many schedule forwards
-  /// in flight on one backend socket (health and stats probes do not
-  /// count); excess queues router-side.
+  /// Per-node forwarding window, >= 1: at most this many schedule
+  /// forwards in flight on one backend socket (health and stats probes
+  /// do not count); excess queues router-side.
   std::size_t upstream_window = 128;
   /// Per-node queue bound; a full queue makes the node ineligible and,
   /// with every alternate also full, answers queue_full (backpressure).
@@ -178,7 +150,8 @@ struct RouterCounters : net::SessionCounters {
 class Router : private net::SessionHandler {
  public:
   /// Binds the client listener and resolves the node list (throws
-  /// std::invalid_argument / std::system_error) but does not serve yet.
+  /// std::invalid_argument / std::system_error; the client-facing
+  /// checks are Frontend's) but does not serve yet.
   explicit Router(RouterConfig config);
   ~Router();
 
@@ -191,7 +164,7 @@ class Router : private net::SessionHandler {
   }
   [[nodiscard]] const RouterConfig& config() const { return config_; }
   [[nodiscard]] std::uint16_t metrics_port() const {
-    return metrics_http_ ? metrics_http_->port() : 0;
+    return frontend_.metrics_port();
   }
   /// The router's own registry (scraped by --metrics-port).
   [[nodiscard]] obs::MetricsRegistry& registry() { return registry_; }
@@ -329,7 +302,6 @@ class Router : private net::SessionHandler {
 
   /// Declared after the state its sessions call into, so it goes first.
   net::Frontend frontend_;
-  std::unique_ptr<net::MetricsHttp> metrics_http_;
 };
 
 }  // namespace treesched::cluster

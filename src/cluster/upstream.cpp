@@ -33,7 +33,7 @@ Upstream::Upstream(Router& router, std::size_t index, std::string host,
       host_(std::move(host)),
       port_(port),
       name_(host_ + ":" + std::to_string(port_)),
-      reader_(router.config().max_frame) {}
+      reader_(net::kDefaultMaxFrame) {}
 
 Upstream::~Upstream() { close_fd(); }
 
@@ -96,7 +96,7 @@ void Upstream::on_connected() {
   ticks_since_stats_ = 0;
   wbuf_.clear();
   wbuf_head_ = 0;
-  reader_ = net::FrameReader(router_.config().max_frame);
+  reader_ = net::FrameReader(net::kDefaultMaxFrame);
   // Greet with the v3 magic, then an immediate ping: the first pong is
   // the proof this node is really serving (a connect can succeed
   // against a listener whose process is already wedged).

@@ -40,6 +40,14 @@
 // The tick also polls each node's `stats` (every few intervals); the
 // last snapshot feeds the router's aggregated stats verb and keeps
 // working while the node is up.
+//
+// Frame bound: a node's answers are read under the protocol default,
+// net::kDefaultMaxFrame — never under the router's client-facing
+// --max-frame-kb, which bounds what clients send. A node sizes its
+// replies to that default (a `stats` reply runs to kilobytes and a full
+// `trace pull` to hundreds; see kTracePullMaxSpans in obs/trace.hpp),
+// so a tighter client bound would fail a healthy node as a protocol
+// violation.
 
 #include <cstdint>
 #include <deque>

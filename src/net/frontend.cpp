@@ -8,23 +8,99 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <stdexcept>
 #include <system_error>
 #include <utility>
 #include <vector>
 
 #include "obs/event_log.hpp"
+#include "util/cli.hpp"
 
 namespace treesched::net {
 
+namespace {
+
+/// SIGTERM and SIGINT: the signals that begin a drain.
+sigset_t drain_signals() {
+  sigset_t mask;
+  sigemptyset(&mask);
+  sigaddset(&mask, SIGTERM);
+  sigaddset(&mask, SIGINT);
+  return mask;
+}
+
+/// The check on the shared settings, made before anything binds: a
+/// zero window would answer every schedule request queue_full.
+FrontendConfig checked(FrontendConfig config) {
+  if (config.session.max_pending == 0) {
+    throw std::invalid_argument("max_pending (--max-pending) must be >= 1");
+  }
+  return config;
+}
+
+}  // namespace
+
+FrontendConfig parse_frontend_flags(const CliArgs& args) {
+  FrontendConfig c;
+  // Byte-sized settings are spelled in KiB on the command line.
+  const auto kib = [&](const char* flag, std::size_t fallback) {
+    return static_cast<std::size_t>(args.get_int(
+               flag, static_cast<std::int64_t>(fallback >> 10)))
+           << 10;
+  };
+  c.listen.port =
+      static_cast<std::uint16_t>(args.get_int("port", c.listen.port));
+  c.listen.bind = args.get("bind", c.listen.bind);
+  c.max_conns = static_cast<std::size_t>(
+      args.get_int("max-conns", static_cast<std::int64_t>(c.max_conns)));
+  c.session.max_pending = static_cast<std::size_t>(args.get_int(
+      "max-pending", static_cast<std::int64_t>(c.session.max_pending)));
+  c.session.max_wbuf = kib("max-wbuf-kb", c.session.max_wbuf);
+  c.session.max_frame = kib("max-frame-kb", c.session.max_frame);
+  c.session.trace_dir = args.get("trace-dir", c.session.trace_dir);
+  c.log_json = args.get("log-json", c.log_json);
+  c.drain_timeout_ms = args.get_double("drain-timeout-ms", c.drain_timeout_ms);
+  c.metrics_port =
+      static_cast<int>(args.get_int("metrics-port", c.metrics_port));
+  c.tree_dir = args.get("tree-dir", c.tree_dir);
+  c.max_spec_nodes = static_cast<std::uint64_t>(args.get_int(
+      "max-spec-nodes", static_cast<std::int64_t>(c.max_spec_nodes)));
+  c.max_spec_bytes = static_cast<std::uint64_t>(args.get_int(
+      "max-spec-bytes", static_cast<std::int64_t>(c.max_spec_bytes)));
+  c.handle_signals = true;
+  return c;
+}
+
+void block_drain_signals() {
+  const sigset_t mask = drain_signals();
+  if (pthread_sigmask(SIG_BLOCK, &mask, nullptr) != 0) {
+    throw std::runtime_error("pthread_sigmask failed");
+  }
+}
+
 Frontend::Frontend(EventLoop& loop, SessionHandler& handler,
                    SessionCounters& counters, obs::MetricsRegistry& registry,
-                   FrontendConfig config)
+                   FrontendConfig config, TierWording wording)
     : loop_(loop),
       handler_(handler),
       counters_(counters),
       registry_(registry),
-      config_(std::move(config)),
-      listener_(config_.listen) {
+      config_(checked(std::move(config))),
+      wording_(std::move(wording)),
+      spec_options_{.max_nodes = config_.max_spec_nodes,
+                    .allow_file = !config_.tree_dir.empty(),
+                    .file_dir = config_.tree_dir,
+                    .max_file_bytes = config_.max_spec_bytes},
+      listener_(config_.listen),
+      metrics_http_(config_.metrics_port < 0
+                        ? nullptr
+                        : std::make_unique<MetricsHttp>(
+                              loop_, registry_,
+                              ListenerConfig{
+                                  .bind = config_.metrics_bind,
+                                  .port = static_cast<std::uint16_t>(
+                                      config_.metrics_port),
+                                  .unix_path = {}})) {
   if (!config_.log_json.empty() && !obs::EventLog::global().enabled()) {
     std::string error;
     if (!obs::EventLog::global().open(config_.log_json, error)) {
@@ -47,7 +123,7 @@ Frontend::Frontend(EventLoop& loop, SessionHandler& handler,
           const std::uint64_t total = slo_answers_[c].windowed();
           const std::uint64_t errors = slo_errors_[c].windowed();
           out.samples.push_back(obs::MetricSample{
-              config_.slo_metric, std::string("class=\"") + label + "\"",
+              wording_.slo_metric, std::string("class=\"") + label + "\"",
               "Errored share of answers over the sliding last-minute window",
               obs::MetricKind::kGauge,
               total == 0 ? 0.0
@@ -67,11 +143,9 @@ Frontend::~Frontend() {
 void Frontend::start() {
   loop_.add(listener_.fd(), EPOLLIN, [this](std::uint32_t) { accept_ready(); });
   listening_ = true;
+  if (metrics_http_) metrics_http_->start();
   if (!config_.handle_signals) return;
-  sigset_t mask;
-  sigemptyset(&mask);
-  sigaddset(&mask, SIGTERM);
-  sigaddset(&mask, SIGINT);
+  const sigset_t mask = drain_signals();
   signal_fd_ = ::signalfd(-1, &mask, SFD_NONBLOCK | SFD_CLOEXEC);
   if (signal_fd_ < 0) {
     throw std::system_error(errno, std::generic_category(), "signalfd");
@@ -85,6 +159,7 @@ void Frontend::start() {
 }
 
 void Frontend::finish() {
+  if (metrics_http_) metrics_http_->stop();
   for (int* fd : {&signal_fd_, &drain_timer_fd_}) {
     if (*fd < 0) continue;
     loop_.remove(*fd);
@@ -106,7 +181,7 @@ void Frontend::accept_ready() {
       const std::string text =
           format_response_line(error_answer(
               ErrorCode::kQueueFull,
-              config_.session.tier + " at max connections (" +
+              wording_.tier + " at max connections (" +
                   std::to_string(config_.max_conns) + ")")) +
           "\n";
       (void)::send(fd, text.data(), text.size(), MSG_NOSIGNAL);

@@ -40,32 +40,11 @@ std::size_t Server::TicketKeyHash::operator()(const TicketKey& k) const {
 Server::Server(SchedulingService& service, ServerConfig config)
     : service_(service),
       config_(std::move(config)),
-      frontend_(loop_, *this, counters_, service_.registry(),
-                FrontendConfig{
-                    .listen = {.bind = config_.bind,
-                               .port = config_.port,
-                               .unix_path = config_.unix_path},
-                    .max_conns = config_.max_conns,
-                    .session = {.max_pending = config_.max_pending,
-                                .max_wbuf = config_.max_wbuf,
-                                .max_line = config_.max_line,
-                                .max_frame = config_.max_frame,
-                                .trace_dir = config_.trace_dir,
-                                .tier = "server",
-                                .started = "running"},
-                    .handle_signals = config_.handle_signals,
-                    .log_json = config_.log_json,
-                    .drain_timeout_ms = config_.drain_timeout_ms,
-                    .slo_metric = "treesched_slo_error_ratio"}) {
+      frontend_(loop_, *this, counters_, service_.registry(), config_.frontend,
+                TierWording{.tier = "server",
+                            .started = "running",
+                            .slo_metric = "treesched_slo_error_ratio"}) {
   init_metrics();
-  if (config_.metrics_port >= 0) {
-    metrics_http_ = std::make_unique<MetricsHttp>(
-        loop_, service_.registry(),
-        ListenerConfig{
-            .bind = config_.metrics_bind,
-            .port = static_cast<std::uint16_t>(config_.metrics_port),
-            .unix_path = {}});
-  }
 }
 
 Server::~Server() { *alive_ = false; }
@@ -211,13 +190,10 @@ void Server::record_flushed(const ResponseTiming& timing) {
 
 void Server::run() {
   frontend_.start();
-  if (metrics_http_) metrics_http_->start();
   loop_.run();
   // Drained: no session and no outstanding ticket — every accepted
   // request was answered or cancelled, and no Ticket::on_complete
-  // callback can reach this Server again. (run()'s caller is the loop
-  // thread, so tearing down the scrape endpoint here is in-contract.)
-  if (metrics_http_) metrics_http_->stop();
+  // callback can reach this Server again.
   frontend_.finish();
 }
 
@@ -339,16 +315,11 @@ Result<TreeHandle, ServiceError> Server::intern_spec(std::string_view spec) {
     // The spec is raw client input: bound generator sizes before any
     // allocation and confine (or refuse) file: reads. The limits throw
     // BEFORE read_tree_file or a generator runs, so the error text can
-    // never carry filesystem contents.
-    TreeSpecOptions limits;
-    limits.max_nodes = config_.max_spec_nodes;
-    limits.allow_file = !config_.tree_dir.empty();
-    limits.file_dir = config_.tree_dir;
-    limits.max_file_bytes = config_.max_spec_bytes;
-    // try_intern keeps store rejection typed (kStoreFull); only spec
-    // resolution itself (file IO, generator args) still throws.
-    Result<TreeHandle, ServiceError> handle =
-        service_.try_intern(tree_from_spec(std::string(spec), limits));
+    // never carry filesystem contents. try_intern keeps store rejection
+    // typed (kStoreFull); only spec resolution itself (file IO,
+    // generator args) still throws.
+    Result<TreeHandle, ServiceError> handle = service_.try_intern(
+        tree_from_spec(std::string(spec), frontend_.spec_options()));
     if (handle.ok()) spec_memo_.emplace(std::string(spec), handle.value());
     return handle;
   } catch (const std::exception& e) {

@@ -27,12 +27,10 @@
 // buffers flush, and run() returns only when no ticket is outstanding,
 // so destroying the server (and then the service) is always safe.
 //
-// Scale limits are explicit and typed: at most max_conns sockets (the
-// excess is greeted with a queue_full error line and closed), at most
-// max_pending unsettled requests per connection (excess requests answer
-// queue_full), at most max_wbuf buffered response bytes per connection
-// (past it the connection stops reading until the client drains), at
-// most max_line text-line / max_frame binary-frame bytes per request.
+// Settings: the client-facing ones (listener, connection and session
+// limits, spec bounds, drain ceiling, event log, /metrics endpoint) are
+// the FrontendConfig both tiers share (net/frontend.hpp); the server
+// adds only the slow-request log threshold.
 //
 // Observability: the server reports through the service's registry, so
 // `stats` and the --metrics-port scrape read the same samples. The
@@ -54,7 +52,6 @@
 #include "net/event_loop.hpp"
 #include "net/frame.hpp"
 #include "net/frontend.hpp"
-#include "net/metrics_http.hpp"
 #include "net/session.hpp"
 #include "obs/metrics.hpp"
 #include "service/service.hpp"
@@ -62,79 +59,12 @@
 namespace treesched::net {
 
 struct ServerConfig {
-  /// IPv4 address the TCP listener binds; "0.0.0.0" opens it to the
-  /// network, the loopback default keeps it local.
-  std::string bind = "127.0.0.1";
-  /// TCP port; 0 = kernel-assigned (see Server::port()).
-  std::uint16_t port = 0;
-  /// Nonempty = serve on a unix-domain socket at this path instead of
-  /// TCP (bind/port are ignored). Same protocols, no TCP stack.
-  std::string unix_path;
-  /// Accepted-connection bound; excess connections are answered with
-  /// one queue_full error line and closed.
-  std::size_t max_conns = 256;
-  /// Per-connection unsettled-request bound; excess requests answer the
-  /// typed queue_full error without reaching the service.
-  std::size_t max_pending = 64;
-  /// Per-connection write-buffer high watermark in bytes; past it the
-  /// connection stops reading until the client drains below half.
-  std::size_t max_wbuf = 256 * 1024;
-  /// Longest accepted request line (text v2); longer lines answer
-  /// bad_request.
-  std::size_t max_line = LineFramer::kDefaultMaxLine;
-  /// Largest accepted binary frame (v3); a bigger length prefix answers
-  /// bad_request and closes — the hostile length is never buffered.
-  std::size_t max_frame = kDefaultMaxFrame;
-  /// Install a signalfd for SIGTERM/SIGINT and drain gracefully on
-  /// either. The caller must block both signals in every thread BEFORE
-  /// spawning any (schedule_server does; in-process tests use stop()).
-  bool handle_signals = false;
-  /// Prometheus scrape endpoint: -1 = no endpoint, 0 = ephemeral port
-  /// (read back via Server::metrics_port()), otherwise the port to
-  /// bind. Serves `GET /metrics` on the server's own I/O thread — a
-  /// scrape and the request path never race.
-  int metrics_port = -1;
-  /// Bind address of the scrape endpoint (loopback by default — opening
-  /// the metrics port to the network is a deliberate act).
-  std::string metrics_bind = "127.0.0.1";
+  /// The client-facing settings, shared with the router.
+  FrontendConfig frontend;
   /// Slow-request log threshold in milliseconds: a request whose
   /// accept-to-flush time exceeds it logs its full stage breakdown to
-  /// stderr. 0 = disabled.
+  /// stderr and the event log. 0 = disabled.
   double slow_ms = 0.0;
-  /// Structured event-log sink: a file path (opened O_APPEND) or "-"
-  /// for stdout. Empty = disabled. Rare operational events (drain,
-  /// queue_full, slow requests) emit one JSON line each, carrying the
-  /// propagated trace id when the request had one. Process-wide: the
-  /// first server to open it wins; see obs/event_log.hpp.
-  std::string log_json;
-  /// Directory `trace dump=<file>` may write into. Empty (the default)
-  /// disables dumps entirely: the verb names a server-side file, and an
-  /// unauthenticated network client must never choose where the server
-  /// writes. When set, dump paths are resolved inside this directory —
-  /// absolute paths and ".." components are rejected.
-  std::string trace_dir;
-  /// Directory `file:` tree specs may read from. Empty (the default)
-  /// refuses file: specs entirely — the spec names a server-side file,
-  /// and an unauthenticated network client must never choose what the
-  /// server opens. When set, spec paths are resolved inside this
-  /// directory exactly like trace_dir confines trace dumps.
-  std::string tree_dir;
-  /// Upper bound on the node count a generator spec (random:/synthetic:/
-  /// grid:) may request; larger requests answer bad_request before any
-  /// allocation. 0 = unlimited (trusted networks only — a client could
-  /// request a multi-gigabyte tree in one line).
-  std::uint64_t max_spec_nodes = 2'000'000;
-  /// Upper bound on the on-disk size of a `file:` tree spec, checked
-  /// BEFORE the file is read (max_spec_nodes bounds the parsed tree;
-  /// this bounds the read itself). 0 = unlimited.
-  std::uint64_t max_spec_bytes = 16 << 20;
-  /// Hard ceiling on the graceful drain, in milliseconds: a SIGTERM/
-  /// stop() drain normally waits for every client to read its last
-  /// answers, but a client that never reads would hold the process up
-  /// forever. Past the timeout the remaining connections are closed
-  /// (their queued tickets cancelled) and the drain completes. 0 = wait
-  /// forever (the pre-timeout behavior).
-  double drain_timeout_ms = 0.0;
 };
 
 /// Monotonic server counters (I/O-thread state, reported by the
@@ -145,8 +75,9 @@ struct ServerCounters : SessionCounters {
 
 class Server : private SessionHandler {
  public:
-  /// Binds the listener (throws std::system_error on failure) but does
-  /// not serve yet.
+  /// Binds the listener (throws std::system_error on failure; a
+  /// rejected config throws std::invalid_argument, see Frontend) but
+  /// does not serve yet.
   Server(SchedulingService& service, ServerConfig config = {});
   ~Server();
 
@@ -159,11 +90,9 @@ class Server : private SessionHandler {
     return frontend_.address();
   }
   [[nodiscard]] const ServerConfig& config() const { return config_; }
-  /// The bound scrape port; 0 when config.metrics_port is -1 (no
-  /// endpoint). Readable right after construction — the bind happens in
-  /// the constructor, like the main listener's.
+  /// The bound scrape port; 0 without an endpoint (see Frontend).
   [[nodiscard]] std::uint16_t metrics_port() const {
-    return metrics_http_ ? metrics_http_->port() : 0;
+    return frontend_.metrics_port();
   }
 
   /// Serves until stop()/SIGTERM, then drains (see file comment).
@@ -254,7 +183,6 @@ class Server : private SessionHandler {
 
   /// Declared after the state its sessions call into, so it goes first.
   Frontend frontend_;
-  std::unique_ptr<MetricsHttp> metrics_http_;
 };
 
 }  // namespace treesched::net

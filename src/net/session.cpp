@@ -26,7 +26,7 @@ ResponseLine error_answer(ErrorCode code, std::string message) {
 
 Session::Session(Frontend& frontend, int fd, std::uint64_t id)
     : frontend_(frontend),
-      config_(frontend.session_config()),
+      config_(frontend.config().session),
       fd_(fd),
       id_(id),
       framer_(config_.max_line),
@@ -312,10 +312,9 @@ void Session::protocol_violation(std::string message) {
 bool Session::window_full() {
   // Settled answers at the head go out now; what is left waits behind an
   // unsettled entry, and max_pending of those pause reading.
-  const std::size_t limit = std::max<std::size_t>(config_.max_pending, 1);
-  if (settled_ >= limit) {
+  if (settled_ >= config_.max_pending) {
     flush_ready();
-    if (settled_ >= limit) window_paused_ = true;
+    if (settled_ >= config_.max_pending) window_paused_ = true;
   }
   return window_paused_;
 }
@@ -398,7 +397,7 @@ void Session::handle_cancel(std::uint64_t cancel_id) {
   if (!frontend_.handler().cancel(*this, key)) {
     push_error(ErrorCode::kBadRequest,
                "cancel id=" + std::to_string(cancel_id) + ": request already " +
-                   config_.started + " or answered",
+                   frontend_.wording().started + " or answered",
                kSloAllOnly);
   }
 }
@@ -435,14 +434,15 @@ void Session::handle_trace(const RequestView& req) {
     std::optional<ResponseLine> answer;
     if (config_.trace_dir.empty()) {
       answer = error_answer(ErrorCode::kBadRequest,
-                            "trace dump is disabled on this " + config_.tier +
+                            "trace dump is disabled on this " +
+                                frontend_.wording().tier +
                                 " (start it with --trace-dir to allow dumps)");
     } else if (!confine_relative_path(config_.trace_dir, req.trace_path,
                                       resolved)) {
       answer = error_answer(
           ErrorCode::kBadRequest,
           "trace dump path must be a relative name inside the " +
-              config_.tier +
+              frontend_.wording().tier +
               "'s trace directory (no absolute paths, no \"..\")");
     } else {
       // The dump may settle later (the router waits on its nodes), so
@@ -630,8 +630,7 @@ void Session::flush_deferred() {
   flush_scheduled_ = false;
   if (closing_) return;
   flush_ready();
-  if (window_paused_ &&
-      settled_ <= std::max<std::size_t>(config_.max_pending, 1) / 2) {
+  if (window_paused_ && settled_ <= config_.max_pending / 2) {
     // The window drained: frame what the pause left buffered, then let
     // epoll resume reading.
     window_paused_ = false;

@@ -95,20 +95,24 @@ struct SessionCounters {
   std::uint64_t parse_errors = 0;    ///< requests rejected by the grammar
 };
 
-/// Per-session limits and the tier's wording.
+/// Per-session limits (part of FrontendConfig, net/frontend.hpp).
 struct SessionConfig {
+  /// Unsettled-request window, >= 1; excess requests answer the typed
+  /// queue_full error without reaching the handler.
   std::size_t max_pending = 64;
+  /// Write-buffer high watermark in bytes; past it the session stops
+  /// reading until the client drains below half.
   std::size_t max_wbuf = 256 * 1024;
+  /// Longest accepted text line; longer lines answer bad_request.
   std::size_t max_line = LineFramer::kDefaultMaxLine;
+  /// Largest accepted v3 frame; a bigger length prefix answers
+  /// bad_request and closes (the hostile length is never buffered).
   std::size_t max_frame = kDefaultMaxFrame;
-  /// Directory `trace dump=` may write into; empty refuses dumps.
+  /// Directory `trace dump=` may write into. Empty refuses dumps: the
+  /// verb names a file on this host, and a network client must never
+  /// choose where the tier writes. When set, dump paths must be plain
+  /// relative names inside it.
   std::string trace_dir;
-  /// "server" or "router": names the tier in refusals.
-  std::string tier;
-  /// How an unsettled request the handler can no longer withdraw is
-  /// described in the cancel ack: "request already <started> or
-  /// answered".
-  std::string started;
 };
 
 /// What a tier does with the requests its sessions frame. Only the

@@ -6,8 +6,9 @@
 // independently built ring, cluster-wide cache hits through the router,
 // node death mid-request with retry-on-alternate, the typed
 // node_unavailable error, upstream backpressure, router-side cancel,
-// the drain-timeout bound on both the router and the server, and the
-// router's stats vocabulary pinned as golden tables.
+// node answers read under the protocol's frame bound rather than the
+// clients', the drain-timeout bound on both the router and the server,
+// and the router's stats vocabulary pinned as golden tables.
 
 #include "cluster/ring.hpp"
 
@@ -722,7 +723,7 @@ TEST(ClusterRouter, DrainTimeoutBoundsAStuckShutdown) {
   // timeout, stop() would wait for it forever.
   FakeNode fake(FakeNode::OnRequest::kSilent);
   RouterConfig config;
-  config.drain_timeout_ms = 150.0;
+  config.frontend.drain_timeout_ms = 150.0;
   auto router = std::make_unique<RouterHarness>(
       std::vector<std::string>{fake.name()}, config);
   ASSERT_TRUE(router->wait_nodes_up(1));
@@ -757,6 +758,36 @@ TEST(ClusterRouter, RejectsDuplicateNodesAndEmptyNodeLists) {
   EXPECT_THROW(Router{malformed}, std::invalid_argument);
 }
 
+TEST(ClusterRouter, NodeFramesAreNotBoundByTheClientFrameLimit) {
+  // A node's `stats` reply is larger than 2 KiB, the frame bound this
+  // router sets for its clients. Node answers are read under the
+  // protocol default instead, so polling the node on every health tick
+  // neither fails it nor loses the backend_ aggregate.
+  ServerHarness node;
+  RouterConfig config;
+  config.frontend.session.max_frame = 2048;
+  config.stats_poll_ticks = 1;
+  RouterHarness router({node.name()}, config);  // 10 ms health ticks
+  ASSERT_TRUE(router.wait_nodes_up(1));
+  // The connect sends one ping, and every tick one poll and at most one
+  // ping, so 7 control frames at the node mean at least 3 polls.
+  Client direct("127.0.0.1", node.port());
+  ASSERT_TRUE(eventually([&] {
+    return stat_value(direct.request("stats"), "frames_in") >= 7;
+  })) << "the router stopped polling its node";
+  Client probe("127.0.0.1", router.port());
+  ResponseLine stats;
+  EXPECT_TRUE(eventually([&] {
+    stats = probe.request("stats");
+    return std::any_of(stats.stats.begin(), stats.stats.end(),
+                       [](const auto& pair) {
+                         return pair.first.rfind("backend_", 0) == 0;
+                       });
+  })) << "no stats poll of the node was ever answered";
+  EXPECT_EQ(stat_value(stats, "node_failures"), 0u);
+  EXPECT_EQ(stat_value(stats, "node0_last_error_code"), 0u);
+}
+
 // ---------------------------------------------------------------------------
 // Cluster-wide tracing and event logging: the merged dump pulls every
 // live backend's ring, per-node failure counters surface in stats, and
@@ -776,7 +807,7 @@ TEST(ClusterTrace, MergedDumpCoversRouterAndEveryNode) {
   const char* dir = ::mkdtemp(tmpl);
   ASSERT_NE(dir, nullptr);
   RouterConfig config;
-  config.trace_dir = dir;
+  config.frontend.session.trace_dir = dir;
   RouterHarness router({node_a.name(), node_b.name()}, config);
   ASSERT_TRUE(router.wait_nodes_up(2));
 
@@ -848,7 +879,7 @@ TEST(ClusterRouter, PerNodeFailureCountersAndEventLogRecordADeath) {
   const std::string log_path = std::string(dir) + "/events.jsonl";
   RouterConfig config;
   config.retries = 1;
-  config.log_json = log_path;
+  config.frontend.log_json = log_path;
   RouterHarness router(names, config);
   ASSERT_TRUE(router.wait_nodes_up(2));
 
@@ -896,8 +927,8 @@ TEST(MaxSpecBytes, ServerRejectsOversizedTreeFilesBeforeReading) {
   // read, so even an unparseable file works as the oversized probe.
   const std::string dir = make_tree_dir_with("big.tree", 64);
   ServerConfig config;
-  config.tree_dir = dir;
-  config.max_spec_bytes = 16;
+  config.frontend.tree_dir = dir;
+  config.frontend.max_spec_bytes = 16;
   ServerHarness server(config);
   Client client("127.0.0.1", server.port());
   const ResponseLine resp = client.request("file:big.tree Liu 1 id=1");
@@ -913,8 +944,8 @@ TEST(MaxSpecBytes, RouterRejectsOversizedTreeFilesAtFingerprintTime) {
   const std::string dir = make_tree_dir_with("big.tree", 64);
   ServerHarness node;
   RouterConfig config;
-  config.tree_dir = dir;
-  config.max_spec_bytes = 16;
+  config.frontend.tree_dir = dir;
+  config.frontend.max_spec_bytes = 16;
   RouterHarness router({node.name()}, config);
   ASSERT_TRUE(router.wait_nodes_up(1));
   Client client("127.0.0.1", router.port());
@@ -929,8 +960,8 @@ TEST(MaxSpecBytes, RouterRejectsOversizedTreeFilesAtFingerprintTime) {
 
 TEST(ScheduleServerDrain, DrainTimeoutBoundsClientsThatNeverRead) {
   ServerConfig config;
-  config.drain_timeout_ms = 150.0;
-  config.max_wbuf = 64 * 1024;
+  config.frontend.drain_timeout_ms = 150.0;
+  config.frontend.session.max_wbuf = 64 * 1024;
   auto server = std::make_unique<ServerHarness>(config);
   Client client("127.0.0.1", server->port());
   // Shrink the client's receive window, then pile up answers it never
@@ -1057,7 +1088,7 @@ std::vector<testing::Twin> router_twins(const std::string& node) {
 TEST(StatsVocabulary, RouterViewsMatchTheGoldensAndAgree) {
   ServerHarness node;
   RouterConfig config;
-  config.metrics_port = 0;
+  config.frontend.metrics_port = 0;
   RouterHarness router({node.name()}, config);
   ASSERT_TRUE(router.wait_nodes_up(1));
   Client probe("127.0.0.1", router.port());

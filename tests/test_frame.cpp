@@ -709,7 +709,7 @@ TEST(ScheduleServerV3, BadGrammarInABatchAnswersTypedErrorsInStreamOrder) {
 
 TEST(ScheduleServerV3, ControlFramesAnswerPingStatsAndCancel) {
   ServerConfig config;
-  config.max_pending = 1024;
+  config.frontend.session.max_pending = 1024;
   ServerHarness harness(config);
   GateGuard gate;
   Client client = connect_v3(harness);
@@ -914,7 +914,7 @@ TEST(ScheduleServerV3, TruncatedLengthPrefixAtEofAnswersBadRequest) {
 
 TEST(ScheduleServerV3, OversizedFrameLengthIsRefusedUpFront) {
   ServerConfig config;
-  config.max_frame = 4096;
+  config.frontend.session.max_frame = 4096;
   for_each_tier(config, [](TierHarness& tier) {
     Client client = tier.connect(Protocol::kText);
     std::string wire(kFrameMagic);
@@ -1008,7 +1008,7 @@ TEST(ScheduleServerV3, UnixDomainSocketServesBothProtocols) {
   const std::string path =
       "/tmp/treesched_test_" + std::to_string(::getpid()) + ".sock";
   ServerConfig config;
-  config.unix_path = path;
+  config.frontend.listen.unix_path = path;
   {
     ServerHarness harness(config);
     Client text = Client::connect_unix(path, Protocol::kText);

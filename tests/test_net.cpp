@@ -7,8 +7,10 @@
 // abrupt disconnect, write backpressure, and graceful drain. The tests
 // of the client session both tiers share run once against the server
 // and once against a router over one node (tier_harness.hpp), as do the
-// window-bound and SLO-accounting tests. The server's stats vocabulary
-// (its `stats` keys and /metrics series) is pinned as golden tables.
+// window-bound and SLO-accounting tests. The shared flag reader and the
+// checks both tiers make on their client-facing settings are pinned
+// here too. The server's stats vocabulary (its `stats` keys and
+// /metrics series) is pinned as golden tables.
 
 #include "net/line_framer.hpp"
 
@@ -40,6 +42,7 @@
 #include "test_helpers.hpp"
 #include "tier_harness.hpp"
 #include "trees/io.hpp"
+#include "util/cli.hpp"
 #include "util/thread_pool.hpp"
 
 namespace treesched {
@@ -369,7 +372,7 @@ TEST(ScheduleServer, TraceDumpIsConfinedToTheConfiguredDir) {
   std::string dir = ::testing::TempDir();
   if (dir.empty() || dir.back() != '/') dir += '/';
   ServerConfig config;
-  config.trace_dir = dir;
+  config.frontend.session.trace_dir = dir;
   ServerHarness harness(config);
   Client client = connect(harness);
   // Every way out of the directory is a typed error, never a write.
@@ -420,7 +423,7 @@ TEST(ScheduleServer, FileSpecsAreConfinedToTheConfiguredTreeDir) {
   const std::string path = dir + "net_spec_tree.txt";
   write_tree_file(path, tree_from_spec("random:40:7"));
   ServerConfig config;
-  config.tree_dir = dir;
+  config.frontend.tree_dir = dir;
   ServerHarness harness(config);
   Client client = connect(harness);
   // Every way out of the directory is a typed error, never a read.
@@ -464,7 +467,7 @@ TEST(ScheduleServer, HostileGeneratorSpecsAreRejectedBeforeAllocation) {
 
 TEST(ScheduleServer, OversizedLineAnswersBadRequestAndTheConnectionSurvives) {
   ServerConfig config;
-  config.max_line = 128;
+  config.frontend.session.max_line = 128;
   for_each_tier(config, [](TierHarness& tier) {
     Client client = tier.connect();
     const ResponseLine err =
@@ -480,7 +483,7 @@ TEST(ScheduleServer, OversizedLineAnswersBadRequestAndTheConnectionSurvives) {
 
 TEST(ScheduleServer, PerConnectionWindowRejectsWithTypedQueueFull) {
   ServerConfig config;
-  config.max_pending = 1;
+  config.frontend.session.max_pending = 1;
   ServerHarness harness(config);
   GateGuard gate;
   Client client = connect(harness);
@@ -509,7 +512,7 @@ TEST(ScheduleServer, PerConnectionWindowRejectsWithTypedQueueFull) {
 
 TEST(ScheduleServer, CancelStillQueuedAnswersCancelled) {
   ServerConfig config;
-  config.max_pending = 1024;
+  config.frontend.session.max_pending = 1024;
   ServerHarness harness(config);
   GateGuard gate;
   Client client = connect(harness);
@@ -619,8 +622,9 @@ TEST(ScheduleServer, AbruptDisconnectCancelsAndTheServerSurvives) {
 
 TEST(ScheduleServer, WriteBackpressureDeliversEverythingToASlowReader) {
   ServerConfig config;
-  config.max_wbuf = 2048;  // tiny: force EPOLLOUT flushing + read pauses
-  config.max_pending = 4096;
+  // Tiny: force EPOLLOUT flushing + read pauses.
+  config.frontend.session.max_wbuf = 2048;
+  config.frontend.session.max_pending = 4096;
   for_each_tier(config, [](TierHarness& tier) {
     Client client = tier.connect();
     // A few hundred cache-hot requests written without reading a single
@@ -676,7 +680,7 @@ TEST(ScheduleServer, StopDrainsPendingAnswersBeforeReturning) {
 
 TEST(ScheduleServer, MaxConnsGreetsTheExcessWithQueueFull) {
   ServerConfig config;
-  config.max_conns = 2;
+  config.frontend.max_conns = 2;
   for_each_tier(config, [](TierHarness& tier) {
     Client first = tier.connect();
     Client second = tier.connect();
@@ -780,7 +784,7 @@ void gated_backlog(TierHarness& tier, WhileGated&& while_gated) {
 
 TEST(SessionWindow, ReadingPausesWhileSettledAnswersWaitBehindAGatedOne) {
   ServerConfig config;
-  config.max_pending = 8;
+  config.frontend.session.max_pending = 8;
   for_each_tier(config, [](TierHarness& tier) {
     gated_backlog(tier, [&] {
       Client probe = tier.connect();
@@ -792,7 +796,7 @@ TEST(SessionWindow, ReadingPausesWhileSettledAnswersWaitBehindAGatedOne) {
 
 TEST(SessionWindow, PingAnswersDuringAPipelinedBacklog) {
   ServerConfig config;
-  config.max_pending = 8;
+  config.frontend.session.max_pending = 8;
   for_each_tier(config, [](TierHarness& tier) {
     gated_backlog(tier, [&] {
       std::this_thread::sleep_for(std::chrono::milliseconds(50));
@@ -821,7 +825,7 @@ double slo_ratio(const std::string& metrics, const std::string& name,
 
 TEST(SloErrorRatio, ServerCountsEveryAnswerUnderItsOwnClass) {
   ServerConfig config;
-  config.metrics_port = 0;
+  config.frontend.metrics_port = 0;
   ServerHarness harness(config);
   Client client("127.0.0.1", harness.port());
   EXPECT_TRUE(client.request("random:100:1 Liu 1").ok);
@@ -851,7 +855,7 @@ TEST(SloErrorRatio, RouterCountsItsOwnImmediateErrors) {
   ASSERT_EQ(::bind(dead, reinterpret_cast<sockaddr*>(&addr), len), 0);
   ::getsockname(dead, reinterpret_cast<sockaddr*>(&addr), &len);
   cluster::RouterConfig config;
-  config.metrics_port = 0;
+  config.frontend.metrics_port = 0;
   testing::RouterHarness router(
       {"127.0.0.1:" + std::to_string(ntohs(addr.sin_port))}, config);
   Client client("127.0.0.1", router.port());
@@ -1048,9 +1052,89 @@ void miss_hit_and_batch(std::uint16_t port) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// The client-facing settings both tiers share: one flag reader, one
+// set of checks.
+// ---------------------------------------------------------------------------
+
+/// parse_frontend_flags over `flags` (argv without the program name).
+net::FrontendConfig frontend_flags(std::vector<std::string> flags) {
+  flags.insert(flags.begin(), "schedule_tier");
+  std::vector<char*> argv;
+  for (std::string& flag : flags) argv.push_back(flag.data());
+  const CliArgs args(static_cast<int>(argv.size()), argv.data());
+  net::FrontendConfig config = net::parse_frontend_flags(args);
+  args.reject_unknown();
+  return config;
+}
+
+TEST(FrontendFlags, DefaultsAreTheConfigDefaults) {
+  const net::FrontendConfig parsed = frontend_flags({});
+  const net::FrontendConfig plain;
+  EXPECT_EQ(parsed.listen.port, 0);
+  EXPECT_EQ(parsed.listen.bind, "127.0.0.1");
+  EXPECT_EQ(parsed.max_conns, 256u);
+  EXPECT_EQ(parsed.session.max_pending, 64u);
+  EXPECT_EQ(parsed.session.max_wbuf, 256u << 10);
+  EXPECT_EQ(parsed.session.max_line, plain.session.max_line);
+  EXPECT_EQ(parsed.session.max_frame, 1024u << 10);
+  EXPECT_EQ(parsed.session.trace_dir, "");
+  EXPECT_EQ(parsed.metrics_port, -1);
+  EXPECT_EQ(parsed.metrics_bind, "127.0.0.1");
+  EXPECT_EQ(parsed.log_json, "");
+  EXPECT_EQ(parsed.drain_timeout_ms, 0.0);
+  EXPECT_EQ(parsed.tree_dir, "");
+  EXPECT_EQ(parsed.max_spec_nodes, 2'000'000u);
+  EXPECT_EQ(parsed.max_spec_bytes, 16u << 20);
+  // The binaries drain on SIGTERM/SIGINT; in-process tiers do not.
+  EXPECT_TRUE(parsed.handle_signals);
+  EXPECT_FALSE(plain.handle_signals);
+}
+
+TEST(FrontendFlags, EachSharedFlagSetsItsField) {
+  const net::FrontendConfig c = frontend_flags(
+      {"--port", "3713", "--bind", "0.0.0.0", "--max-conns", "7",
+       "--max-pending", "9", "--max-wbuf-kb", "3", "--max-frame-kb", "2",
+       "--metrics-port", "0", "--trace-dir", "traces", "--log-json", "-",
+       "--tree-dir", "trees", "--max-spec-nodes", "500",
+       "--max-spec-bytes", "4096", "--drain-timeout-ms", "250"});
+  EXPECT_EQ(c.listen.port, 3713);
+  EXPECT_EQ(c.listen.bind, "0.0.0.0");
+  EXPECT_EQ(c.max_conns, 7u);
+  EXPECT_EQ(c.session.max_pending, 9u);
+  EXPECT_EQ(c.session.max_wbuf, 3u << 10);
+  EXPECT_EQ(c.session.max_frame, 2u << 10);
+  EXPECT_EQ(c.metrics_port, 0);
+  EXPECT_EQ(c.session.trace_dir, "traces");
+  EXPECT_EQ(c.log_json, "-");
+  EXPECT_EQ(c.tree_dir, "trees");
+  EXPECT_EQ(c.max_spec_nodes, 500u);
+  EXPECT_EQ(c.max_spec_bytes, 4096u);
+  EXPECT_EQ(c.drain_timeout_ms, 250.0);
+  // A tier's own flags are not the shared reader's to accept.
+  EXPECT_THROW(frontend_flags({"--unix", "/tmp/x.sock"}),
+               std::invalid_argument);
+  EXPECT_THROW(frontend_flags({"--nodes", "127.0.0.1:1"}),
+               std::invalid_argument);
+}
+
+TEST(FrontendConfig, BothTiersRefuseAZeroPendingWindow) {
+  // A window of 0 would answer every schedule request queue_full. One
+  // rule, checked where Frontend takes the config: the server refuses
+  // it exactly as the router does.
+  SchedulingService service;
+  ServerConfig server;
+  server.frontend.session.max_pending = 0;
+  cluster::RouterConfig router;
+  router.nodes = {"127.0.0.1:1"};
+  router.frontend = server.frontend;
+  EXPECT_THROW(Server(service, server), std::invalid_argument);
+  EXPECT_THROW(cluster::Router{router}, std::invalid_argument);
+}
+
 TEST(StatsVocabulary, ServerViewsMatchTheGoldensAndAgree) {
   ServerConfig config;
-  config.metrics_port = 0;
+  config.frontend.metrics_port = 0;
   ServerHarness harness(config);
   miss_hit_and_batch(harness.port());
   Client probe = connect(harness);

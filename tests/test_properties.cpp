@@ -1,14 +1,16 @@
 // Parameterized property sweeps across (algorithm x processor count x
 // instance family) combinations: every schedule any registered algorithm
-// emits, on any instance, must be feasible, respect both lower bounds, and
-// satisfy the structural guarantees proved in the paper.
+// emits, on any instance, must be feasible and respect both lower bounds.
+// The structural guarantees the paper proves for some algorithms only
+// run over those algorithms, in test_property_graham,
+// test_property_par_subtrees and test_property_sequential.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <string>
-#include <tuple>
 
+#include "algorithm_property.hpp"
 #include "core/lower_bounds.hpp"
 #include "parallel/capped_subtrees.hpp"
 #include "parallel/memory_bounded.hpp"
@@ -23,58 +25,9 @@
 namespace treesched {
 namespace {
 
-enum class Family { kPebbleShallow, kPebbleDeep, kWeighted, kAssemblyLike };
-
-std::string family_name(Family f) {
-  switch (f) {
-    case Family::kPebbleShallow:
-      return "PebbleShallow";
-    case Family::kPebbleDeep:
-      return "PebbleDeep";
-    case Family::kWeighted:
-      return "Weighted";
-    case Family::kAssemblyLike:
-      return "AssemblyLike";
-  }
-  return "?";
-}
-
-Tree make_family_tree(Family f, std::uint64_t seed) {
-  Rng rng(seed);
-  RandomTreeParams params;
-  params.n = 60 + (NodeId)rng.uniform(120);
-  switch (f) {
-    case Family::kPebbleShallow:
-      break;
-    case Family::kPebbleDeep:
-      params.depth_bias = 5.0;
-      break;
-    case Family::kWeighted:
-      params.max_output = 50;
-      params.max_exec = 20;
-      params.min_work = 1.0;
-      params.max_work = 40.0;
-      params.depth_bias = 1.0;
-      break;
-    case Family::kAssemblyLike:
-      params.max_output = 400;
-      params.max_exec = 100;
-      params.min_work = 1.0;
-      params.max_work = 1000.0;
-      params.depth_bias = 2.0;
-      break;
-  }
-  return random_tree(params, rng);
-}
-
-using AlgorithmCase = std::tuple<std::string, int, Family>;
-
-Schedule run_algo(const std::string& name, const Tree& t, int p) {
-  return SchedulerRegistry::instance().create(name)->schedule(
-      t, Resources{p, 0});
-}
-
-class AlgorithmProperty : public ::testing::TestWithParam<AlgorithmCase> {};
+using testing::AlgorithmProperty;
+using testing::make_family_tree;
+using testing::run_algo;
 
 TEST_P(AlgorithmProperty, ScheduleIsFeasible) {
   const auto [algo, p, fam] = GetParam();
@@ -109,62 +62,15 @@ TEST_P(AlgorithmProperty, EveryTaskRunsExactlyOnceAndInWindow) {
   }
 }
 
-TEST_P(AlgorithmProperty, ListSchedulersMeetGrahamBound) {
-  const auto [algo, p, fam] = GetParam();
-  if (algo != "ParInnerFirst" && algo != "ParDeepestFirst") {
-    GTEST_SKIP() << "Graham bound applies to plain list schedules only";
-  }
-  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
-    const Tree t = make_family_tree(fam, seed);
-    const auto sim = simulate(t, run_algo(algo, t, p));
-    const double bound =
-        t.total_work() / p + (1.0 - 1.0 / p) * t.critical_path();
-    EXPECT_LE(sim.makespan, bound + 1e-6);
-  }
-}
-
-TEST_P(AlgorithmProperty, ParSubtreesMemoryGuarantee) {
-  const auto [algo, p, fam] = GetParam();
-  if (algo != "ParSubtrees") {
-    GTEST_SKIP() << "the (p+1)-approximation is ParSubtrees' theorem";
-  }
-  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
-    const Tree t = make_family_tree(fam, seed);
-    const auto sim = simulate(t, run_algo(algo, t, p));
-    EXPECT_LE(sim.peak_memory, (MemSize)(p + 1) * postorder(t).peak);
-  }
-}
-
-TEST_P(AlgorithmProperty, SequentialAlgorithmsUseOneProcessor) {
-  const auto [algo, p, fam] = GetParam();
-  const SchedulerPtr sched = SchedulerRegistry::instance().create(algo);
-  if (!sched->capabilities().sequential_only) {
-    GTEST_SKIP() << "parallel algorithm";
-  }
-  const Tree t = make_family_tree(fam, 3);
-  const Schedule s = sched->schedule(t, Resources{p, 0});
-  for (NodeId i = 0; i < t.size(); ++i) EXPECT_EQ(s.proc[i], 0);
-  EXPECT_DOUBLE_EQ(s.makespan(t), t.total_work());
-}
-
-std::string algorithm_case_name(
-    const ::testing::TestParamInfo<AlgorithmCase>& info) {
-  const auto [algo, p, fam] = info.param;
-  return algo + "_p" + std::to_string(p) + "_" + family_name(fam);
-}
-
 // The sweep enumerates the registry (every default-campaign algorithm),
 // so newly registered algorithms are property-checked with no edit here.
 // The generator is evaluated at test-registration time, after all static
-// initialization, so the registry is fully populated.
-INSTANTIATE_TEST_SUITE_P(
-    AllAlgorithms, AlgorithmProperty,
-    ::testing::Combine(
-        ::testing::ValuesIn(default_campaign_algorithms()),
-        ::testing::Values(2, 4, 16),
-        ::testing::Values(Family::kPebbleShallow, Family::kPebbleDeep,
-                          Family::kWeighted, Family::kAssemblyLike)),
-    algorithm_case_name);
+// initialization, so the registry is fully populated. The properties of
+// some algorithms only have their own binaries (algorithm_property.hpp).
+INSTANTIATE_TEST_SUITE_P(AllAlgorithms, AlgorithmProperty,
+                         testing::algorithm_cases(
+                             default_campaign_algorithms()),
+                         testing::algorithm_case_name);
 
 // ---------------------------------------------------------------------------
 // Postorder policies: every policy yields a valid traversal; the optimal

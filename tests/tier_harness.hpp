@@ -122,10 +122,11 @@ class RouterHarness {
 };
 
 /// One serving tier under test. kServer is a server; kRouter is a router
-/// over one in-process node, with the client-facing limits of `config`
-/// applied to the router (the node keeps a window large enough never to
-/// refuse the router's forwards). Either way clients connect to port()
-/// and service() is the service that computes.
+/// over one in-process node, with the client-facing settings of
+/// `config` (its FrontendConfig) applied to the router (the node keeps
+/// a window large enough never to refuse the router's forwards). Either
+/// way clients connect to port() and service() is the service that
+/// computes.
 class TierHarness {
  public:
   enum class Kind { kServer, kRouter };
@@ -136,17 +137,10 @@ class TierHarness {
       return;
     }
     net::ServerConfig node_config;
-    node_config.max_pending = 4096;
+    node_config.frontend.session.max_pending = 4096;
     node_ = std::make_unique<ServerHarness>(node_config);
     cluster::RouterConfig router_config;
-    router_config.max_conns = config.max_conns;
-    router_config.max_pending = config.max_pending;
-    router_config.max_wbuf = config.max_wbuf;
-    router_config.max_line = config.max_line;
-    router_config.max_frame = config.max_frame;
-    router_config.metrics_port = config.metrics_port;
-    router_config.trace_dir = config.trace_dir;
-    router_config.drain_timeout_ms = config.drain_timeout_ms;
+    router_config.frontend = config.frontend;
     router_ = std::make_unique<RouterHarness>(
         std::vector<std::string>{node_->name()}, router_config);
     EXPECT_TRUE(router_->wait_nodes_up(1)) << "the node never came up";
