@@ -39,8 +39,8 @@
 // loop driven once directly at a backend schedule server and once
 // through a cluster::Router (src/cluster/) fronting that same node, in
 // the same process and run. The routed/direct rps ratio prices the
-// router hop alone — spec fingerprinting, the ring walk, the upstream
-// pipe, one extra loopback round trip — and carries the PR 9 acceptance
+// router hop alone — the spec key, the ring walk, the upstream pipe,
+// one extra loopback round trip — and carries the PR 9 acceptance
 // bar: >= 0.7x, gated in CI by check_bench_trend.py --min-router-ratio.
 //
 // Experiment 7 (tracing overhead): the experiment-4 cache-hot v3
@@ -376,8 +376,8 @@ LoopbackResult run_loopback(const LoopbackSpec& spec, std::size_t clients,
 /// cache-hot closed loop (text v2, batch=1) runs twice against the SAME
 /// backend service — once straight at its server port, once through a
 /// cluster::Router fronting that single node — so routed/direct
-/// isolates exactly what the router adds (spec fingerprint, ring walk,
-/// upstream pipe, a second loopback hop) from the machine it ran on.
+/// isolates exactly what the router adds (spec key, ring walk, upstream
+/// pipe, a second loopback hop) from the machine it ran on.
 struct RouterCompare {
   double direct_rps = 0.0;
   double routed_rps = 0.0;

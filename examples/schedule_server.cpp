@@ -24,29 +24,36 @@
 // (relative names only); without it dumps are refused — a network
 // client must not name server-side files. --log-json PATH appends
 // structured JSON-lines events (drains, slow requests, queue
-// rejections) to PATH; "-" = stdout. --tree-dir DIR allows `file:` tree
-// specs to read trees from DIR (relative names only); without it file:
-// specs are refused — a network client must not choose what the server
-// opens. --max-spec-nodes N bounds generator specs (random:/synthetic:/
-// grid:) before allocation (default 2000000; 0 = unlimited, trusted
-// networks only); --max-spec-bytes N bounds the on-disk size of a file:
-// spec before it is read (default 16 MiB; 0 = unlimited).
-// --drain-timeout-ms T caps the graceful drain: past T, clients that
-// never read their last answers are closed instead of holding the
-// process up (0 = wait forever).
+// rejections) to PATH; "-" = stdout. --drain-timeout-ms T caps the
+// graceful drain: past T, clients that never read their last answers
+// are closed instead of holding the process up (0 = wait forever).
 //
 // The server's own flags: --unix /path.sock serves on a unix-domain
 // socket instead of TCP (same protocols, no TCP stack — what the
 // bench's UDS experiment measures); --slow-ms T logs the full stage
 // breakdown of any request slower than T ms to stderr; --cache-mb /
 // --store-mb budget the result cache and the instance store;
-// --validate re-validates every computed schedule.
+// --validate re-validates every computed schedule. Spec hygiene is the
+// server's alone (a router forwards specs as text): --tree-dir DIR
+// allows `file:` tree specs to read trees from DIR (relative names
+// only); without it file: specs are refused — a network client must not
+// choose what the server opens. --max-spec-nodes N bounds generator
+// specs (random:/synthetic:/grid:) before allocation (default 2000000;
+// 0 = unlimited, trusted networks only); --max-spec-bytes N bounds the
+// on-disk size of a file: spec before it is read (default 16 MiB; 0 =
+// unlimited).
+//
+// Every integer flag is range-checked: a port past 65535, a negative
+// size or a KiB/MiB count whose shift would overflow exits 1 naming
+// the flag and its range.
 //
 // SIGTERM/SIGINT drain gracefully: the listener closes, every accepted
 // request is answered or cancelled, buffers flush, then the process
 // exits 0 — kill -TERM is the production stop.
 
+#include <cstdint>
 #include <iostream>
+#include <limits>
 
 #include "net/server.hpp"
 #include "service/service.hpp"
@@ -56,16 +63,28 @@ int main(int argc, char** argv) {
   using namespace treesched;
   try {
     CliArgs args(argc, argv);
+    constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+    // Sizes in MiB, bounded so the shift cannot overflow.
+    const auto mib = [&](const char* flag, std::int64_t fallback) {
+      return static_cast<std::size_t>(args.get_int(flag, fallback, 0,
+                                                   kMax >> 20))
+             << 20;
+    };
     net::ServerConfig server_config;
     server_config.frontend = net::parse_frontend_flags(args);
     server_config.frontend.listen.unix_path = args.get("unix", "");
     server_config.slow_ms = args.get_double("slow-ms", 0.0);
+    server_config.tree_dir = args.get("tree-dir", server_config.tree_dir);
+    server_config.max_spec_nodes = static_cast<std::uint64_t>(args.get_int(
+        "max-spec-nodes",
+        static_cast<std::int64_t>(server_config.max_spec_nodes), 0, kMax));
+    server_config.max_spec_bytes = static_cast<std::uint64_t>(args.get_int(
+        "max-spec-bytes",
+        static_cast<std::int64_t>(server_config.max_spec_bytes), 0, kMax));
     ServiceConfig service_config;
-    service_config.cache_bytes =
-        static_cast<std::size_t>(args.get_int("cache-mb", 256)) << 20;
+    service_config.cache_bytes = mib("cache-mb", 256);
     service_config.validate = args.get_bool("validate", false);
-    service_config.store.max_bytes =
-        static_cast<std::size_t>(args.get_int("store-mb", 0)) << 20;
+    service_config.store.max_bytes = mib("store-mb", 0);
     args.reject_unknown();
 
     // Before ANY thread exists: the service's first submit spawns the

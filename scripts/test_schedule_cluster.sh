@@ -5,8 +5,10 @@
 # cluster-wide cache probe (warm a tree through one client, hit it from
 # a fresh client routed to the same node), protocol transparency (text
 # v2 and a binary-v3 batch frame through the router), the aggregated
-# stats vocabulary (per-node routing counters + backend_ sums), the
-# Prometheus endpoint (scraped twice, counters must be monotonic, the
+# stats vocabulary (per-node routing counters + backend_ sums), spec
+# hygiene as the nodes' alone (file: specs answered by the node that
+# reads them, typed errors included; a router given a spec flag refuses
+# to start), the Prometheus endpoint (scraped twice, counters must be monotonic, the
 # per-node routed series must carry node="..." labels), and the
 # cluster-wide trace path (`trace start` broadcast to every node, a
 # merged `trace dump=` whose single Chrome JSON carries one pid and
@@ -34,9 +36,19 @@ trap 'rm -rf "$workdir"' EXIT
 : > "$workdir/node_a_out"
 : > "$workdir/node_b_out"
 : > "$workdir/router_out"
-"$server_bin" --port 0 > "$workdir/node_a_out" 2> "$workdir/node_a_err" &
+# Only the nodes resolve specs, so the spec flags go to them: a tree
+# directory holding a 5-node tree and a junk file past the byte bound.
+mkdir "$workdir/trees"
+printf 'treesched-tree v1\n5\n-1 4 1 3\n0 2 0 1\n0 3 1 2\n1 1 0 1\n1 2 0 4\n' \
+    > "$workdir/trees/small.tree"
+head -c 70000 /dev/zero | tr '\0' x > "$workdir/trees/big.tree"
+"$server_bin" --port 0 --tree-dir "$workdir/trees" \
+    --max-spec-nodes 100000 --max-spec-bytes 65536 \
+    > "$workdir/node_a_out" 2> "$workdir/node_a_err" &
 node_a_pid=$!
-"$server_bin" --port 0 > "$workdir/node_b_out" 2> "$workdir/node_b_err" &
+"$server_bin" --port 0 --tree-dir "$workdir/trees" \
+    --max-spec-nodes 100000 --max-spec-bytes 65536 \
+    > "$workdir/node_b_out" 2> "$workdir/node_b_err" &
 node_b_pid=$!
 
 fail() {
@@ -62,6 +74,17 @@ wait_port() { # $1 = stdout file, $2 = pid, $3 = label
 port_a=$(wait_port "$workdir/node_a_out" "$node_a_pid" "node A")
 port_b=$(wait_port "$workdir/node_b_out" "$node_b_pid" "node B")
 
+# The spec flags are the nodes' alone: a router refuses them as unknown
+# flags (capped, so a router that accepts one cannot hang the script).
+spec_flag_status=0
+timeout 10 "$router_bin" --port 0 --nodes "127.0.0.1:$port_a" \
+    --tree-dir "$workdir/trees" > /dev/null 2> "$workdir/router_spec_err" \
+    || spec_flag_status=$?
+[ "$spec_flag_status" -eq 1 ] \
+    || fail "router given --tree-dir exited $spec_flag_status, want 1"
+grep -q "unknown flag --tree-dir" "$workdir/router_spec_err" \
+    || fail "router did not refuse --tree-dir: $(cat "$workdir/router_spec_err")"
+
 mkdir "$workdir/traces"
 # Every shared client-facing flag is set off its default, loose enough
 # for what the clients below send. --max-frame-kb 2 is below the size of
@@ -72,7 +95,6 @@ mkdir "$workdir/traces"
     --metrics-port 0 --health-interval-ms 25 --backoff-ms 50 \
     --trace-dir "$workdir/traces" --log-json "$workdir/events.jsonl" \
     --max-frame-kb 2 --max-conns 32 --max-pending 16 --max-wbuf-kb 128 \
-    --max-spec-nodes 100000 --max-spec-bytes 65536 \
     --drain-timeout-ms 10000 \
     > "$workdir/router_out" 2> "$workdir/router_err" &
 router_pid=$!
@@ -173,6 +195,19 @@ while off + 8 <= len(data):
     off += length
 if ids != set(range(10, 16)):
     errors.append(f"v3 batch through the router lost answers: {sorted(ids)}")
+
+# file: specs through the router: the router forwards the text, and the
+# node that reads the file answers — its tree, or its typed error.
+(reply,) = ask("file:small.tree Liu 1 id=40")
+if not reply.startswith("ok id=40 ") or " n=5 " not in reply:
+    errors.append(f"file: spec through the router not served: {reply}")
+(reply,) = ask("file:big.tree Liu 1 id=41")
+if not reply.startswith("error id=41 code=bad_request ") or \
+        "65536-byte limit" not in reply:
+    errors.append(f"oversized file: spec not refused by its node: {reply}")
+(reply,) = ask("file:missing.tree Liu 1 id=42")
+if not reply.startswith("error id=42 code=bad_request "):
+    errors.append(f"missing file: spec not refused by its node: {reply}")
 
 # Cluster-wide tracing: `trace start` broadcasts to every node, traced
 # traffic flows, and one `trace dump=` merges the router's spans with a

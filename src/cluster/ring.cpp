@@ -6,20 +6,29 @@
 
 namespace treesched::cluster {
 
-HashRing::HashRing(int vnodes) : vnodes_(vnodes < 1 ? 1 : vnodes) {}
+namespace {
 
-std::uint64_t HashRing::point_hash(std::string_view node, int replica) {
-  // FNV-1a over the name folded through the repo's fixed mixer: the
-  // placement must be identical across processes and standard-library
-  // implementations (std::hash is neither), because a second router —
-  // or the test predicting which backend a spec lands on — has to agree
-  // with this one byte-for-byte.
+/// FNV-1a over `text`. Placement must be identical across processes and
+/// standard-library implementations (std::hash is neither), because a
+/// second router — or the test predicting which backend a spec lands
+/// on — has to agree with this one byte-for-byte.
+std::uint64_t fnv1a(std::string_view text) {
   std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const char c : node) {
+  for (const char c : text) {
     h ^= static_cast<unsigned char>(c);
     h *= 0x100000001b3ULL;
   }
-  return mix64(h ^ mix64(static_cast<std::uint64_t>(replica)));
+  return h;
+}
+
+}  // namespace
+
+std::uint64_t spec_key(std::string_view spec) { return mix64(fnv1a(spec)); }
+
+HashRing::HashRing(int vnodes) : vnodes_(vnodes < 1 ? 1 : vnodes) {}
+
+std::uint64_t HashRing::point_hash(std::string_view node, int replica) {
+  return mix64(fnv1a(node) ^ mix64(static_cast<std::uint64_t>(replica)));
 }
 
 std::size_t HashRing::add(std::string_view node) {
@@ -80,9 +89,9 @@ bool HashRing::walk(
     const std::function<bool(std::size_t node)>& visit) const {
   if (points_.empty()) return false;
   // First point at or clockwise-after the key's own ring position. The
-  // key is a tree fingerprint — already a mixed 64-bit value — but one
-  // more mix64 keeps adversarially chosen fingerprints from aiming at a
-  // specific arc for free.
+  // key is a spec key — already a mixed 64-bit value — but one more
+  // mix64 keeps adversarially chosen keys from aiming at a specific arc
+  // for free.
   const std::uint64_t at = mix64(key);
   auto it = std::lower_bound(
       points_.begin(), points_.end(), at,

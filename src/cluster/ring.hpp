@@ -1,9 +1,10 @@
 #pragma once
 // Consistent-hash ring for the cluster router (src/cluster/): maps a
-// request's 64-bit tree fingerprint to one of N backend nodes so that
-// identical trees always land on the same node — and its warm result
-// cache — while adding or removing a node remaps only ~1/N of the key
-// space (the classic Karger ring property; pinned by test_cluster).
+// request's 64-bit routing key — spec_key() of its tree spec — to one of
+// N backend nodes so that identical specs always land on the same node —
+// and its warm result cache — while adding or removing a node remaps
+// only ~1/N of the key space (the classic Karger ring property; pinned
+// by test_cluster).
 //
 // Each node is hashed onto the ring at `vnodes` pseudo-random points
 // (virtual nodes), which smooths per-node load to a relative spread of
@@ -21,9 +22,9 @@
 //
 // Determinism is a wire-level contract here: the router and the tests
 // (and any future second router in front of the same nodes) must agree
-// on placement given the same node list, so the point hash is the
-// repo's fixed splitmix64 mixer over the node name — never std::hash,
-// whose value is implementation-defined.
+// on placement given the same node list, so both the spec key and the
+// point hash are FNV-1a folded through the repo's fixed splitmix64
+// mixer — never std::hash, whose value is implementation-defined.
 
 #include <cstdint>
 #include <functional>
@@ -33,6 +34,12 @@
 #include <vector>
 
 namespace treesched::cluster {
+
+/// The routing key of a tree spec: FNV-1a over its raw text, folded
+/// through mix64. The text is not canonicalised, so two spellings of
+/// one tree are two keys (and may compute on two nodes, with
+/// bit-identical answers).
+[[nodiscard]] std::uint64_t spec_key(std::string_view spec);
 
 class HashRing {
  public:

@@ -14,9 +14,7 @@
 #include <system_error>
 #include <utility>
 
-#include "campaign/dataset.hpp"
 #include "obs/event_log.hpp"
-#include "service/instance_store.hpp"
 
 namespace treesched::cluster {
 
@@ -249,10 +247,6 @@ std::optional<ServiceError> Router::schedule(net::Session& session,
                                              std::uint64_t key,
                                              const RequestView& req,
                                              const net::TraceContext& ctx) {
-  const Result<std::uint64_t, ServiceError> fp =
-      fingerprint_spec(req.tree_spec);
-  if (!fp.ok()) return fp.error();
-
   // The distributed trace id: a traced client's own id wins (the
   // correlator must be end-to-end); otherwise the router mints one per
   // request while its tracer is on. Zero = untraced, and the forward's
@@ -266,7 +260,7 @@ std::optional<ServiceError> Router::schedule(net::Session& session,
   fwd.kind = Forward::Kind::kSchedule;
   fwd.conn_id = session.id();
   fwd.key = key;
-  fwd.fingerprint = fp.value();
+  fwd.route_key = spec_key(req.tree_spec);
   fwd.retries_left = config_.retries;
   fwd.trace_id = trace_id;
   fwd.priority = static_cast<int>(req.priority);
@@ -338,29 +332,6 @@ void Router::trace_status(
   }
 }
 
-Result<std::uint64_t, ServiceError> Router::fingerprint_spec(
-    std::string_view spec) {
-  const auto it = spec_memo_.find(spec);
-  if (it != spec_memo_.end()) return it->second;
-  try {
-    // Same bounds a node enforces: hostile specs are the router's
-    // problem too, and they must fail BEFORE any allocation or read.
-    // Build the tree just long enough to fingerprint it — the routing
-    // key must be bit-identical to what the node's store will compute,
-    // and hashing the resolved tree (not the spec text) is what makes
-    // `random:500:1` and an equivalent file: spec land on one node.
-    const Tree tree =
-        tree_from_spec(std::string(spec), frontend_.spec_options());
-    const std::uint64_t fp = tree_fingerprint(tree);
-    if (spec_memo_.size() >= config_.spec_memo_max) spec_memo_.clear();
-    spec_memo_.emplace(std::string(spec), fp);
-    return fp;
-  } catch (const std::exception& e) {
-    return ServiceError{ErrorCode::kBadRequest, e.what(),
-                        std::current_exception()};
-  }
-}
-
 std::optional<ServiceError> Router::route(Forward fwd) {
   std::size_t total = 0;
   std::size_t live = 0;
@@ -373,7 +344,7 @@ std::optional<ServiceError> Router::route(Forward fwd) {
                         "no backend node is up", nullptr};
   }
   // Bounded-load consistent hashing: the first live clockwise node
-  // under ceil(c * (total+1) / live) in-flight forwards takes the key.
+  // under ceil(c * (total+1) / live) schedule forwards takes the key.
   // At least one live node sits at or below the average, so the walk
   // only falls through when queues (not the bound) are the constraint.
   const std::size_t bound = static_cast<std::size_t>(std::ceil(
@@ -381,7 +352,7 @@ std::optional<ServiceError> Router::route(Forward fwd) {
       static_cast<double>(live)));
   std::size_t chosen = SIZE_MAX;
   std::size_t fallback = SIZE_MAX;
-  ring_.walk(fwd.fingerprint, [&](std::size_t node) {
+  ring_.walk(fwd.route_key, [&](std::size_t node) {
     const Upstream& up = *upstreams_[node];
     if (!up.routable()) return false;
     if (fallback == SIZE_MAX) fallback = node;

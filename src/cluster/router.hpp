@@ -1,11 +1,11 @@
 #pragma once
 // Cluster router (src/cluster/): a protocol-transparent front-end that
 // shards the scheduling service across N backend schedule_server nodes
-// by tree fingerprint, so every request for the same tree lands on the
-// same node — and its warm result cache — no matter which client sent
-// it. Clients speak the unchanged text-v2 / binary-v3 protocols to the
-// router exactly as they would to one node; the cluster is invisible
-// except for being larger.
+// by the text of each request's tree spec, so every request for the
+// same spec lands on the same node — and its warm result cache — no
+// matter which client sent it. Clients speak the unchanged text-v2 /
+// binary-v3 protocols to the router exactly as they would to one node;
+// the cluster is invisible except for being larger.
 //
 //   Client ──v2/v3──> Session ──route()──> Upstream ──v3──> node
 //      ^                 |   ^                    │
@@ -18,9 +18,12 @@
 // the upstream pipes and the health checks. The router is the
 // SessionHandler, and its answers differ from a node's only where
 // routing demands it:
-//  * a schedule request never touches a scheduler here — resolve the
-//    spec to its routing fingerprint, route, wait for the node's answer,
-//    whose upstream id is replaced by the client's own tag;
+//  * a schedule request never touches a tree or a scheduler here — key
+//    the spec text, route, wait for the node's answer, whose upstream
+//    id is replaced by the client's own tag. The node resolves, bounds
+//    and interns the spec exactly as for a direct client, so a
+//    malformed spec is answered by the node, with the node's typed
+//    error;
 //  * `cancel` only reaches work the router still holds: a forward still
 //    queued router-side is removed and answered `cancelled`; one already
 //    on the wire acks the untagged "already forwarded or answered" line
@@ -29,15 +32,16 @@
 //    stats aggregates router + backend counters, trace start/stop also
 //    reach every live backend and a dump merges all of their rings.
 //
-// Routing: the router resolves each request's tree spec to the SAME
-// 64-bit content fingerprint the backends intern by (it builds the tree
-// once, fingerprints it, memoizes spec -> fingerprint, and drops the
-// tree — the router stores no trees and runs no scheduler), then walks
-// the consistent-hash ring (cluster/ring.hpp) from that fingerprint:
-// the first live node under the bounded-load threshold
+// Routing: the key is spec_key(tree spec) (cluster/ring.hpp), a hash of
+// the raw spec text — the router builds no tree and stores none. The
+// key walks the consistent-hash ring from its point: the first live
+// node under the bounded-load threshold
 // ceil(load_factor * (total_in_flight + 1) / live_nodes) takes the
-// request. The bound keeps a hot fingerprint from melting its primary
-// while still sending nearly every key to its ring-deterministic home.
+// request, where a node's load counts its schedule forwards only. The
+// bound keeps a hot spec from melting its primary while still sending
+// nearly every key to its ring-deterministic home. Identical specs, not
+// identical trees, share a node: two spellings of one tree may compute
+// on two nodes, with bit-identical answers.
 //
 // Like the single-node server, the router is ONE epoll I/O thread and
 // never computes: client sockets, backend sockets, the health timer,
@@ -64,12 +68,9 @@
 // upstream_p50_us/_p90_us/_p99_us).
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
-#include <string_view>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -83,7 +84,6 @@
 #include "obs/trace.hpp"
 #include "service/errors.hpp"
 #include "service/request.hpp"
-#include "util/result.hpp"
 
 namespace treesched::cluster {
 
@@ -99,8 +99,9 @@ struct RouterConfig {
   /// Virtual points per node on the consistent-hash ring.
   int vnodes = 64;
   /// Bounded-load factor c: a node already carrying more than
-  /// ceil(c * (total + 1) / live) in-flight forwards is skipped for the
-  /// next ring alternate. Larger = stickier placement, spikier load.
+  /// ceil(c * (total + 1) / live) schedule forwards (in flight or
+  /// queued) is skipped for the next ring alternate. Larger = stickier
+  /// placement, spikier load.
   double load_factor = 1.25;
   /// Per-node forwarding window, >= 1: at most this many schedule
   /// forwards in flight on one backend socket (health and stats probes
@@ -125,10 +126,6 @@ struct RouterConfig {
   /// Every this many health ticks, poll each node's `stats` for the
   /// aggregated stats verb. 0 disables polling.
   unsigned stats_poll_ticks = 4;
-  /// Spec -> fingerprint memo bound (entries). The memo clears wholesale
-  /// when full — crude, but the router must never grow without bound on
-  /// a stream of distinct specs.
-  std::size_t spec_memo_max = 65536;
 };
 
 /// Monotonic router counters (loop-thread state, reported by the
@@ -181,15 +178,8 @@ class Router : private net::SessionHandler {
  private:
   friend class Upstream;
 
-  struct SpecHash {
-    using is_transparent = void;
-    std::size_t operator()(std::string_view spec) const {
-      return std::hash<std::string_view>{}(spec);
-    }
-  };
-
   // --- SessionHandler (loop thread only) -------------------------------
-  /// Fingerprints the spec and routes the canonical forward line.
+  /// Keys the spec text and routes the canonical forward line.
   std::optional<ServiceError> schedule(net::Session& session,
                                        std::uint64_t key,
                                        const RequestView& req,
@@ -220,11 +210,6 @@ class Router : private net::SessionHandler {
 
   net::EventLoop& loop() { return loop_; }
   RouterCounters& counters() { return counters_; }
-  /// Spec -> routing fingerprint: builds the tree once under the same
-  /// limits a node enforces, fingerprints it, memoizes, DROPS the tree.
-  /// Typed kBadRequest on an unresolvable spec.
-  Result<std::uint64_t, ServiceError> fingerprint_spec(
-      std::string_view spec);
   /// Routes one forward: bounded-load ring walk over live nodes, then
   /// Upstream::enqueue. Returns the typed refusal (kNodeUnavailable when
   /// no node is up, kQueueFull when every live alternate is at its queue
@@ -283,8 +268,6 @@ class Router : private net::SessionHandler {
   std::vector<std::unique_ptr<Upstream>> upstreams_;
   std::vector<std::uint64_t> routed_;  ///< per-node forwards routed
 
-  std::unordered_map<std::string, std::uint64_t, SpecHash, std::equal_to<>>
-      spec_memo_;
   RouterCounters counters_;
   std::uint64_t next_uid_ = 1;
   std::uint64_t next_trace_id_ = 1;

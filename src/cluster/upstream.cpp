@@ -245,11 +245,16 @@ void Upstream::handle_response(ResponseLine&& resp) {
 }
 
 void Upstream::enqueue(Forward fwd) {
-  queue_.push_back(std::move(fwd));
   // Serialize into the write buffer now — load/queue accounting must be
   // synchronous for route()'s bounded-load walk and for cancel_queued —
-  // but leave the syscall to the shared deferred flush.
-  flush_queue();
+  // but leave the syscall to the shared deferred flush. Probes skip the
+  // queue, as the health tick's pings and polls do.
+  if (fwd.kind == Forward::Kind::kSchedule) {
+    queue_.push_back(std::move(fwd));
+    flush_queue();
+  } else {
+    send_forward(std::move(fwd));
+  }
   schedule_send();
 }
 
@@ -272,8 +277,7 @@ void Upstream::schedule_send() {
 
 bool Upstream::cancel_queued(std::uint64_t conn_id, std::uint64_t key) {
   for (auto it = queue_.begin(); it != queue_.end(); ++it) {
-    if (it->kind == Forward::Kind::kSchedule && it->conn_id == conn_id &&
-        it->key == key) {
+    if (it->conn_id == conn_id && it->key == key) {
       queue_.erase(it);
       return true;
     }

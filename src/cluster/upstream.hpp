@@ -8,7 +8,7 @@
 //
 // Forwarding: each routed request becomes a Forward — the canonical
 // request line (no id=), the client connection/window entry it answers,
-// the fingerprint it was routed by, and its remaining retry budget. At
+// the spec key it was routed by, and its remaining retry budget. At
 // send time the forward gets a router-assigned upstream id (one counter
 // across all upstreams, so an id can never collide anywhere) appended
 // as `id=<uid>`, making every upstream answer attributable no matter
@@ -18,11 +18,12 @@
 //
 // Windowing: at most `upstream_window` schedule forwards are in flight
 // per node; excess forwards wait in a bounded per-node queue. Pings,
-// stats polls and trace probes do not count against the window, so a
-// probe the node has not answered yet never holds routed work back. A
-// full queue is the router's backpressure signal — route() fails typed
-// (queue_full) and the client hears it immediately instead of the
-// router buffering without bound. A slow upstream additionally caps the
+// stats polls and trace probes skip the queue and count neither against
+// the window nor as routing load, so a probe the node has not answered
+// yet never holds routed work back or moves placement. A full queue is
+// the router's backpressure signal — route() fails typed (queue_full)
+// and the client hears it immediately instead of the router buffering
+// without bound. A slow upstream additionally caps the
 // socket write buffer: past upstream_max_wbuf no queued forward is
 // serialized, so a node that stops reading stalls its own queue, never
 // the router.
@@ -72,7 +73,7 @@ struct Forward {
   std::uint64_t conn_id = 0;  ///< client connection (0 = router-internal)
   std::uint64_t key = 0;      ///< client window entry
   std::string line;           ///< canonical request line, no id= field
-  std::uint64_t fingerprint = 0;
+  std::uint64_t route_key = 0;  ///< spec_key of the request's tree spec
   int retries_left = 0;
   std::uint64_t sent_ns = 0;  ///< stamped at (each) send, for latency
   /// Distributed trace id (0 = untraced): generated by the router when
@@ -97,10 +98,11 @@ class Upstream {
 
   [[nodiscard]] State state() const { return state_; }
   [[nodiscard]] const std::string& name() const { return name_; }
-  /// Routing load: in-flight plus queued forwards (the bounded-load
-  /// ring compares these across nodes).
+  /// Routing load: schedule forwards in flight plus queued (the
+  /// bounded-load ring compares these across nodes). Probes never
+  /// count, so an unanswered ping cannot move placement.
   [[nodiscard]] std::size_t load() const {
-    return inflight_.size() + queue_.size();
+    return inflight_schedules_ + queue_.size();
   }
   [[nodiscard]] std::size_t inflight() const { return inflight_.size(); }
   [[nodiscard]] std::size_t queued() const { return queue_.size(); }
@@ -133,12 +135,13 @@ class Upstream {
     kFailProtocol = 6,      ///< bad frame / undecodable answer
   };
 
-  /// Accepts one forward: serializes it immediately when the window and
-  /// write buffer allow (so window/queue accounting is synchronous),
-  /// queues it otherwise. The actual send() syscall is deferred to the
-  /// end of the current event-loop dispatch batch, so N clients routed
-  /// here in one batch cost ONE write on the shared upstream socket.
-  /// The caller checked routable().
+  /// Accepts one forward: serializes a probe at once, and a schedule
+  /// forward when the window and write buffer allow (so window/queue
+  /// accounting is synchronous), queueing it otherwise. The actual
+  /// send() syscall is deferred to the end of the current event-loop
+  /// dispatch batch, so N clients routed here in one batch cost ONE
+  /// write on the shared upstream socket. The caller checked
+  /// routable().
   void enqueue(Forward fwd);
 
   /// Removes a still-queued (never sent) forward for this client window
@@ -197,7 +200,7 @@ class Upstream {
 
   std::unordered_map<std::uint64_t, Forward> inflight_;  ///< by uid
   std::size_t inflight_schedules_ = 0;  ///< kSchedule entries of inflight_
-  std::deque<Forward> queue_;
+  std::deque<Forward> queue_;  ///< schedule forwards awaiting the window
   std::vector<std::pair<std::string, std::uint64_t>> last_stats_;
   std::uint64_t disconnects_ = 0;
   std::uint64_t retries_ = 0;

@@ -8,6 +8,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <limits>
 #include <stdexcept>
 #include <system_error>
 #include <utility>
@@ -42,31 +43,31 @@ FrontendConfig checked(FrontendConfig config) {
 
 FrontendConfig parse_frontend_flags(const CliArgs& args) {
   FrontendConfig c;
-  // Byte-sized settings are spelled in KiB on the command line.
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  const auto size = [&](const char* flag, std::size_t fallback) {
+    return static_cast<std::size_t>(
+        args.get_int(flag, static_cast<std::int64_t>(fallback), 0, kMax));
+  };
+  // Byte-sized settings are spelled in KiB on the command line, bounded
+  // so the shift cannot overflow.
   const auto kib = [&](const char* flag, std::size_t fallback) {
     return static_cast<std::size_t>(args.get_int(
-               flag, static_cast<std::int64_t>(fallback >> 10)))
+               flag, static_cast<std::int64_t>(fallback >> 10), 0,
+               kMax >> 10))
            << 10;
   };
-  c.listen.port =
-      static_cast<std::uint16_t>(args.get_int("port", c.listen.port));
+  c.listen.port = static_cast<std::uint16_t>(
+      args.get_int("port", c.listen.port, 0, 65535));
   c.listen.bind = args.get("bind", c.listen.bind);
-  c.max_conns = static_cast<std::size_t>(
-      args.get_int("max-conns", static_cast<std::int64_t>(c.max_conns)));
-  c.session.max_pending = static_cast<std::size_t>(args.get_int(
-      "max-pending", static_cast<std::int64_t>(c.session.max_pending)));
+  c.max_conns = size("max-conns", c.max_conns);
+  c.session.max_pending = size("max-pending", c.session.max_pending);
   c.session.max_wbuf = kib("max-wbuf-kb", c.session.max_wbuf);
   c.session.max_frame = kib("max-frame-kb", c.session.max_frame);
   c.session.trace_dir = args.get("trace-dir", c.session.trace_dir);
   c.log_json = args.get("log-json", c.log_json);
   c.drain_timeout_ms = args.get_double("drain-timeout-ms", c.drain_timeout_ms);
-  c.metrics_port =
-      static_cast<int>(args.get_int("metrics-port", c.metrics_port));
-  c.tree_dir = args.get("tree-dir", c.tree_dir);
-  c.max_spec_nodes = static_cast<std::uint64_t>(args.get_int(
-      "max-spec-nodes", static_cast<std::int64_t>(c.max_spec_nodes)));
-  c.max_spec_bytes = static_cast<std::uint64_t>(args.get_int(
-      "max-spec-bytes", static_cast<std::int64_t>(c.max_spec_bytes)));
+  c.metrics_port = static_cast<int>(
+      args.get_int("metrics-port", c.metrics_port, -1, 65535));
   c.handle_signals = true;
   return c;
 }
@@ -87,10 +88,6 @@ Frontend::Frontend(EventLoop& loop, SessionHandler& handler,
       registry_(registry),
       config_(checked(std::move(config))),
       wording_(std::move(wording)),
-      spec_options_{.max_nodes = config_.max_spec_nodes,
-                    .allow_file = !config_.tree_dir.empty(),
-                    .file_dir = config_.tree_dir,
-                    .max_file_bytes = config_.max_spec_bytes},
       listener_(config_.listen),
       metrics_http_(config_.metrics_port < 0
                         ? nullptr

@@ -8,7 +8,8 @@
 // registry, which its sessions answer `stats` from. The server
 // (net/server.hpp) and the cluster router (cluster/router.hpp) each own
 // one and hand it their SessionHandler; everything here runs on the
-// tier's event-loop thread.
+// tier's event-loop thread. The tree-spec bounds are not shared: only a
+// server resolves specs (ServerConfig, net/server.hpp).
 //
 // Drain: the listener closes, every session stops reading and closes
 // once its window is answered and flushed, and the loop stops when no
@@ -22,7 +23,6 @@
 #include <string>
 #include <unordered_map>
 
-#include "campaign/dataset.hpp"
 #include "net/event_loop.hpp"
 #include "net/listener.hpp"
 #include "net/metrics_http.hpp"
@@ -66,28 +66,15 @@ struct FrontendConfig {
   /// Bind address of the scrape endpoint (loopback by default: opening
   /// it to the network is a deliberate act).
   std::string metrics_bind = "127.0.0.1";
-  /// Directory `file:` tree specs may read from. Empty (the default)
-  /// refuses file: specs entirely — the spec names a file on this host,
-  /// and an unauthenticated network client must never choose what the
-  /// tier opens. When set, spec paths are resolved inside it. The
-  /// router resolves specs too (to route them), so it needs the same
-  /// tree files the nodes see.
-  std::string tree_dir;
-  /// Upper bound on the node count a generator spec (random:/synthetic:/
-  /// grid:) may request; larger requests answer bad_request before any
-  /// allocation. 0 = unlimited (trusted networks only).
-  std::uint64_t max_spec_nodes = 2'000'000;
-  /// Upper bound on the on-disk size of a `file:` tree spec, checked
-  /// before the file is read. 0 = unlimited.
-  std::uint64_t max_spec_bytes = 16 << 20;
 };
 
 /// Reads the client-facing flags both schedule_server and
 /// schedule_router take — --port --bind --max-conns --max-pending
 /// --max-wbuf-kb --max-frame-kb --metrics-port --trace-dir --log-json
-/// --tree-dir --max-spec-nodes --max-spec-bytes --drain-timeout-ms —
-/// each defaulting to FrontendConfig's default. Sets handle_signals:
-/// both binaries drain on SIGTERM/SIGINT.
+/// --drain-timeout-ms — each defaulting to FrontendConfig's default.
+/// A number outside its flag's range (a port past 65535, a negative
+/// size) throws std::invalid_argument naming the flag. Sets
+/// handle_signals: both binaries drain on SIGTERM/SIGINT.
 FrontendConfig parse_frontend_flags(const CliArgs& args);
 
 /// Blocks SIGTERM/SIGINT in the calling thread, so every thread spawned
@@ -137,12 +124,6 @@ class Frontend {
   }
   [[nodiscard]] const FrontendConfig& config() const { return config_; }
   [[nodiscard]] const TierWording& wording() const { return wording_; }
-  /// The bounds every client tree spec resolves under (tree_from_spec):
-  /// the config's spec limits, file: specs confined to tree_dir and
-  /// refused without one.
-  [[nodiscard]] const TreeSpecOptions& spec_options() const {
-    return spec_options_;
-  }
 
   /// Starts accepting, serving /metrics and, with handle_signals,
   /// watching the signals.
@@ -186,7 +167,6 @@ class Frontend {
   obs::MetricsRegistry& registry_;
   const FrontendConfig config_;
   const TierWording wording_;
-  const TreeSpecOptions spec_options_;
   Listener listener_;
   std::unique_ptr<MetricsHttp> metrics_http_;
   bool listening_ = false;

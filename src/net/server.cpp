@@ -4,7 +4,6 @@
 #include <fstream>
 #include <utility>
 
-#include "campaign/dataset.hpp"
 #include "obs/event_log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -40,6 +39,10 @@ std::size_t Server::TicketKeyHash::operator()(const TicketKey& k) const {
 Server::Server(SchedulingService& service, ServerConfig config)
     : service_(service),
       config_(std::move(config)),
+      spec_options_{.max_nodes = config_.max_spec_nodes,
+                    .allow_file = !config_.tree_dir.empty(),
+                    .file_dir = config_.tree_dir,
+                    .max_file_bytes = config_.max_spec_bytes},
       frontend_(loop_, *this, counters_, service_.registry(), config_.frontend,
                 TierWording{.tier = "server",
                             .started = "running",
@@ -319,7 +322,7 @@ Result<TreeHandle, ServiceError> Server::intern_spec(std::string_view spec) {
     // typed (kStoreFull); only spec resolution itself (file IO,
     // generator args) still throws.
     Result<TreeHandle, ServiceError> handle = service_.try_intern(
-        tree_from_spec(std::string(spec), frontend_.spec_options()));
+        tree_from_spec(std::string(spec), spec_options_));
     if (handle.ok()) spec_memo_.emplace(std::string(spec), handle.value());
     return handle;
   } catch (const std::exception& e) {

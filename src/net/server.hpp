@@ -28,9 +28,10 @@
 // so destroying the server (and then the service) is always safe.
 //
 // Settings: the client-facing ones (listener, connection and session
-// limits, spec bounds, drain ceiling, event log, /metrics endpoint) are
-// the FrontendConfig both tiers share (net/frontend.hpp); the server
-// adds only the slow-request log threshold.
+// limits, drain ceiling, event log, /metrics endpoint) are the
+// FrontendConfig both tiers share (net/frontend.hpp); the server adds
+// the slow-request log threshold and the spec bounds — only the server
+// resolves tree specs (a router forwards them as text).
 //
 // Observability: the server reports through the service's registry, so
 // `stats` and the --metrics-port scrape read the same samples. The
@@ -49,6 +50,7 @@
 #include <utility>
 #include <vector>
 
+#include "campaign/dataset.hpp"
 #include "net/event_loop.hpp"
 #include "net/frame.hpp"
 #include "net/frontend.hpp"
@@ -65,6 +67,18 @@ struct ServerConfig {
   /// accept-to-flush time exceeds it logs its full stage breakdown to
   /// stderr and the event log. 0 = disabled.
   double slow_ms = 0.0;
+  /// Directory `file:` tree specs may read from. Empty (the default)
+  /// refuses file: specs entirely — the spec names a file on this host,
+  /// and an unauthenticated network client must never choose what the
+  /// server opens. When set, spec paths are resolved inside it.
+  std::string tree_dir;
+  /// Upper bound on the node count a generator spec (random:/synthetic:/
+  /// grid:) may request; larger requests answer bad_request before any
+  /// allocation. 0 = unlimited (trusted networks only).
+  std::uint64_t max_spec_nodes = 2'000'000;
+  /// Upper bound on the on-disk size of a `file:` tree spec, checked
+  /// before the file is read. 0 = unlimited.
+  std::uint64_t max_spec_bytes = 16 << 20;
 };
 
 /// Monotonic server counters (I/O-thread state, reported by the
@@ -143,9 +157,10 @@ class Server : private SessionHandler {
 
   /// Spec -> interned handle, memoized server-wide (all parsing happens
   /// on the I/O thread, so the memo needs no lock). The lookup is
-  /// copy-free; the spec string is owned only on first sight. Failures
-  /// are typed values: kBadRequest for an unresolvable spec, kStoreFull
-  /// (via try_intern) past the store budget.
+  /// copy-free; the spec string is owned only on first sight. Specs
+  /// resolve under spec_options_. Failures are typed values:
+  /// kBadRequest for an unresolvable spec, kStoreFull (via try_intern)
+  /// past the store budget.
   Result<TreeHandle, ServiceError> intern_spec(std::string_view spec);
   /// Creates the transport histograms and registers the collector that
   /// reports ServerCounters through the service's registry, to `stats`
@@ -156,6 +171,10 @@ class Server : private SessionHandler {
 
   SchedulingService& service_;
   ServerConfig config_;
+  /// The bounds every client tree spec resolves under (tree_from_spec):
+  /// the config's spec limits, file: specs confined to tree_dir and
+  /// refused without one.
+  const TreeSpecOptions spec_options_;
   EventLoop loop_;
   ServerCounters counters_;
   std::unordered_map<std::string, TreeHandle, SpecHash, std::equal_to<>>

@@ -37,22 +37,31 @@ std::string CliArgs::get(const std::string& name,
   return it == flags_.end() ? fallback : it->second;
 }
 
-std::int64_t CliArgs::get_int(const std::string& name,
-                              std::int64_t fallback) const {
+std::int64_t CliArgs::get_int(const std::string& name, std::int64_t fallback,
+                              std::int64_t min, std::int64_t max) const {
   seen_[name] = true;
   auto it = flags_.find(name);
   if (it == flags_.end()) return fallback;
+  std::int64_t value = 0;
   try {
     std::size_t used = 0;
-    const std::int64_t value = std::stoll(it->second, &used);
+    value = std::stoll(it->second, &used);
     if (used != it->second.size()) {
       throw std::invalid_argument("trailing garbage");
     }
-    return value;
   } catch (const std::exception&) {
     throw std::invalid_argument("bad integer value for --" + name + ": '" +
                                 it->second + "'");
   }
+  if (value < min || value > max) {
+    const std::string range =
+        max == std::numeric_limits<std::int64_t>::max()
+            ? "at least " + std::to_string(min)
+            : "in [" + std::to_string(min) + ", " + std::to_string(max) + "]";
+    throw std::invalid_argument("--" + name + " must be " + range + ", got " +
+                                it->second);
+  }
+  return value;
 }
 
 double CliArgs::get_double(const std::string& name, double fallback) const {

@@ -4,6 +4,7 @@
 // unknown flags raise an error so typos do not silently change experiments.
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -24,8 +25,14 @@ class CliArgs {
 
   [[nodiscard]] std::string get(const std::string& name,
                                 const std::string& fallback) const;
-  [[nodiscard]] std::int64_t get_int(const std::string& name,
-                                     std::int64_t fallback) const;
+  /// An integer flag in [min, max]: a value outside it throws
+  /// std::invalid_argument naming the flag and the range, so a number
+  /// bound for a narrower type (a port, a KiB count to shift) fails
+  /// instead of wrapping. The default range is all of int64.
+  [[nodiscard]] std::int64_t get_int(
+      const std::string& name, std::int64_t fallback,
+      std::int64_t min = std::numeric_limits<std::int64_t>::min(),
+      std::int64_t max = std::numeric_limits<std::int64_t>::max()) const;
   [[nodiscard]] double get_double(const std::string& name,
                                   double fallback) const;
   [[nodiscard]] bool get_bool(const std::string& name, bool fallback) const;

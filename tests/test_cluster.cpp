@@ -1,14 +1,17 @@
 // The cluster router (src/cluster/): the consistent-hash ring's wire
-// contracts (pinned point hash, determinism across add order, balance,
-// the ~1/N remap property, the failover walk), the engineered
-// fingerprint-collision intern test, and in-process end-to-end coverage
-// over real loopback sockets — routing consistency against an
-// independently built ring, cluster-wide cache hits through the router,
-// node death mid-request with retry-on-alternate, the typed
-// node_unavailable error, upstream backpressure, router-side cancel,
-// node answers read under the protocol's frame bound rather than the
-// clients', the drain-timeout bound on both the router and the server,
-// and the router's stats vocabulary pinned as golden tables.
+// contracts (pinned point hash and spec key, determinism across add
+// order, balance, the ~1/N remap property, the failover walk), the
+// engineered fingerprint-collision intern test, and in-process
+// end-to-end coverage over real loopback sockets — routing by spec key
+// against an independently built ring, cluster-wide cache hits through
+// the router, a router loop that stays free while a huge spec is
+// forwarded, probes that never move placement, node death mid-request
+// with retry-on-alternate, the typed node_unavailable error, upstream
+// backpressure, router-side cancel, node answers read under the
+// protocol's frame bound rather than the clients', node-side spec
+// bounds seen through the router, the drain-timeout bound on both the
+// router and the server, and the router's stats vocabulary pinned as
+// golden tables.
 
 #include "cluster/ring.hpp"
 
@@ -50,6 +53,7 @@ namespace {
 using cluster::HashRing;
 using cluster::Router;
 using cluster::RouterConfig;
+using cluster::spec_key;
 using net::Client;
 using net::ServerConfig;
 using testing::eventually;
@@ -83,6 +87,19 @@ TEST(HashRing, PointHashIsThePinnedFnvSplitmixChain) {
   EXPECT_NE(HashRing::point_hash("a", 0), HashRing::point_hash("b", 0));
 }
 
+TEST(HashRing, SpecKeyIsThePinnedFnvSplitmixChainOfTheRawText) {
+  // The routing key is FNV-1a over the spec's raw text folded through
+  // mix64, the point hash's own chain: every router in front of the same
+  // nodes places a spec identically. Golden values, computed once.
+  EXPECT_EQ(spec_key("random:500:1"), 0x34518161e46fab2eULL);
+  EXPECT_EQ(spec_key("grid:1414:1"), 0x2e8e83cf52003cfdULL);
+  EXPECT_EQ(spec_key("synthetic:2000:7"), 0x76ca7e4f9e2123dcULL);
+  EXPECT_EQ(spec_key("file:trees/a.tree"), 0xd662c48837c67d7cULL);
+  EXPECT_EQ(spec_key(""), 0xc3817c016ba4ff30ULL);
+  // The text is not canonicalised: two spellings are two keys.
+  EXPECT_NE(spec_key("random:500:1"), spec_key("random:0500:1"));
+}
+
 TEST(HashRing, PlacementIsDeterministicAcrossInstancesAndAddOrder) {
   const std::vector<std::string> names{"n0", "n1", "n2", "n3"};
   HashRing forward(64);
@@ -107,26 +124,35 @@ TEST(HashRing, VirtualNodesBalanceTheKeySpace) {
   for (std::size_t i = 0; i < kNodes; ++i) {
     ring.add("10.0.0." + std::to_string(i) + ":3714");
   }
-  std::vector<std::uint64_t> counts(kNodes, 0);
-  for (std::uint64_t i = 0; i < kKeys; ++i) {
-    // Stand-ins for tree fingerprints: mixed 64-bit values.
-    const auto node = ring.pick(mix64(0xf1f1f1f1ULL ^ i));
-    ASSERT_TRUE(node.has_value());
-    ++counts[*node];
-  }
-  // 64 vnodes keep the per-node share spread around 1/sqrt(64) = 12.5%
-  // relative; the bounds here are deliberately loose (the spread is a
-  // property of the fixed point placement, not sampling noise).
-  double chi2 = 0.0;
-  const double expected = static_cast<double>(kKeys) / kNodes;
-  for (std::size_t i = 0; i < kNodes; ++i) {
-    const double share = static_cast<double>(counts[i]) / kKeys;
-    EXPECT_GT(share, 0.15) << "node " << i << " starved";
-    EXPECT_LT(share, 0.35) << "node " << i << " overloaded";
-    const double d = static_cast<double>(counts[i]) - expected;
-    chi2 += d * d / expected;
-  }
-  EXPECT_LT(chi2, 5000.0) << "placement skew beyond the vnode spread";
+  const auto expect_balanced = [&](const char* label, auto key_of) {
+    SCOPED_TRACE(label);
+    std::vector<std::uint64_t> counts(kNodes, 0);
+    for (std::uint64_t i = 0; i < kKeys; ++i) {
+      const auto node = ring.pick(key_of(i));
+      ASSERT_TRUE(node.has_value());
+      ++counts[*node];
+    }
+    // 64 vnodes keep the per-node share spread around 1/sqrt(64) = 12.5%
+    // relative; the bounds here are deliberately loose (the spread is a
+    // property of the fixed point placement, not sampling noise).
+    double chi2 = 0.0;
+    const double expected = static_cast<double>(kKeys) / kNodes;
+    for (std::size_t i = 0; i < kNodes; ++i) {
+      const double share = static_cast<double>(counts[i]) / kKeys;
+      EXPECT_GT(share, 0.15) << "node " << i << " starved";
+      EXPECT_LT(share, 0.35) << "node " << i << " overloaded";
+      const double d = static_cast<double>(counts[i]) - expected;
+      chi2 += d * d / expected;
+    }
+    EXPECT_LT(chi2, 5000.0) << "placement skew beyond the vnode spread";
+  };
+  expect_balanced("mixed 64-bit values",
+                  [](std::uint64_t i) { return mix64(0xf1f1f1f1ULL ^ i); });
+  // The keys the router places: 100,000 distinct generator specs.
+  expect_balanced("spec keys", [](std::uint64_t i) {
+    return spec_key("random:" + std::to_string(100 + i % 1000) + ":" +
+                    std::to_string(i / 1000));
+  });
 }
 
 TEST(HashRing, RemovingANodeRemapsOnlyItsKeys) {
@@ -244,8 +270,7 @@ TEST(Fingerprint, EngineeredCollisionInternsDistinctTrees) {
   // The store must disambiguate by full content comparison: both trees
   // intern (two misses, no false hit) under the same hash bucket but
   // with DISTINCT uids — downstream caches key by uid, so the collision
-  // can never alias their results. The router may route both to the
-  // same node (placement collides harmlessly); identity does not.
+  // can never alias their results.
   InstanceStore store;
   const TreeHandle ha = store.intern(a);
   const TreeHandle hb = store.intern(b);
@@ -426,17 +451,11 @@ std::uint64_t stat_value(const ResponseLine& stats, const std::string& key) {
   return 0;
 }
 
-/// The fingerprint the router routes `spec` by, computed the same way
-/// it computes it: resolve the spec, fingerprint the tree, drop it.
-std::uint64_t spec_fingerprint(const std::string& spec) {
-  return tree_fingerprint(tree_from_spec(spec));
-}
-
-/// A generator spec whose fingerprint the given ring places on `want`.
+/// A generator spec whose spec key the given ring places on `want`.
 std::string spec_routed_to(const HashRing& ring, std::size_t want) {
   for (int seed = 1; seed < 200; ++seed) {
     std::string spec = "random:80:" + std::to_string(seed);
-    if (*ring.pick(spec_fingerprint(spec)) == want) return spec;
+    if (*ring.pick(spec_key(spec)) == want) return spec;
   }
   ADD_FAILURE() << "no spec found routing to node " << want;
   return "random:80:1";
@@ -479,7 +498,7 @@ TEST(ClusterRouter, PlacementMatchesAnIndependentlyBuiltRing) {
   ASSERT_TRUE(router.wait_nodes_up(2));
 
   // A second ring over the same names must agree with the router's —
-  // that determinism is what makes the fingerprint a cluster-wide key.
+  // that determinism is what makes the spec key a cluster-wide key.
   HashRing ring(router.router().config().vnodes);
   ring.add(node_a.name());
   ring.add(node_b.name());
@@ -488,13 +507,12 @@ TEST(ClusterRouter, PlacementMatchesAnIndependentlyBuiltRing) {
   std::vector<std::uint64_t> predicted(2, 0);
   for (int seed = 1; seed <= 8; ++seed) {
     const std::string spec = "random:120:" + std::to_string(seed);
-    const std::uint64_t fp = spec_fingerprint(spec);
-    ++predicted[*ring.pick(fp)];
+    ++predicted[*ring.pick(spec_key(spec))];
     const ResponseLine resp = client.request(spec + " Liu 1");
     ASSERT_TRUE(resp.ok) << resp.message;
-    // The router computes the routing key with the same fingerprint the
-    // backend reports in tree= — pin that they agree on the wire.
-    EXPECT_EQ(resp.tree_hash, fp) << spec;
+    // Routed answers are the node's own: tree= is the fingerprint of the
+    // tree the spec resolves to.
+    EXPECT_EQ(resp.tree_hash, tree_fingerprint(tree_from_spec(spec))) << spec;
   }
   // perfbench reads nodes_up, node0_routed, node1_routed and retried by
   // name (a missing key would read as 0 there; stat_value fails here).
@@ -540,7 +558,7 @@ TEST(ClusterRouter, ClusterWideCacheHitAfterWarmingTheNodeDirectly) {
   HashRing ring(router.router().config().vnodes);
   for (const auto& n : names) ring.add(n);
   const std::string spec = "synthetic:500:7";
-  const std::size_t home = *ring.pick(spec_fingerprint(spec));
+  const std::size_t home = *ring.pick(spec_key(spec));
 
   // Warm the HOME node by talking to it directly, router not involved.
   {
@@ -548,6 +566,7 @@ TEST(ClusterRouter, ClusterWideCacheHitAfterWarmingTheNodeDirectly) {
     const ResponseLine warm = direct.request(spec + " Liu 1");
     ASSERT_TRUE(warm.ok) << warm.message;
     EXPECT_FALSE(warm.cache_hit);
+    EXPECT_EQ(warm.tree_hash, tree_fingerprint(tree_from_spec(spec)));
   }
 
   // A fresh client through the router must land on that node and reuse
@@ -557,6 +576,103 @@ TEST(ClusterRouter, ClusterWideCacheHitAfterWarmingTheNodeDirectly) {
   ASSERT_TRUE(hit.ok) << hit.message;
   EXPECT_TRUE(hit.cache_hit)
       << "the router must route the spec to the node warmed directly";
+  EXPECT_EQ(hit.tree_hash, tree_fingerprint(tree_from_spec(spec)));
+}
+
+TEST(ClusterRouter, PingAnswersWhileAHugeSpecIsForwarded) {
+  // The router builds no tree: a spec that takes a node a good part of a
+  // second to resolve is keyed by its text and forwarded at once, so the
+  // router's one loop stays free for everyone else.
+  FakeNode fake(FakeNode::OnRequest::kSilent);
+  RouterHarness router({fake.name()});
+  ASSERT_TRUE(router.wait_nodes_up(1));
+
+  Client heavy("127.0.0.1", router.port());
+  heavy.send_line("grid:1414:1 Liu 1 id=1");
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  Client probe("127.0.0.1", router.port());
+  const auto start = std::chrono::steady_clock::now();
+  const ResponseLine pong = probe.request("ping");
+  const auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
+      std::chrono::steady_clock::now() - start);
+  EXPECT_EQ(pong.kind, ResponseLine::Kind::kPong);
+  EXPECT_LT(elapsed.count(), 100) << "the huge spec held the router's loop";
+  EXPECT_TRUE(eventually([&] { return fake.requests_seen() == 1; }))
+      << "the node never saw the forward";
+  // Settle the parked forward (node_unavailable), so the drain ends.
+  fake.stop();
+  const auto settled = heavy.recv_response();
+  ASSERT_TRUE(settled.has_value());
+  EXPECT_EQ(settled->code, ErrorCode::kNodeUnavailable);
+}
+
+TEST(ClusterRouter, UnansweredProbesDoNotMovePlacement) {
+  // Node 0 answers pings but sits on every request, the two `trace
+  // start` broadcasts below included; node 1 answers everything. With
+  // two probes unanswered on node 0 and none on node 1, a spec whose
+  // ring home is node 0 must still go there: the bounded-load walk
+  // counts schedule forwards only. (Were the probes load, the bound
+  // ceil(1.25 * 3 / 2) = 2 would skip node 0.) No health tick runs
+  // after the connect, so no ping or poll is in flight on either node.
+  FakeNode fake(FakeNode::OnRequest::kSilent);
+  ServerHarness real;
+  std::vector<std::string> names{fake.name(), real.name()};
+  RouterConfig config;
+  config.health_interval_ms = 600000.0;
+  RouterHarness router(names, config);
+  ASSERT_TRUE(router.wait_nodes_up(2));
+
+  Client client("127.0.0.1", router.port());
+  ASSERT_TRUE(client.request("trace start").ok);
+  ASSERT_TRUE(client.request("trace start").ok);
+  ASSERT_TRUE(eventually([&] { return fake.requests_seen() == 2; }))
+      << "node 0 never got both broadcasts";
+  EXPECT_TRUE(eventually([&] {
+    const ResponseLine stats = client.request("stats");
+    return stat_value(stats, "node0_inflight") == 2 &&
+           stat_value(stats, "node1_inflight") == 0;
+  })) << "node 0 should hold both probes and node 1 none";
+
+  HashRing ring(router.router().config().vnodes);
+  for (const auto& n : names) ring.add(n);
+  const std::string spec = spec_routed_to(ring, 0);
+  client.send_line(spec + " Liu 1 id=1");
+  EXPECT_TRUE(eventually([&] { return fake.requests_seen() == 3; }))
+      << "the spec left its ring home";
+  Client probe("127.0.0.1", router.port());
+  const ResponseLine stats = probe.request("stats");
+  EXPECT_EQ(stat_value(stats, "node0_routed"), 1u);
+  EXPECT_EQ(stat_value(stats, "node1_routed"), 0u);
+  EXPECT_TRUE(probe.request("trace stop").ok);
+  // Node 0's death hands the parked forward to node 1, which answers.
+  fake.stop();
+  const auto answered = client.recv_response();
+  ASSERT_TRUE(answered.has_value());
+  EXPECT_TRUE(answered->ok) << answered->message;
+}
+
+TEST(ClusterRouter, MalformedSpecsAreForwardedAndAnsweredByTheirNode) {
+  // The router keys any spec text and forwards it; the node's answer,
+  // the same typed error a direct client gets, comes back unchanged.
+  ServerHarness node;
+  RouterHarness router({node.name()});
+  ASSERT_TRUE(router.wait_nodes_up(1));
+  Client direct("127.0.0.1", node.port());
+  Client routed("127.0.0.1", router.port());
+  const std::vector<std::string> lines = {"bogus-spec Liu 1 id=1",
+                                          "random:-5:1 Liu 1 id=2",
+                                          "random:2000000000:1 Liu 1 id=3"};
+  for (const std::string& line : lines) {
+    const ResponseLine want = direct.request(line);
+    const ResponseLine got = routed.request(line);
+    ASSERT_FALSE(want.ok) << line;
+    EXPECT_EQ(got.code, want.code) << line;
+    EXPECT_EQ(got.message, want.message) << line;
+    EXPECT_EQ(got.id, want.id) << line;
+  }
+  const ResponseLine stats = routed.request("stats");
+  EXPECT_EQ(stat_value(stats, "forwarded"), lines.size());
+  EXPECT_EQ(stat_value(stats, "node0_routed"), lines.size());
 }
 
 TEST(ClusterRouter, NodeDeathMidRequestRetriesOnTheAlternate) {
@@ -927,8 +1043,8 @@ TEST(MaxSpecBytes, ServerRejectsOversizedTreeFilesBeforeReading) {
   // read, so even an unparseable file works as the oversized probe.
   const std::string dir = make_tree_dir_with("big.tree", 64);
   ServerConfig config;
-  config.frontend.tree_dir = dir;
-  config.frontend.max_spec_bytes = 16;
+  config.tree_dir = dir;
+  config.max_spec_bytes = 16;
   ServerHarness server(config);
   Client client("127.0.0.1", server.port());
   const ResponseLine resp = client.request("file:big.tree Liu 1 id=1");
@@ -937,25 +1053,27 @@ TEST(MaxSpecBytes, ServerRejectsOversizedTreeFilesBeforeReading) {
   EXPECT_NE(resp.message.find("byte"), std::string::npos) << resp.message;
 }
 
-TEST(MaxSpecBytes, RouterRejectsOversizedTreeFilesAtFingerprintTime) {
-  // The router resolves specs itself to compute routing keys, so it is
-  // as exposed to hostile file: specs as a node — the budget must bite
-  // at the router before anything is forwarded.
+TEST(MaxSpecBytes, NodeRejectsOversizedTreeFilesSentThroughTheRouter) {
+  // The router never opens a spec: it forwards file:big.tree as text,
+  // and the node's byte budget answers with the node's typed error,
+  // which the router delivers unchanged.
   const std::string dir = make_tree_dir_with("big.tree", 64);
-  ServerHarness node;
-  RouterConfig config;
-  config.frontend.tree_dir = dir;
-  config.frontend.max_spec_bytes = 16;
-  RouterHarness router({node.name()}, config);
+  ServerConfig node_config;
+  node_config.tree_dir = dir;
+  node_config.max_spec_bytes = 16;
+  ServerHarness node(node_config);
+  RouterHarness router({node.name()});
   ASSERT_TRUE(router.wait_nodes_up(1));
   Client client("127.0.0.1", router.port());
   const ResponseLine resp = client.request("file:big.tree Liu 1 id=1");
   ASSERT_FALSE(resp.ok);
+  EXPECT_EQ(resp.id, 1u);
   EXPECT_EQ(resp.code, ErrorCode::kBadRequest);
-  EXPECT_NE(resp.message.find("byte"), std::string::npos) << resp.message;
+  EXPECT_NE(resp.message.find("16-byte limit"), std::string::npos)
+      << resp.message;
   const ResponseLine stats = client.request("stats");
-  EXPECT_EQ(stat_value(stats, "forwarded"), 0u)
-      << "a rejected spec must never reach a backend";
+  EXPECT_EQ(stat_value(stats, "forwarded"), 1u)
+      << "the node, not the router, judges the spec";
 }
 
 TEST(ScheduleServerDrain, DrainTimeoutBoundsClientsThatNeverRead) {

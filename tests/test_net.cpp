@@ -423,7 +423,7 @@ TEST(ScheduleServer, FileSpecsAreConfinedToTheConfiguredTreeDir) {
   const std::string path = dir + "net_spec_tree.txt";
   write_tree_file(path, tree_from_spec("random:40:7"));
   ServerConfig config;
-  config.frontend.tree_dir = dir;
+  config.tree_dir = dir;
   ServerHarness harness(config);
   Client client = connect(harness);
   // Every way out of the directory is a typed error, never a read.
@@ -1083,9 +1083,6 @@ TEST(FrontendFlags, DefaultsAreTheConfigDefaults) {
   EXPECT_EQ(parsed.metrics_bind, "127.0.0.1");
   EXPECT_EQ(parsed.log_json, "");
   EXPECT_EQ(parsed.drain_timeout_ms, 0.0);
-  EXPECT_EQ(parsed.tree_dir, "");
-  EXPECT_EQ(parsed.max_spec_nodes, 2'000'000u);
-  EXPECT_EQ(parsed.max_spec_bytes, 16u << 20);
   // The binaries drain on SIGTERM/SIGINT; in-process tiers do not.
   EXPECT_TRUE(parsed.handle_signals);
   EXPECT_FALSE(plain.handle_signals);
@@ -1096,8 +1093,7 @@ TEST(FrontendFlags, EachSharedFlagSetsItsField) {
       {"--port", "3713", "--bind", "0.0.0.0", "--max-conns", "7",
        "--max-pending", "9", "--max-wbuf-kb", "3", "--max-frame-kb", "2",
        "--metrics-port", "0", "--trace-dir", "traces", "--log-json", "-",
-       "--tree-dir", "trees", "--max-spec-nodes", "500",
-       "--max-spec-bytes", "4096", "--drain-timeout-ms", "250"});
+       "--drain-timeout-ms", "250"});
   EXPECT_EQ(c.listen.port, 3713);
   EXPECT_EQ(c.listen.bind, "0.0.0.0");
   EXPECT_EQ(c.max_conns, 7u);
@@ -1107,15 +1103,13 @@ TEST(FrontendFlags, EachSharedFlagSetsItsField) {
   EXPECT_EQ(c.metrics_port, 0);
   EXPECT_EQ(c.session.trace_dir, "traces");
   EXPECT_EQ(c.log_json, "-");
-  EXPECT_EQ(c.tree_dir, "trees");
-  EXPECT_EQ(c.max_spec_nodes, 500u);
-  EXPECT_EQ(c.max_spec_bytes, 4096u);
   EXPECT_EQ(c.drain_timeout_ms, 250.0);
-  // A tier's own flags are not the shared reader's to accept.
-  EXPECT_THROW(frontend_flags({"--unix", "/tmp/x.sock"}),
-               std::invalid_argument);
-  EXPECT_THROW(frontend_flags({"--nodes", "127.0.0.1:1"}),
-               std::invalid_argument);
+  // A tier's own flags are not the shared reader's to accept; the spec
+  // flags are the server's own (a router never resolves a spec).
+  for (const char* own : {"--unix", "--nodes", "--tree-dir",
+                          "--max-spec-nodes", "--max-spec-bytes"}) {
+    EXPECT_THROW(frontend_flags({own, "1"}), std::invalid_argument) << own;
+  }
 }
 
 TEST(FrontendConfig, BothTiersRefuseAZeroPendingWindow) {

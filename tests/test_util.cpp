@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <set>
+#include <stdexcept>
 
 #include "util/cli.hpp"
 #include "util/heap.hpp"
@@ -109,6 +112,27 @@ TEST(Cli, FallbacksAndUnknownRejection) {
   EXPECT_THROW(args.reject_unknown(), std::invalid_argument);
   args.describe("typo");
   EXPECT_NO_THROW(args.reject_unknown());
+}
+
+TEST(Cli, IntegerRangeIsInclusiveAndNamesTheFlag) {
+  const char* argv[] = {"prog", "--low", "-1", "--high", "65535",
+                        "--over", "65536"};
+  CliArgs args(7, const_cast<char**>(argv));
+  EXPECT_EQ(args.get_int("low", 0, -1, 65535), -1);
+  EXPECT_EQ(args.get_int("high", 0, -1, 65535), 65535);
+  EXPECT_EQ(args.get_int("absent", 7, 0, 1), 7) << "fallbacks are not checked";
+  try {
+    (void)args.get_int("over", 0, 0, 65535);
+    ADD_FAILURE() << "65536 accepted for a [0, 65535] flag";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "--over must be in [0, 65535], got 65536");
+  }
+  try {
+    (void)args.get_int("low", 0, 0, std::numeric_limits<std::int64_t>::max());
+    ADD_FAILURE() << "-1 accepted for a size";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "--low must be at least 0, got -1");
+  }
 }
 
 TEST(Cli, BadBooleanThrows) {
