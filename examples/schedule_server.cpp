@@ -1,8 +1,8 @@
 // Networked front-end for the scheduling service: an epoll-driven
-// server (src/net/) speaking text protocol v2 — the same
-// request/response line grammar as the stdin front-end (examples/
-// schedule_service) — and binary protocol v3 (net/frame.hpp),
-// negotiated per connection by its first bytes.
+// server (src/net/) speaking text protocol v2 and binary protocol v3
+// (net/frame.hpp), negotiated per connection by its first bytes. The
+// stdin front-end (examples/schedule_service) runs this same server
+// with itself as its one client.
 //
 //   $ ./schedule_server --port 3713 &
 //   listening on 127.0.0.1:3713
@@ -74,13 +74,14 @@ int main(int argc, char** argv) {
     server_config.frontend = net::parse_frontend_flags(args);
     server_config.frontend.listen.unix_path = args.get("unix", "");
     server_config.slow_ms = args.get_double("slow-ms", 0.0);
-    server_config.tree_dir = args.get("tree-dir", server_config.tree_dir);
-    server_config.max_spec_nodes = static_cast<std::uint64_t>(args.get_int(
-        "max-spec-nodes",
-        static_cast<std::int64_t>(server_config.max_spec_nodes), 0, kMax));
-    server_config.max_spec_bytes = static_cast<std::uint64_t>(args.get_int(
-        "max-spec-bytes",
-        static_cast<std::int64_t>(server_config.max_spec_bytes), 0, kMax));
+    TreeSpecOptions& spec = server_config.spec;
+    spec.file_dir = args.get("tree-dir", "");
+    spec.allow_file = !spec.file_dir.empty();
+    spec.max_nodes = static_cast<std::uint64_t>(args.get_int(
+        "max-spec-nodes", static_cast<std::int64_t>(spec.max_nodes), 0, kMax));
+    spec.max_file_bytes = static_cast<std::uint64_t>(
+        args.get_int("max-spec-bytes",
+                     static_cast<std::int64_t>(spec.max_file_bytes), 0, kMax));
     ServiceConfig service_config;
     service_config.cache_bytes = mib("cache-mb", 256);
     service_config.validate = args.get_bool("validate", false);

@@ -1,30 +1,54 @@
 #!/bin/sh
-# Protocol-v2 end-to-end check against the real schedule_service binary:
-# id= tags round-trip onto response lines, cancel lines are accepted (an
-# unknown id answers code=bad_request), failures carry machine-readable
-# codes, parse errors do not abort the stream, and the stats line carries
-# exactly the pinned key set, each key once. Run by CTest as
-# schedule_service_protocol_v2 with the binary path as $1.
+# Protocol-v2 end-to-end check against the real schedule_service binary
+# (a schedule_server whose one client is its own input): id= tags
+# round-trip onto response lines, cancel lines are accepted (an unknown id
+# answers code=bad_request), failures carry machine-readable codes, parse
+# errors do not abort the stream, and the stats line carries exactly the
+# server's pinned key set, each key once. Then: blocking backpressure
+# answers 600 lines at --max-pending 16 in input order with no
+# queue_full, a file: spec takes an absolute path, `trace dump=` writes
+# relative names into the working directory and refuses absolute paths,
+# and --max-pending 0 exits 1. Every run is capped at 60 s, so a hung
+# pump fails with a message, and must leave its TMPDIR empty. Run by
+# CTest as schedule_service_protocol_v2 with the binary path as $1.
 set -eu
 export LC_ALL=C  # the pinned key set below is in byte order
 
-bin="$1"
-
-out=$(printf '%s\n' \
-    'random:60:1 Liu 1 id=7' \
-    'random:60:1 NoSuchAlgo 2 id=8' \
-    'cancel id=99' \
-    'this is not a request' \
-    'random:60:1 Liu 4' \
-    'stats' \
-    | "$bin")
-
-echo "$out"
+bin=$(cd "$(dirname "$1")" && pwd)/$(basename "$1")  # runs cd away
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+work="$tmp/work"      # the runs' working directory: trace dumps land here
+tmpdir="$tmp/tmpdir"  # the runs' TMPDIR, which every run must leave empty
+mkdir "$work" "$tmpdir"
 
 fail() {
     echo "FAIL: $1" >&2
     exit 1
 }
+
+# run <input file> [flag ...]: one capped run; sets $out and $status.
+run() {
+    input="$1"
+    shift
+    status=0
+    out=$(cd "$work" && TMPDIR="$tmpdir" timeout 60 "$bin" "$@" <"$input") \
+        || status=$?
+    [ "$status" -ne 124 ] || fail "schedule_service $* ran past 60 s"
+    [ -z "$(ls -A "$tmpdir")" ] \
+        || fail "schedule_service $* left $(ls -A "$tmpdir") in its TMPDIR"
+}
+
+printf '%s\n' \
+    'random:60:1 Liu 1 id=7' \
+    'random:60:1 NoSuchAlgo 2 id=8' \
+    'cancel id=99' \
+    'this is not a request' \
+    'random:60:1 Liu 4' \
+    'stats' >"$tmp/protocol.in"
+run "$tmp/protocol.in"
+[ "$status" -eq 0 ] || fail "schedule_service exited $status"
+
+echo "$out"
 
 echo "$out" | grep -q '^ok id=7 .*algo=Liu .*p=1' \
     || fail "id=7 did not round-trip onto its ok line"
@@ -43,29 +67,40 @@ echo "$out" | grep -q '^ok tree=.*algo=Liu p=4 ' \
 [ "$(echo "$out" | wc -l)" -eq 6 ] \
     || fail "expected exactly one response line per input line"
 
-# The stats line: the stream's own counters, then the service registry's
-# keys (a stats-only one, one with a Prometheus twin, a histogram
-# summary), each spelled once and together exactly the pinned set.
+# The stats line: the server's vocabulary — the service registry's keys
+# (a stats-only one, one with a Prometheus twin, a histogram summary) and
+# the transport's — each spelled once and together exactly the pinned
+# set (kServerStatsKeys in tests/test_net.cpp).
 stats=$(echo "$out" | grep '^stats ') || fail "stats did not answer"
-for key in pending lines parse_errors queue_admitted cache_misses e2e_count; do
+for key in outstanding lines parse_errors queue_admitted cache_misses e2e_count; do
     echo "$stats" | grep -q " $key=" || fail "the stats line lacks $key="
 done
 keys=$(echo "$stats" | tr ' ' '\n' | sed -n 's/=.*//p' | sort)
 repeated=$(echo "$keys" | uniq -d)
 [ -z "$repeated" ] || fail "the stats line repeats: $repeated"
-golden='cache_bytes
+golden='accepted
+batch_requests
+cache_bytes
 cache_entries
 cache_evictions
 cache_hits
 cache_misses
+conns
 e2e_count
 e2e_p50_us
 e2e_p90_us
 e2e_p99_us
 e2e_window_count
+frames_bad
+frames_in
 lines
+net_e2e_count
+net_e2e_p50_us
+net_e2e_p90_us
+net_e2e_p99_us
+net_e2e_window_count
+outstanding
 parse_errors
-pending
 pool_executed
 pool_pending
 pool_submitted
@@ -100,6 +135,7 @@ queue_rejected_interactive
 queue_wait_p99_us_batch
 queue_wait_p99_us_bulk
 queue_wait_p99_us_interactive
+rejected_conns
 stage_compute_count
 stage_compute_p50_us
 stage_compute_p90_us
@@ -115,13 +151,57 @@ stage_queue_wait_p50_us
 stage_queue_wait_p90_us
 stage_queue_wait_p99_us
 stage_queue_wait_window_count
+stage_write_stall_count
+stage_write_stall_p50_us
+stage_write_stall_p90_us
+stage_write_stall_p99_us
+stage_write_stall_window_count
 store_bytes
 store_rejected
-store_trees'
+store_trees
+submitted
+v3_conns'
 if [ "$keys" != "$golden" ]; then
     echo "missing: $(echo "$golden" | grep -vxF "$keys")" >&2
     echo "unexpected: $(echo "$keys" | grep -vxF "$golden")" >&2
     fail "the stats keys differ from the pinned set"
 fi
+
+# Backpressure blocks instead of refusing: 600 untagged lines, each a
+# distinct tree and so a cache miss that holds its window slot, through a
+# 16-line window all answer ok, in input order (each answer echoes its p).
+seq 1 600 | awk '{ print "random:60:" $1 " Liu " $1 }' >"$tmp/window.in"
+run "$tmp/window.in" --max-pending 16
+[ "$status" -eq 0 ] || fail "the 600-line run exited $status"
+if echo "$out" | grep -q 'code=queue_full'; then
+    fail "a line answered queue_full behind --max-pending 16"
+fi
+[ "$(echo "$out" | grep -c '^ok ')" -eq 600 ] \
+    || fail "expected 600 ok answers, got $(echo "$out" | grep -c '^ok ')"
+[ "$(echo "$out" | sed 's/.* p=\([0-9]*\) .*/\1/')" = "$(seq 1 600)" ] \
+    || fail "the 600 answers are not in input order"
+
+# The input is trusted: a file: spec may name any path.
+printf 'treesched-tree v1\n3\n-1 1 0 1\n0 1 0 1\n0 1 0 1\n' >"$tmp/three.tree"
+echo "file:$tmp/three.tree Liu 1" >"$tmp/file.in"
+run "$tmp/file.in"
+echo "$out" | grep -q '^ok tree=.* n=3 algo=Liu ' \
+    || fail "an absolute file: spec did not answer ok: $out"
+
+# Trace dumps write relative names into the working directory only.
+printf '%s\n' 'trace dump=trace.json' "trace dump=$work/absolute.json" \
+    >"$tmp/trace.in"
+run "$tmp/trace.in"
+echo "$out" | sed -n 1p | grep -q '^trace .* written=' \
+    || fail "trace dump=trace.json did not answer: $out"
+[ -s "$work/trace.json" ] || fail "trace dump=trace.json wrote no file"
+echo "$out" | sed -n 2p | grep -q '^error code=bad_request ' \
+    || fail "trace dump=<absolute path> did not answer bad_request: $out"
+[ ! -e "$work/absolute.json" ] \
+    || fail "trace dump=<absolute path> wrote its file"
+
+# A zero window is refused at startup.
+run "$tmp/protocol.in" --max-pending 0
+[ "$status" -eq 1 ] || fail "--max-pending 0 exited $status, want 1"
 
 echo "protocol v2 OK"

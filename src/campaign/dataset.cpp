@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <filesystem>
+#include <fstream>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
@@ -245,7 +246,27 @@ Tree tree_from_spec(const std::string& spec, const TreeSpecOptions& opts) {
             std::to_string(opts.max_file_bytes) + "-byte limit");
       }
     }
-    return read_tree_file(path);
+    if (opts.file_dir.empty()) return read_tree_file(path);
+    // A confined spec is a network client's: its error names the spec
+    // and what failed, never the resolved path (the server's directory)
+    // or a byte of the file.
+    const std::string failed = "tree spec \"" + spec + "\": ";
+    std::ifstream in(path);
+    if (!in) throw std::invalid_argument(failed + "cannot open the file");
+    std::string header;  // read_tree's rule: blank and '#' lines lead
+    while (std::getline(in, header) && (header.empty() || header[0] == '#')) {
+    }
+    if (header != "treesched-tree v1") {
+      throw std::invalid_argument(failed + "not a treesched-tree v1 file");
+    }
+    in.clear();
+    in.seekg(0);
+    try {
+      return read_tree(in);
+    } catch (const std::exception&) {
+      throw std::invalid_argument(failed +
+                                  "the tree file is truncated or malformed");
+    }
   }
   if (kind == "random") {
     if (args.size() != 2) {

@@ -65,8 +65,12 @@ struct TreeSpecOptions {
   /// false refuses `file:` specs outright (server started without
   /// --tree-dir). When true and `file_dir` is non-empty, the path must
   /// be a plain relative name confined inside `file_dir` (absolute
-  /// paths and "." / ".." components rejected). When true and
-  /// `file_dir` is empty the path is used as given (CLI trust).
+  /// paths and "." / ".." components rejected), and a failed read
+  /// answers with the spec and what failed (cannot open, not a
+  /// treesched-tree v1 file, truncated or malformed), never the
+  /// resolved path or a byte of the file. When true and `file_dir` is
+  /// empty the path is used as given (CLI trust), and read errors keep
+  /// read_tree_file's wording.
   bool allow_file = true;
   std::string file_dir;
   /// Upper bound on the size of a `file:` tree file, checked against
@@ -78,7 +82,7 @@ struct TreeSpecOptions {
 };
 
 /// Resolves a protocol tree spec — the `<tree-spec>` token of a request
-/// line, shared by the stdin and TCP front-ends:
+/// line, shared by every front-end that resolves specs:
 ///   file:<path>             a treesched-tree v1 file
 ///   random:<n>:<seed>       random weighted tree
 ///   grid:<nx>:<z>           2D-grid assembly tree, amalgamation cap z >= 1

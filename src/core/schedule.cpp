@@ -4,6 +4,7 @@
 #include <cmath>
 #include <numeric>
 #include <sstream>
+#include <utility>
 
 namespace treesched {
 
@@ -75,14 +76,17 @@ ValidationResult validate_schedule(const Tree& tree, const Schedule& s,
       }
     }
   }
-  // Per-processor overlap: sort each processor's tasks by start time. Only
-  // the processors in use get a list, however large p is.
+  // Per-processor overlap: sort each processor's tasks by (start,
+  // finish), so a zero-work task sorts ahead of the task that starts
+  // where it starts and ends. Only the processors in use get a list,
+  // however large p is.
   std::vector<std::vector<NodeId>> per_proc(
       static_cast<std::size_t>(max_proc) + 1);
   for (NodeId i = 0; i < n; ++i) per_proc[s.proc[i]].push_back(i);
   for (auto& tasks : per_proc) {
     std::sort(tasks.begin(), tasks.end(), [&](NodeId a, NodeId b) {
-      return s.start[a] < s.start[b];
+      return std::pair(s.start[a], s.finish(tree, a)) <
+             std::pair(s.start[b], s.finish(tree, b));
     });
     for (std::size_t k = 1; k < tasks.size(); ++k) {
       NodeId prev = tasks[k - 1], cur = tasks[k];

@@ -29,8 +29,8 @@
 // on.
 //
 // A trailing '\r' is stripped (CRLF clients: nc, telnet, load
-// balancers). finish() flushes a final unterminated line at EOF — the
-// same grace std::getline gives the stdin front-end.
+// balancers). finish() flushes a final unterminated line at EOF, as
+// std::getline does.
 
 #include <cstddef>
 #include <cstring>

@@ -39,10 +39,6 @@ std::size_t Server::TicketKeyHash::operator()(const TicketKey& k) const {
 Server::Server(SchedulingService& service, ServerConfig config)
     : service_(service),
       config_(std::move(config)),
-      spec_options_{.max_nodes = config_.max_spec_nodes,
-                    .allow_file = !config_.tree_dir.empty(),
-                    .file_dir = config_.tree_dir,
-                    .max_file_bytes = config_.max_spec_bytes},
       frontend_(loop_, *this, counters_, service_.registry(), config_.frontend,
                 TierWording{.tier = "server",
                             .started = "running",
@@ -162,9 +158,8 @@ void Server::record_flushed(const ResponseTiming& timing) {
        obs::EventLog::Field::str("algo", timing.algo),
        obs::EventLog::Field::u64("e2e_us", e2e / 1000),
        obs::EventLog::Field::u64("cache_hit", timing.cache_hit ? 1 : 0)});
-  // One stderr line per slow request, built whole so concurrent writers
-  // (pool workers log nothing, but the stdin front-end shares stderr)
-  // can't interleave mid-line.
+  // One stderr line per slow request, built whole so it cannot
+  // interleave mid-line with another writer of stderr.
   std::string line = "[treesched] slow request";
   if (timing.id) line.append(" id=").append(std::to_string(*timing.id));
   if (!timing.algo.empty()) line.append(" algo=").append(timing.algo);
@@ -322,7 +317,7 @@ Result<TreeHandle, ServiceError> Server::intern_spec(std::string_view spec) {
     // typed (kStoreFull); only spec resolution itself (file IO,
     // generator args) still throws.
     Result<TreeHandle, ServiceError> handle = service_.try_intern(
-        tree_from_spec(std::string(spec), spec_options_));
+        tree_from_spec(std::string(spec), config_.spec));
     if (handle.ok()) spec_memo_.emplace(std::string(spec), handle.value());
     return handle;
   } catch (const std::exception& e) {

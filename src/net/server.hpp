@@ -67,18 +67,18 @@ struct ServerConfig {
   /// accept-to-flush time exceeds it logs its full stage breakdown to
   /// stderr and the event log. 0 = disabled.
   double slow_ms = 0.0;
-  /// Directory `file:` tree specs may read from. Empty (the default)
-  /// refuses file: specs entirely — the spec names a file on this host,
-  /// and an unauthenticated network client must never choose what the
-  /// server opens. When set, spec paths are resolved inside it.
-  std::string tree_dir;
-  /// Upper bound on the node count a generator spec (random:/synthetic:/
-  /// grid:) may request; larger requests answer bad_request before any
-  /// allocation. 0 = unlimited (trusted networks only).
-  std::uint64_t max_spec_nodes = 2'000'000;
-  /// Upper bound on the on-disk size of a `file:` tree spec, checked
-  /// before the file is read. 0 = unlimited.
-  std::uint64_t max_spec_bytes = 16 << 20;
+  /// The bounds every client tree spec resolves under (tree_from_spec).
+  /// The default is the network-safe one: `file:` specs refused — the
+  /// spec names a file on this host, and an unauthenticated network
+  /// client must never choose what the server opens — generator specs
+  /// capped at 2,000,000 nodes before any allocation, and a file's size
+  /// at 16 MiB before it is read. schedule_server confines file: specs
+  /// to --tree-dir; the stdin front-end, whose only client is its own
+  /// input, passes TreeSpecOptions{} (any path, no caps).
+  TreeSpecOptions spec{.max_nodes = 2'000'000,
+                       .allow_file = false,
+                       .file_dir = {},
+                       .max_file_bytes = 16 << 20};
 };
 
 /// Monotonic server counters (I/O-thread state, reported by the
@@ -158,7 +158,7 @@ class Server : private SessionHandler {
   /// Spec -> interned handle, memoized server-wide (all parsing happens
   /// on the I/O thread, so the memo needs no lock). The lookup is
   /// copy-free; the spec string is owned only on first sight. Specs
-  /// resolve under spec_options_. Failures are typed values:
+  /// resolve under config.spec. Failures are typed values:
   /// kBadRequest for an unresolvable spec, kStoreFull (via try_intern)
   /// past the store budget.
   Result<TreeHandle, ServiceError> intern_spec(std::string_view spec);
@@ -171,10 +171,6 @@ class Server : private SessionHandler {
 
   SchedulingService& service_;
   ServerConfig config_;
-  /// The bounds every client tree spec resolves under (tree_from_spec):
-  /// the config's spec limits, file: specs confined to tree_dir and
-  /// refused without one.
-  const TreeSpecOptions spec_options_;
   EventLoop loop_;
   ServerCounters counters_;
   std::unordered_map<std::string, TreeHandle, SpecHash, std::equal_to<>>

@@ -107,8 +107,8 @@ void Session::on_readable() {
     }
     if (n == 0) {
       // Orderly EOF (half-close): answer everything, then close. A final
-      // unterminated line still counts, the grace getline gives the
-      // stdin front-end; a truncated frame or magic can never complete.
+      // unterminated line still counts, as it would for std::getline; a
+      // truncated frame or magic can never complete.
       read_closed_ = true;
       SessionCounters& counters = frontend_.counters();
       if (binary && reader_.buffered() > 0) {

@@ -1,10 +1,12 @@
 #pragma once
-// The schedule_service wire grammar, protocol v2. Its owned types, the
-// response writer and the response parser live here, its one request
-// parser in request_view.hpp — in the library rather than inside the
-// example binary, so tests can pin the grammar, in particular that
-// unknown fields and unknown error codes are rejected by name, never
-// silently accepted.
+// The text wire grammar, protocol v2, that schedule_server,
+// schedule_router and the stdin front-end (schedule_service, a server
+// with one local client) all speak. Its owned types, the response writer
+// and the response parser live here, its one request parser in
+// request_view.hpp — in the library rather than inside an example
+// binary, so tests can pin the grammar, in particular that unknown
+// fields and unknown error codes are rejected by name, never silently
+// accepted.
 //
 // Request lines (one per line):
 //   <tree-spec> <algo> <p> [<memory-cap>] [<key>=<value> ...]

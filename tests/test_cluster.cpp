@@ -1043,8 +1043,9 @@ TEST(MaxSpecBytes, ServerRejectsOversizedTreeFilesBeforeReading) {
   // read, so even an unparseable file works as the oversized probe.
   const std::string dir = make_tree_dir_with("big.tree", 64);
   ServerConfig config;
-  config.tree_dir = dir;
-  config.max_spec_bytes = 16;
+  config.spec.allow_file = true;
+  config.spec.file_dir = dir;
+  config.spec.max_file_bytes = 16;
   ServerHarness server(config);
   Client client("127.0.0.1", server.port());
   const ResponseLine resp = client.request("file:big.tree Liu 1 id=1");
@@ -1059,8 +1060,9 @@ TEST(MaxSpecBytes, NodeRejectsOversizedTreeFilesSentThroughTheRouter) {
   // which the router delivers unchanged.
   const std::string dir = make_tree_dir_with("big.tree", 64);
   ServerConfig node_config;
-  node_config.tree_dir = dir;
-  node_config.max_spec_bytes = 16;
+  node_config.spec.allow_file = true;
+  node_config.spec.file_dir = dir;
+  node_config.spec.max_file_bytes = 16;
   ServerHarness node(node_config);
   RouterHarness router({node.name()});
   ASSERT_TRUE(router.wait_nodes_up(1));

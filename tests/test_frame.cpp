@@ -1,6 +1,6 @@
 // Binary protocol v3 (src/net/frame.hpp + service/request_view.hpp):
-// zero-copy request parsing pinned grammar-equivalent to the v2 text
-// parser, frame round trips under adversarial chunkings, hostile-frame
+// zero-copy request parsing pinned against a table of the grammar,
+// frame round trips under adversarial chunkings, hostile-frame
 // rejection (truncated length prefix, oversized length, garbage magic,
 // mid-frame disconnect), and end-to-end coverage of the negotiated
 // binary mode over real sockets — pipelined batch frames, out-of-order
@@ -58,7 +58,7 @@ using testing::ServerHarness;
 using testing::TierHarness;
 
 // ---------------------------------------------------------------------------
-// RequestView: the zero-copy parser, alone and against the v2 parser.
+// RequestView: the zero-copy parser.
 // ---------------------------------------------------------------------------
 
 TEST(RequestView, ParsesAFullScheduleLine) {
@@ -106,32 +106,94 @@ TEST(RequestView, SuccessPathTakesViewsIntoTheInput) {
   EXPECT_LT(req.algo.data(), line.data() + line.size());
 }
 
-/// The pinned contract: every line is accepted by BOTH parsers with the
-/// same fields, or rejected by BOTH (messages may differ; acceptance may
-/// not). Grammar drift between the protocols would split clients.
-TEST(RequestView, AgreesWithTheV2ParserAcrossTheCorpus) {
-  const char* corpus[] = {
-      // accepted
-      "random:300:1 Liu 1",
-      "random:300:1 Liu 1 1048576",
-      "synthetic:500:7 ParSubtrees 8 priority=interactive",
-      "t Liu +3",
-      "t Liu -2",
-      "t Liu 2 id=0",
-      "t Liu 2 deadline_ms=0.5 id=3 priority=bulk",
-      "  t   Liu  4  ",
-      "t Liu 1 0",
-      "cancel id=12",
-      "ping",
-      "ping id=9",
-      "stats",
-      "stats id=18446744073709551615",
-      "trace start",
-      "trace stop id=4",
-      "trace status",
-      "trace dump=/tmp/out.json",
-      "trace dump=/tmp/out.json id=2",
-      // rejected
+/// The grammar, pinned as a table: each accepted line with every field
+/// it parses to, and each rejected line, which must fail with a message.
+TEST(RequestView, ParsesTheGrammarCorpusTable) {
+  using Kind = RequestLine::Kind;
+  const struct {
+    const char* line;
+    RequestView want;
+  } accepted[] = {
+      {"random:300:1 Liu 1",
+       {.kind = Kind::kSchedule,
+        .tree_spec = "random:300:1",
+        .algo = "Liu",
+        .p = 1}},
+      {"random:300:1 Liu 1 1048576",
+       {.kind = Kind::kSchedule,
+        .tree_spec = "random:300:1",
+        .algo = "Liu",
+        .p = 1,
+        .memory_cap = 1048576}},
+      {"synthetic:500:7 ParSubtrees 8 priority=interactive",
+       {.kind = Kind::kSchedule,
+        .tree_spec = "synthetic:500:7",
+        .algo = "ParSubtrees",
+        .p = 8,
+        .priority = Priority::kInteractive}},
+      {"t Liu +3",
+       {.kind = Kind::kSchedule, .tree_spec = "t", .algo = "Liu", .p = 3}},
+      {"t Liu -2",
+       {.kind = Kind::kSchedule, .tree_spec = "t", .algo = "Liu", .p = -2}},
+      {"t Liu 2 id=0",
+       {.kind = Kind::kSchedule,
+        .id = 0,
+        .tree_spec = "t",
+        .algo = "Liu",
+        .p = 2}},
+      {"t Liu 2 deadline_ms=0.5 id=3 priority=bulk",
+       {.kind = Kind::kSchedule,
+        .id = 3,
+        .tree_spec = "t",
+        .algo = "Liu",
+        .p = 2,
+        .priority = Priority::kBulk,
+        .deadline_ms = 0.5}},
+      {"  t   Liu  4  ",
+       {.kind = Kind::kSchedule, .tree_spec = "t", .algo = "Liu", .p = 4}},
+      {"t Liu 1 0",
+       {.kind = Kind::kSchedule,
+        .tree_spec = "t",
+        .algo = "Liu",
+        .p = 1,
+        .memory_cap = 0}},
+      {"cancel id=12", {.kind = Kind::kCancel, .id = 12}},
+      {"ping", {.kind = Kind::kPing}},
+      {"ping id=9", {.kind = Kind::kPing, .id = 9}},
+      {"stats", {.kind = Kind::kStats}},
+      {"stats id=18446744073709551615",
+       {.kind = Kind::kStats, .id = 18446744073709551615u}},
+      {"trace start", {.kind = Kind::kTrace, .trace_action = "start"}},
+      {"trace stop id=4",
+       {.kind = Kind::kTrace, .id = 4, .trace_action = "stop"}},
+      {"trace status", {.kind = Kind::kTrace, .trace_action = "status"}},
+      {"trace dump=/tmp/out.json",
+       {.kind = Kind::kTrace,
+        .trace_action = "dump",
+        .trace_path = "/tmp/out.json"}},
+      {"trace dump=/tmp/out.json id=2",
+       {.kind = Kind::kTrace,
+        .id = 2,
+        .trace_action = "dump",
+        .trace_path = "/tmp/out.json"}},
+  };
+  for (const auto& [line, want] : accepted) {
+    RequestView got;
+    std::string error;
+    ASSERT_TRUE(parse_request_view(line, got, error))
+        << "\"" << line << "\": " << error;
+    EXPECT_EQ(got.kind, want.kind) << line;
+    EXPECT_EQ(got.id, want.id) << line;
+    EXPECT_EQ(got.tree_spec, want.tree_spec) << line;
+    EXPECT_EQ(got.algo, want.algo) << line;
+    EXPECT_EQ(got.p, want.p) << line;
+    EXPECT_EQ(got.memory_cap, want.memory_cap) << line;
+    EXPECT_EQ(got.priority, want.priority) << line;
+    EXPECT_EQ(got.deadline_ms, want.deadline_ms) << line;
+    EXPECT_EQ(got.trace_action, want.trace_action) << line;
+    EXPECT_EQ(got.trace_path, want.trace_path) << line;
+  }
+  const char* rejected[] = {
       "",
       "   ",
       "t",
@@ -175,32 +237,11 @@ TEST(RequestView, AgreesWithTheV2ParserAcrossTheCorpus) {
       "trace unknown=1",
       "trace start id=1 id=2",
   };
-  for (const char* raw : corpus) {
-    const std::string line = raw;
-    bool v2_ok = true;
-    RequestLine parsed;
-    try {
-      parsed = parse_request_line(line);
-    } catch (const std::invalid_argument&) {
-      v2_ok = false;
-    }
-    RequestView view;
+  for (const char* line : rejected) {
+    RequestView got;
     std::string error;
-    const bool v3_ok = parse_request_view(line, view, error);
-    EXPECT_EQ(v2_ok, v3_ok) << "parsers disagree on acceptance of: \"" << line
-                            << "\" (v3 error: " << error << ")";
-    if (!v2_ok || !v3_ok) continue;
-    const RequestView expected = as_view(parsed);
-    EXPECT_EQ(view.kind, expected.kind) << line;
-    EXPECT_EQ(view.id, expected.id) << line;
-    EXPECT_EQ(view.tree_spec, expected.tree_spec) << line;
-    EXPECT_EQ(view.algo, expected.algo) << line;
-    EXPECT_EQ(view.p, expected.p) << line;
-    EXPECT_EQ(view.memory_cap, expected.memory_cap) << line;
-    EXPECT_EQ(view.priority, expected.priority) << line;
-    EXPECT_EQ(view.deadline_ms, expected.deadline_ms) << line;
-    EXPECT_EQ(view.trace_action, expected.trace_action) << line;
-    EXPECT_EQ(view.trace_path, expected.trace_path) << line;
+    EXPECT_FALSE(parse_request_view(line, got, error)) << '"' << line << '"';
+    EXPECT_FALSE(error.empty()) << '"' << line << "\" failed with no message";
   }
 }
 

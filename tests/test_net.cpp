@@ -422,8 +422,11 @@ TEST(ScheduleServer, FileSpecsAreConfinedToTheConfiguredTreeDir) {
   if (dir.empty() || dir.back() != '/') dir += '/';
   const std::string path = dir + "net_spec_tree.txt";
   write_tree_file(path, tree_from_spec("random:40:7"));
+  const std::string junk_path = dir + "net_spec_junk.txt";
+  std::ofstream(junk_path) << "junk-header 42\nsecret-looking bytes\n";
   ServerConfig config;
-  config.tree_dir = dir;
+  config.spec.allow_file = true;
+  config.spec.file_dir = dir;
   ServerHarness harness(config);
   Client client = connect(harness);
   // Every way out of the directory is a typed error, never a read.
@@ -436,6 +439,28 @@ TEST(ScheduleServer, FileSpecsAreConfinedToTheConfiguredTreeDir) {
     EXPECT_EQ(err.code, ErrorCode::kBadRequest) << line;
     EXPECT_EQ(err.message.find("root:"), std::string::npos) << line;
   }
+  // A failed read inside the directory names the client's spec and what
+  // failed, never the server's directory or a byte of the file.
+  const ResponseLine missing =
+      client.request("file:missing.tree Liu 1 id=6");
+  ASSERT_FALSE(missing.ok);
+  EXPECT_EQ(missing.code, ErrorCode::kBadRequest);
+  EXPECT_NE(missing.message.find("file:missing.tree"), std::string::npos)
+      << missing.message;
+  EXPECT_NE(missing.message.find("cannot open"), std::string::npos)
+      << missing.message;
+  EXPECT_EQ(missing.message.find(dir), std::string::npos)
+      << "error text leaked the tree directory: " << missing.message;
+  const ResponseLine junk =
+      client.request("file:net_spec_junk.txt Liu 1 id=7");
+  ASSERT_FALSE(junk.ok);
+  EXPECT_EQ(junk.code, ErrorCode::kBadRequest);
+  EXPECT_NE(junk.message.find("not a treesched-tree v1 file"),
+            std::string::npos)
+      << junk.message;
+  EXPECT_EQ(junk.message.find("junk-header"), std::string::npos)
+      << "error text leaked file contents: " << junk.message;
+  EXPECT_EQ(junk.message.find(dir), std::string::npos) << junk.message;
   // A plain relative name inside the tree dir is served.
   const ResponseLine ok = client.request("file:net_spec_tree.txt Liu 1 id=5");
   ASSERT_TRUE(ok.ok) << ok.message;
@@ -443,6 +468,7 @@ TEST(ScheduleServer, FileSpecsAreConfinedToTheConfiguredTreeDir) {
   EXPECT_EQ(ok.n, 40);
   EXPECT_GT(ok.makespan, 0.0);
   std::remove(path.c_str());
+  std::remove(junk_path.c_str());
 }
 
 TEST(ScheduleServer, HostileGeneratorSpecsAreRejectedBeforeAllocation) {

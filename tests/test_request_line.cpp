@@ -1,6 +1,7 @@
-// The schedule_service wire grammar (service/request_line.hpp), protocol
-// v2: positional fields as in PR 2, the named priority=/deadline_ms=/id=
-// fields, cancel lines, response formatting/parsing round-trips, the
+// The text wire grammar (service/request_line.hpp), protocol v2, that
+// schedule_server, schedule_router and schedule_service all speak:
+// positional fields, the named priority=/deadline_ms=/id= fields,
+// cancel lines, response formatting/parsing round-trips, the
 // response writer's bytes against an ostringstream oracle, and — the
 // regressions this file pins — unknown request fields and unknown error
 // codes rejected with an error naming them, never silently accepted.

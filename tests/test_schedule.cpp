@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "sched/validate.hpp"
 #include "test_helpers.hpp"
 
 namespace treesched {
@@ -86,6 +87,25 @@ TEST(Validate, BackToBackOnSameProcessorIsOk) {
   s.start = {2.0, 0.0, 1.0};
   s.proc = {0, 0, 0};
   EXPECT_TRUE(validate_schedule(t, s, 1).ok);
+}
+
+TEST(Validate, AcceptsAZeroWorkTaskBetweenItsChildAndItsParent) {
+  // The chain 2 -> 1 -> 0 on one processor, task 1 of zero work: it
+  // starts and ends at t = 1, where its parent 0 starts. Sorted by start
+  // alone, 0 may land ahead of 1 and read as an overlap.
+  Tree t = testing::make_tree({kNoNode, 0, 1}, {1, 1, 1}, {0, 0, 0},
+                              {1.0, 0.0, 1.0});
+  Schedule s(3);
+  s.start = {1.0, 1.0, 0.0};
+  s.proc = {0, 0, 0};
+  const ValidationResult v = validate_schedule(t, s, 1);
+  EXPECT_TRUE(v.ok) << v.error;
+  const ScheduleCheck check = check_schedule(t, s, 1);
+  EXPECT_TRUE(check.ok) << check.error;
+  // At most every output at once: whatever order simulate() gives the
+  // zero-length task, the peak stays within the three outputs.
+  EXPECT_LE(check.peak_memory, 3u);
+  EXPECT_DOUBLE_EQ(check.makespan, 2.0);
 }
 
 }  // namespace
