@@ -67,7 +67,7 @@ int main(int argc, char** argv) {
     if (!banker) {
       std::cout << "  infeasible";
     } else {
-      const auto sim = simulate(tree, banker->schedule);
+      const auto sim = simulate(tree, *banker);
       std::cout << "  " << fmt(sim.makespan / lb_ms, 3) << "  ("
                 << (sim.peak_memory <= cap ? "yes" : "NO: BUG") << ")";
     }

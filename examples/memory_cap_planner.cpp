@@ -54,7 +54,7 @@ int main(int argc, char** argv) {
     const auto cap = (MemSize)((double)floor_cap * f);
     auto r = memory_bounded_schedule(tree, p, cap);
     if (!r) continue;
-    const auto sim = simulate(tree, r->schedule);
+    const auto sim = simulate(tree, *r);
     curve.push_back({f, sim.makespan, sim.peak_memory});
     std::cout << "   x" << fmt(f, 2) << "\t     " << fmt(sim.makespan / lb, 3)
               << "\t     x"

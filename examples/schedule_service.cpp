@@ -21,6 +21,7 @@
 //    whatever the input's first byte (the `lines` stats key counts it).
 
 #include <sys/socket.h>
+#include <sys/un.h>
 
 #include <algorithm>
 #include <chrono>
@@ -32,6 +33,7 @@
 #include <iostream>
 #include <limits>
 #include <mutex>
+#include <string_view>
 #include <thread>
 
 #include "net/client.hpp"
@@ -49,8 +51,16 @@ using namespace treesched;
 class SocketDir {
  public:
   SocketDir() {
+    // A unix socket path holds at most sizeof(sun_path) - 1 bytes, so a
+    // $TMPDIR too long for <dir>/treesched-XXXXXX/socket falls back to
+    // /tmp.
     const char* tmp = std::getenv("TMPDIR");
-    path_ = std::string(tmp && *tmp ? tmp : "/tmp") + "/treesched-XXXXXX";
+    std::string base = tmp && *tmp ? tmp : "/tmp";
+    if (base.size() + std::string_view("/treesched-XXXXXX/socket").size() >=
+        sizeof(sockaddr_un{}.sun_path)) {
+      base = "/tmp";
+    }
+    path_ = base + "/treesched-XXXXXX";
     if (::mkdtemp(path_.data()) == nullptr) {
       throw std::runtime_error("cannot create a socket directory from " +
                                path_);
@@ -159,13 +169,15 @@ void print_stats(const SchedulingService& service) {
   for (int cls = 0; cls < kPriorityClasses; ++cls) {
     const ClassQueueStats& c = qs.by_class[static_cast<std::size_t>(cls)];
     if (c.admitted == 0) continue;
+    const obs::HistogramSnapshot wait =
+        service.queue_wait_window(static_cast<Priority>(cls));
+    const auto ms = [&](double q) { return wait.quantile(q) / 1e6; };
     std::cerr << "queue[" << to_string(static_cast<Priority>(cls))
               << "]: " << c.admitted << " admitted, " << c.completed
               << " completed, " << c.expired << " expired, " << c.cancelled
               << " cancelled, " << c.rejected << " rejected, " << c.aged
               << " aged; wait ms p50/p90/p99 = " << std::setprecision(2)
-              << c.wait_ms_p50 << "/" << c.wait_ms_p90 << "/"
-              << c.wait_ms_p99 << "\n";
+              << ms(0.50) << "/" << ms(0.90) << "/" << ms(0.99) << "\n";
   }
 }
 

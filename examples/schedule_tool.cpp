@@ -201,11 +201,16 @@ int main(int argc, char** argv) {
         return 1;
       }
       const auto st = schedule_stats(tree, schedule, p);
+      // A bound of 0 is met only by 0 (a tree with no work has makespan 0),
+      // so the ratio to it is 1, not 0/0.
+      const auto ratio = [](double x, double bound) {
+        return fmt(bound > 0.0 ? x / bound : 1.0, 3);
+      };
       std::cout << "\n" << name << " on p = " << p << ":\n"
                 << "  makespan:   " << st.makespan << "  ("
-                << fmt(st.makespan / lb.makespan, 3) << "x lower bound)\n"
+                << ratio(st.makespan, lb.makespan) << "x lower bound)\n"
                 << "  peak memory: " << st.peak_memory << "  ("
-                << fmt((double)st.peak_memory / (double)lb.memory_postorder, 3)
+                << ratio((double)st.peak_memory, (double)lb.memory_postorder)
                 << "x sequential postorder)\n"
                 << "  processors used: " << st.processors_used << "/" << p
                 << ", avg utilization " << fmt_pct(st.avg_utilization) << "\n";

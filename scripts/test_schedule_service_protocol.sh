@@ -8,7 +8,8 @@
 # answers 600 lines at --max-pending 16 in input order with no
 # queue_full, a file: spec takes an absolute path, `trace dump=` writes
 # relative names into the working directory and refuses absolute paths,
-# and --max-pending 0 exits 1. Every run is capped at 60 s, so a hung
+# a TMPDIR too long for a socket path falls back to /tmp, and
+# --max-pending 0 exits 1. Every run is capped at 60 s, so a hung
 # pump fails with a message, and must leave its TMPDIR empty. Run by
 # CTest as schedule_service_protocol_v2 with the binary path as $1.
 set -eu
@@ -199,6 +200,23 @@ echo "$out" | sed -n 2p | grep -q '^error code=bad_request ' \
     || fail "trace dump=<absolute path> did not answer bad_request: $out"
 [ ! -e "$work/absolute.json" ] \
     || fail "trace dump=<absolute path> wrote its file"
+
+# A $TMPDIR too long for a unix socket path (at most 107 bytes with
+# /treesched-XXXXXX/socket appended) falls back to /tmp: the run answers,
+# and leaves nothing in either directory.
+long="$tmp/long-tmpdir-"
+while [ ${#long} -lt 100 ]; do long="${long}x"; done
+mkdir "$long"
+before=$(ls -d /tmp/treesched-?????? 2>/dev/null || true)
+status=0
+out=$(cd "$work" && TMPDIR="$long" timeout 60 "$bin" <"$tmp/file.in") \
+    || status=$?
+[ "$status" -eq 0 ] || fail "a ${#long}-byte TMPDIR exited $status: $out"
+echo "$out" | grep -q '^ok tree=.* n=3 algo=Liu ' \
+    || fail "a ${#long}-byte TMPDIR did not answer ok: $out"
+[ -z "$(ls -A "$long")" ] || fail "the run left $(ls -A "$long") in TMPDIR"
+[ "$(ls -d /tmp/treesched-?????? 2>/dev/null || true)" = "$before" ] \
+    || fail "the run left a socket directory in /tmp"
 
 # A zero window is refused at startup.
 run "$tmp/protocol.in" --max-pending 0

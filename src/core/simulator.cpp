@@ -6,6 +6,7 @@
 #include <cmath>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
 namespace treesched {
 
@@ -56,6 +57,13 @@ void radix_sort(std::vector<TimedTask>& a, std::vector<TimedTask>& tmp) {
   throw std::invalid_argument(os.str());
 }
 
+[[noreturn]] void throw_unfinished_child(NodeId i, double t, NodeId c) {
+  std::ostringstream os;
+  os << "simulate: task " << i << " starts at " << t << " but child " << c
+     << " has not finished";
+  throw std::invalid_argument(os.str());
+}
+
 }  // namespace
 
 SimulationResult simulate(const Tree& tree, const Schedule& s,
@@ -71,7 +79,9 @@ SimulationResult simulate(const Tree& tree, const Schedule& s,
   // filled in id order and sorted stably, so equal times keep id order.
   // At equal times, finishes are applied before starts so that a task may
   // begin exactly when its child ends (and memory is not double counted
-  // across the boundary).
+  // across the boundary). A zero-length task is the exception: its own
+  // start applies before its finish, and it starts and finishes before its
+  // parent starts.
   std::vector<TimedTask> by_start(static_cast<std::size_t>(n));
   std::vector<TimedTask> by_finish(static_cast<std::size_t>(n));
   for (NodeId i = 0; i < n; ++i) {
@@ -86,7 +96,10 @@ SimulationResult simulate(const Tree& tree, const Schedule& s,
   radix_sort(by_start, tmp);
   radix_sort(by_finish, tmp);
 
-  std::vector<char> done(static_cast<std::size_t>(n), 0);
+  // kDue: the finish sweep passed the task before it started (a
+  // zero-length task); its finish applies right after its start.
+  enum : char { kIdle, kRunning, kDue, kDone };
+  std::vector<char> state(static_cast<std::size_t>(n), kIdle);
   MemSize mem = 0;
   MemSize peak = 0;
   std::size_t fi = 0;  // cursor in by_finish
@@ -100,41 +113,71 @@ SimulationResult simulate(const Tree& tree, const Schedule& s,
       }
     }
   };
+  auto finish = [&](NodeId f) {
+    mem -= tree.exec_size(f);
+    for (NodeId c : tree.children(f)) mem -= tree.output_size(c);
+    state[f] = kDone;
+    record(s.finish(tree, f));
+  };
+  auto begin = [&](NodeId v) {
+    mem += tree.exec_size(v) + tree.output_size(v);
+    peak = std::max(peak, mem);
+    record(s.start[v]);
+    if (state[v] == kDue) {
+      finish(v);
+    } else {
+      state[v] = kRunning;
+    }
+  };
+  // Every child of `v` must be done before it starts. A child that is due
+  // but not started is a zero-length task at this instant: it runs first,
+  // its own due children before it (iteratively: such chains can be as
+  // long as the tree is deep).
+  std::vector<std::pair<NodeId, std::size_t>> stack;  // (task, next child)
+  auto run_due_children = [&](NodeId v) {
+    stack.push_back({v, 0});
+    while (!stack.empty()) {
+      auto& [u, next] = stack.back();
+      const auto kids = tree.children(u);
+      while (next < kids.size() && state[kids[next]] == kDone) ++next;
+      if (next == kids.size()) {
+        const NodeId done = u;
+        stack.pop_back();
+        if (done != v) begin(done);
+      } else if (state[kids[next]] == kDue) {
+        stack.push_back({kids[next], 0});
+      } else {
+        throw_unfinished_child(u, s.start[u], kids[next]);
+      }
+    }
+  };
 
   const double eps = 1e-9;
   for (const TimedTask& started : by_start) {
     const NodeId idx = started.id;
+    if (state[idx] == kDone) continue;  // ran ahead of its parent
     const double t = s.start[idx];
     const double tol = eps * std::max(1.0, t);
     // Apply all finishes at time <= t (+tolerance).
     while (fi < by_finish.size() &&
            s.finish(tree, by_finish[fi].id) <= t + tol) {
-      NodeId f = by_finish[fi++].id;
-      mem -= tree.exec_size(f);
-      for (NodeId c : tree.children(f)) mem -= tree.output_size(c);
-      done[f] = 1;
-      record(s.finish(tree, f));
-    }
-    // Precedence check.
-    for (NodeId c : tree.children(idx)) {
-      if (!done[c]) {
-        std::ostringstream os;
-        os << "simulate: task " << idx << " starts at " << t
-           << " but child " << c << " has not finished";
-        throw std::invalid_argument(os.str());
+      const NodeId f = by_finish[fi++].id;
+      if (state[f] == kIdle) {
+        state[f] = kDue;
+      } else {
+        finish(f);
       }
     }
-    mem += tree.exec_size(idx) + tree.output_size(idx);
-    peak = std::max(peak, mem);
-    record(t);
+    for (NodeId c : tree.children(idx)) {
+      if (state[c] != kDone) {
+        run_due_children(idx);
+        break;
+      }
+    }
+    begin(idx);
   }
   // Drain remaining finishes.
-  while (fi < by_finish.size()) {
-    NodeId f = by_finish[fi++].id;
-    mem -= tree.exec_size(f);
-    for (NodeId c : tree.children(f)) mem -= tree.output_size(c);
-    record(s.finish(tree, f));
-  }
+  while (fi < by_finish.size()) finish(by_finish[fi++].id);
   res.makespan = s.makespan(tree);
   res.peak_memory = peak;
   res.final_memory = mem;  // = f_root
@@ -142,10 +185,7 @@ SimulationResult simulate(const Tree& tree, const Schedule& s,
 }
 
 MemSize sequential_peak_memory(const Tree& tree,
-                               const std::vector<NodeId>& order) {
-  if (static_cast<NodeId>(order.size()) != tree.size()) {
-    throw std::invalid_argument("sequential_peak_memory: bad order length");
-  }
+                               std::span<const NodeId> order) {
   MemSize mem = 0, peak = 0;
   for (NodeId i : order) {
     mem += tree.exec_size(i) + tree.output_size(i);

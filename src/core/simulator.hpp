@@ -11,12 +11,18 @@
 // sampled there; the full step profile is also available for plotting and
 // for the memory-bounded scheduler's audits.
 //
+// Equal times: finishes apply before starts, so a task may start the
+// instant its child ends, and starts apply in id order. A zero-length
+// task is the exception: its own start applies before its finish, and it
+// starts and finishes before its parent starts.
+//
 // Complexity O(n): the start and finish event streams are ordered by a
 // stable LSD radix sort over an order-preserving 64-bit image of each time
 // (at most 8 byte passes, fewer when keys share bytes), ties in id order,
 // and the sweep that follows is linear.
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/schedule.hpp"
@@ -53,10 +59,14 @@ struct SimulationOptions {
 SimulationResult simulate(const Tree& tree, const Schedule& s,
                           const SimulationOptions& opts = {});
 
-/// Peak memory of a sequential traversal (children-before-parents order).
-/// Equivalent to simulate(tree, sequential_schedule(tree, order)).peak_memory
-/// but O(n) with no event machinery; used in algorithm inner loops.
+/// Peak memory of a sequential traversal (children-before-parents order)
+/// of the whole tree or of whole subtrees: every child of a listed task is
+/// listed before it. For the whole tree it equals
+/// simulate(tree, sequential_schedule(tree, order)).peak_memory when no
+/// task has zero work (a zero-length task shares its start time with the
+/// next one, and the replay orders such ties by id, not by `order`), but
+/// is O(n) with no event machinery; used in algorithm inner loops.
 MemSize sequential_peak_memory(const Tree& tree,
-                               const std::vector<NodeId>& order);
+                               std::span<const NodeId> order);
 
 }  // namespace treesched

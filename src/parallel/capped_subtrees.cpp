@@ -4,110 +4,41 @@
 #include <stdexcept>
 
 #include "core/simulator.hpp"
-#include "sequential/liu.hpp"
 #include "sequential/postorder.hpp"
 
 namespace treesched {
 
-namespace {
-
-struct SubtreeInfo {
-  NodeId root;
-  double total_work;
-  MemSize peak;    // sequential peak of the subtree on its own
-  MemSize output;  // f_root of the subtree
-  std::vector<NodeId> order;  // traversal in GLOBAL node ids
-};
-
-struct Plan {
-  SplitResult split;
-  std::vector<SubtreeInfo> subs;      // sorted by non-increasing work
-  std::vector<NodeId> full_order;     // whole-tree traversal (for the tail)
-};
-
-std::vector<NodeId> tree_order(const Tree& tree, SequentialAlgo seq,
-                               MemSize* peak) {
-  switch (seq) {
-    case SequentialAlgo::kOptimalPostorder: {
-      auto res = postorder(tree, PostorderPolicy::kOptimal);
-      *peak = res.peak;
-      return std::move(res.order);
-    }
-    case SequentialAlgo::kLiuExact: {
-      auto res = liu_optimal_traversal(tree);
-      *peak = res.peak;
-      return std::move(res.order);
-    }
-    case SequentialAlgo::kNaturalPostorder: {
-      auto res = postorder(tree, PostorderPolicy::kNatural);
-      *peak = res.peak;
-      return std::move(res.order);
-    }
-  }
-  throw std::logic_error("unknown SequentialAlgo");
-}
-
-Plan make_plan(const Tree& tree, int p, SequentialAlgo seq) {
-  Plan plan;
-  plan.split = split_subtrees(tree, p);
+CappedSubtreesPlan capped_subtrees_plan(const Tree& tree, int p) {
+  if (p < 1) throw std::invalid_argument("capped_subtrees_plan: p < 1");
+  CappedSubtreesPlan plan;
+  plan.p = p;
+  if (tree.empty()) return plan;
+  plan.roots = split_subtrees(tree, p).subtree_roots;
   const auto W = tree.subtree_work();
-  plan.subs.reserve(plan.split.subtree_roots.size());
-  for (NodeId r : plan.split.subtree_roots) {
-    SubtreeInfo info;
-    info.root = r;
-    info.total_work = W[r];
-    info.output = tree.output_size(r);
-    std::vector<NodeId> old_ids;
-    const Tree sub = tree.subtree(r, &old_ids);
-    MemSize pk = 0;
-    const auto local = tree_order(sub, seq, &pk);
-    info.peak = pk;
-    info.order.resize(local.size());
-    for (std::size_t k = 0; k < local.size(); ++k) {
-      info.order[k] = old_ids[local[k]];
-    }
-    plan.subs.push_back(std::move(info));
+  std::sort(plan.roots.begin(), plan.roots.end(), [&](NodeId a, NodeId b) {
+    if (W[a] != W[b]) return W[a] > W[b];
+    return a < b;
+  });
+  PostorderResult po = postorder(tree, PostorderPolicy::kOptimal);
+  plan.postorder_peak = po.peak;
+  plan.layout = group_by_subtree(tree, po.order, plan.roots);
+  plan.peak.reserve(plan.roots.size());
+  const std::span<const NodeId> order(plan.layout.order);
+  for (std::size_t k = 0; k < plan.roots.size(); ++k) {
+    const std::size_t first = plan.layout.first[k];
+    plan.peak.push_back(sequential_peak_memory(
+        tree, order.subspan(first, plan.layout.first[k + 1] - first)));
   }
-  std::sort(plan.subs.begin(), plan.subs.end(),
-            [](const SubtreeInfo& a, const SubtreeInfo& b) {
-              if (a.total_work != b.total_work) {
-                return a.total_work > b.total_work;
-              }
-              return a.root < b.root;
-            });
-  MemSize unused = 0;
-  plan.full_order = tree_order(tree, seq, &unused);
   return plan;
 }
 
-// Lays out the sequential tail (split nodes) starting at time t0 and
-// returns the constructed schedule's exact simulated peak.
-void layout_tail(const Tree& tree, const Plan& plan, double t0,
-                 Schedule& schedule) {
-  std::vector<char> in_tail(static_cast<std::size_t>(tree.size()), 0);
-  for (NodeId v : plan.split.seq_nodes) in_tail[v] = 1;
-  double t = t0;
-  for (NodeId v : plan.full_order) {
-    if (!in_tail[v]) continue;
-    schedule.start[v] = t;
-    schedule.proc[v] = 0;
-    t += tree.work(v);
-  }
-}
-
-}  // namespace
-
 std::optional<CappedSubtreesResult> capped_subtrees_schedule(
-    const Tree& tree, int p, MemSize cap, SequentialAlgo seq) {
-  if (p < 1) throw std::invalid_argument("capped_subtrees_schedule: p < 1");
+    const Tree& tree, const CappedSubtreesPlan& plan, MemSize cap) {
   const NodeId n = tree.size();
   CappedSubtreesResult res;
-  res.cap = cap;
   res.schedule = Schedule(n);
   if (n == 0) return res;
-
-  const Plan plan = make_plan(tree, p, seq);
-  const auto& subs = plan.subs;
+  const std::size_t subs = plan.roots.size();
 
   struct Running {
     double finish;
@@ -116,7 +47,7 @@ std::optional<CappedSubtreesResult> capped_subtrees_schedule(
   };
   std::vector<Running> running;
   std::vector<int> idle;
-  for (int q = p - 1; q >= 0; --q) idle.push_back(q);
+  for (int q = plan.p - 1; q >= 0; --q) idle.push_back(q);
   MemSize committed = 0;  // running peaks + finished outputs
   double now = 0.0;
   std::size_t done = 0;
@@ -127,18 +58,14 @@ std::optional<CappedSubtreesResult> capped_subtrees_schedule(
   // whenever the machine drains, committed is exactly the prefix's output
   // sum, and the floor guarantees the next subtree fits.
   auto try_start = [&]() {
-    while (next < subs.size() && !idle.empty() &&
-           committed + subs[next].peak <= cap) {
+    while (next < subs && !idle.empty() &&
+           committed + plan.peak[next] <= cap) {
       const std::size_t i = next++;
       const int proc = idle.back();
       idle.pop_back();
-      double t = now;
-      for (NodeId v : subs[i].order) {
-        res.schedule.start[v] = t;
-        res.schedule.proc[v] = proc;
-        t += tree.work(v);
-      }
-      committed += subs[i].peak;
+      const double t = layout_slice(tree, plan.layout, i, proc, now,
+                                    res.schedule);
+      committed += plan.peak[i];
       running.push_back({t, proc, i});
       res.max_parallelism =
           std::max(res.max_parallelism, static_cast<int>(running.size()));
@@ -146,7 +73,7 @@ std::optional<CappedSubtreesResult> capped_subtrees_schedule(
   };
 
   try_start();
-  while (done < subs.size()) {
+  while (done < subs) {
     if (running.empty()) return std::nullopt;  // nothing fits: infeasible
     auto it = std::min_element(running.begin(), running.end(),
                                [](const Running& a, const Running& b) {
@@ -159,45 +86,57 @@ std::optional<CappedSubtreesResult> capped_subtrees_schedule(
     running.erase(it);
     now = std::max(now, fin.finish);
     idle.push_back(fin.proc);
-    committed -= subs[fin.idx].peak;
-    committed += subs[fin.idx].output;
+    committed -= plan.peak[fin.idx];
+    committed += tree.output_size(plan.roots[fin.idx]);
     ++done;
     try_start();
   }
 
-  layout_tail(tree, plan, now, res.schedule);
+  // The sequential tail (the split nodes), on processor 0.
+  layout_slice(tree, plan.layout, subs, 0, now, res.schedule);
 
   // Exact audit: the reservation invariant covers the parallel phase, the
   // simulation additionally covers the tail (whose base holds every
   // subtree output).
-  if (simulate(tree, res.schedule).peak_memory > cap) return std::nullopt;
+  if (simulate(tree, res.schedule).peak_memory <= cap) return res;
+  // A zero-length task that starts with another task at one instant can
+  // replay above the reservation: the replay orders equal times by id, not
+  // by subtree. The serialized run, whose peak the floor covers, answers
+  // every cap at or above the floor.
+  if (capped_subtrees_min_cap(tree, plan) > cap) return std::nullopt;
+  res.schedule = sequential_schedule(tree, plan.layout.order);
+  res.max_parallelism = 1;
   return res;
 }
 
-MemSize capped_subtrees_min_cap(const Tree& tree, int p, SequentialAlgo seq) {
+std::optional<CappedSubtreesResult> capped_subtrees_schedule(
+    const Tree& tree, int p, MemSize cap) {
+  if (p < 1) throw std::invalid_argument("capped_subtrees_schedule: p < 1");
+  return capped_subtrees_schedule(tree, capped_subtrees_plan(tree, p), cap);
+}
+
+MemSize capped_subtrees_min_cap(const Tree& tree,
+                                const CappedSubtreesPlan& plan) {
   if (tree.empty()) return 0;
-  const Plan plan = make_plan(tree, p, seq);
   // Reservation floor of the fully serialized run (subtrees one at a time
   // in weight order): the scheduler charges a running subtree its full
   // peak, on top of the outputs of the subtrees already finished.
   MemSize floor = 0;
   MemSize done_outputs = 0;
-  for (const SubtreeInfo& sub : plan.subs) {
-    floor = std::max(floor, done_outputs + sub.peak);
-    done_outputs += sub.output;
+  for (std::size_t k = 0; k < plan.roots.size(); ++k) {
+    floor = std::max(floor, done_outputs + plan.peak[k]);
+    done_outputs += tree.output_size(plan.roots[k]);
   }
-  // Tail floor: exact peak of the serialized layout.
-  Schedule serial(tree.size());
-  double t = 0.0;
-  for (const SubtreeInfo& sub : plan.subs) {
-    for (NodeId v : sub.order) {
-      serial.start[v] = t;
-      serial.proc[v] = 0;
-      t += tree.work(v);
-    }
-  }
-  layout_tail(tree, plan, t, serial);
-  return std::max(floor, simulate(tree, serial).peak_memory);
+  // Tail floor: exact peak of the serialized layout, which is the
+  // layout's order itself.
+  return std::max(
+      floor,
+      simulate(tree, sequential_schedule(tree, plan.layout.order))
+          .peak_memory);
+}
+
+MemSize capped_subtrees_min_cap(const Tree& tree, int p) {
+  return capped_subtrees_min_cap(tree, capped_subtrees_plan(tree, p));
 }
 
 }  // namespace treesched

@@ -33,10 +33,16 @@ struct FinishLess {  // top = earliest finish
   }
 };
 
-}  // namespace
+// Starts every task. Instantiated with it, run() compiles to the plain
+// Algorithm 3 loop: no call through a hook is left in it to slow it down.
+struct NoHook {
+  static Admission admit(NodeId) { return Admission::kStart; }
+  static void finished(NodeId) {}
+};
 
-Schedule list_schedule(const Tree& tree, int p,
-                       const std::vector<PriorityKey>& priority) {
+template <class Hook>
+Schedule run(const Tree& tree, int p, const std::vector<PriorityKey>& priority,
+             Hook&& hook) {
   if (p < 1) throw std::invalid_argument("list_schedule: p < 1");
   const NodeId n = tree.size();
   if (static_cast<NodeId>(priority.size()) != n) {
@@ -63,15 +69,24 @@ Schedule list_schedule(const Tree& tree, int p,
   for (int q = p - 1; q >= 0; --q) idle.push_back(q);
 
   double now = 0.0;
+  std::vector<ReadyEntry> deferred;
   auto assign = [&] {
     while (!idle.empty() && !ready.empty()) {
       const ReadyEntry e = ready.pop();
+      const Admission a = hook.admit(e.node);
+      if (a != Admission::kStart) {
+        deferred.push_back(e);
+        if (a == Admission::kEndRound) break;
+        continue;
+      }
       const int proc = idle.back();
       idle.pop_back();
       s.start[e.node] = now;
       s.proc[e.node] = proc;
       events.push({now + tree.work(e.node), e.node});
     }
+    for (const ReadyEntry& e : deferred) ready.push(e);
+    deferred.clear();
   };
 
   assign();
@@ -82,6 +97,7 @@ Schedule list_schedule(const Tree& tree, int p,
     while (!events.empty() && events.top().time == now) {
       const FinishEvent ev = events.pop();
       idle.push_back(s.proc[ev.node]);
+      hook.finished(ev.node);
       const NodeId par = tree.parent(ev.node);
       if (par != kNoNode && --pending[par] == 0) {
         ready.push({key[par], par});
@@ -89,7 +105,23 @@ Schedule list_schedule(const Tree& tree, int p,
     }
     assign();
   }
+  // Every task not started is pending on one that is ready: a task left
+  // ready with nothing running was refused by the hook for good.
+  if (!ready.empty()) {
+    throw std::logic_error(
+        "list_schedule: the admission hook refused every ready task while "
+        "none ran");
+  }
   return s;
+}
+
+}  // namespace
+
+Schedule list_schedule(const Tree& tree, int p,
+                       const std::vector<PriorityKey>& priority,
+                       AdmissionHook* hook) {
+  if (hook == nullptr) return run(tree, p, priority, NoHook{});
+  return run(tree, p, priority, *hook);
 }
 
 }  // namespace treesched

@@ -10,6 +10,12 @@
 // Any schedule produced this way is a list schedule, hence a (2 - 1/p)
 // approximation of the optimal makespan (Graham 1966) and satisfies
 // C_max <= W/p + (1 - 1/p) * CP.
+//
+// An optional AdmissionHook adds admission control: MemoryBounded
+// (parallel/memory_bounded.hpp) is its one user, and it builds the hook
+// from its memory bookkeeping and banker's audit. Without a hook the loop
+// is compiled on its own and starts every popped task, so ParInnerFirst
+// and ParDeepestFirst pay nothing for it.
 
 #include <tuple>
 #include <vector>
@@ -34,9 +40,35 @@ struct PriorityKey {
   }
 };
 
+/// What an AdmissionHook decides for a ready task popped in priority order.
+enum class Admission {
+  kStart,     ///< start it now on an idle processor
+  kDefer,     ///< leave it ready for the next round and pop the next one
+  kEndRound,  ///< leave it ready and end this round
+};
+
+/// Admission control over Algorithm 3. A round is one pass over the ready
+/// queue at an event time, after that time's finishes; it ends when no
+/// processor is idle, the queue is empty or the hook ends it. Deferred
+/// tasks return to the queue when the round ends. Every round but the
+/// first follows at least one finish, so a hook that counts within a
+/// round resets its count in finished().
+class AdmissionHook {
+ public:
+  virtual ~AdmissionHook() = default;
+  /// Decides whether ready task `v` starts now. kStart is final: `v`
+  /// starts at once on an idle processor, so a hook books the start here.
+  virtual Admission admit(NodeId v) = 0;
+  /// `v` finished.
+  virtual void finished(NodeId v) = 0;
+};
+
 /// Runs Algorithm 3 with the given per-node priorities (size n).
-/// `p` >= 1 processors. O(n log n).
+/// `p` >= 1 processors. O(n log n) plus the hook's cost. Throws
+/// std::logic_error if the hook refuses every ready task while no task
+/// runs (the schedule could never complete).
 Schedule list_schedule(const Tree& tree, int p,
-                       const std::vector<PriorityKey>& priority);
+                       const std::vector<PriorityKey>& priority,
+                       AdmissionHook* hook = nullptr);
 
 }  // namespace treesched

@@ -2,149 +2,61 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <vector>
 
+#include "parallel/list_scheduler.hpp"
 #include "parallel/par_deepest_first.hpp"
-#include "sequential/postorder.hpp"
-#include "util/heap.hpp"
 
 namespace treesched {
 
 namespace {
 
-struct ReadyEntry {
-  PriorityKey key;
-  NodeId node;
-};
-struct ReadyLess {
-  bool operator()(const ReadyEntry& a, const ReadyEntry& b) const {
-    return b.key < a.key;
-  }
-};
-struct FinishEvent {
-  double time;
-  NodeId node;
-};
-struct FinishLess {
-  bool operator()(const FinishEvent& a, const FinishEvent& b) const {
-    if (a.time != b.time) return b.time < a.time;
-    return b.node < a.node;
-  }
-};
+// Each refused candidate costs an O(n) audit, so a round stops after this
+// many refusals: without the bound, a round facing a long queue of tasks
+// that do not fit would audit all of them at every event. Admissions do
+// not count, so the bound never keeps an idle processor from a task that
+// fits ahead of the refusals.
+constexpr int kAuditWindow = 16;
 
-class BoundedScheduler {
+// The banker: MemoryBounded's admission test over Algorithm 3.
+class BankerAdmission final : public AdmissionHook {
  public:
-  BoundedScheduler(const Tree& tree, int p, MemSize cap,
-                   MemoryBoundedOptions opts)
-      : tree_(tree), p_(p), cap_(cap), opts_(std::move(opts)) {}
+  BankerAdmission(const Tree& tree, MemSize cap,
+                  const std::vector<NodeId>& sigma)
+      : tree_(tree),
+        cap_(cap),
+        sigma_(sigma),
+        started_(static_cast<std::size_t>(tree.size()), 0) {}
 
-  std::optional<MemoryBoundedResult> run() {
-    const NodeId n = tree_.size();
-    auto po = postorder(tree_, PostorderPolicy::kOptimal);
-    if (po.peak > cap_) return std::nullopt;
-    sigma_ = std::move(po.order);
-    sigma_pos_ = order_positions(sigma_);
-    if (opts_.priority.empty()) {
-      opts_.priority = deepest_first_priorities(tree_, sigma_);
-    } else if (static_cast<NodeId>(opts_.priority.size()) != n) {
-      throw std::invalid_argument("memory_bounded: priority size mismatch");
+  Admission admit(NodeId v) override {
+    // Past the window the round ends, unless nothing runs: then the next
+    // sigma task is always admissible, so the scan terminates.
+    if (refusals_ >= kAuditWindow && !running_.empty()) {
+      return Admission::kEndRound;
     }
-    // Stamp the node id into each key: the explicit final tie-break.
-    for (NodeId i = 0; i < n; ++i) opts_.priority[i].node = i;
-
-    MemoryBoundedResult res;
-    res.cap = cap_;
-    res.sigma_peak = po.peak;
-    res.schedule = Schedule(n);
-    if (n == 0) return res;
-
-    started_.assign(static_cast<std::size_t>(n), 0);
-    done_.assign(static_cast<std::size_t>(n), 0);
-    pending_.assign(static_cast<std::size_t>(n), 0);
-    Schedule& s = res.schedule;
-
-    BinaryHeap<ReadyEntry, ReadyLess> ready;
-    for (NodeId i = 0; i < n; ++i) {
-      pending_[i] = tree_.num_children(i);
-      if (pending_[i] == 0) ready.push({opts_.priority[i], i});
+    if (!admissible(v)) {
+      ++refusals_;
+      return Admission::kDefer;
     }
-    BinaryHeap<FinishEvent, FinishLess> events;
-    std::vector<int> idle;
-    for (int q = p_ - 1; q >= 0; --q) idle.push_back(q);
-
-    double now = 0.0;
-    sigma_next_ = 0;
-
-    auto assign = [&] {
-      // Scan up to audit_window candidates in priority order. When the
-      // machine is fully idle and nothing has been admitted yet, keep
-      // scanning past the window: the sigma-next task is always admissible
-      // (deadlock-freedom invariant), so the scan terminates.
-      std::vector<ReadyEntry> deferred;
-      int audits = 0;
-      bool admitted_any = false;
-      while (!idle.empty() && !ready.empty()) {
-        const bool must_continue = running_.empty() && !admitted_any;
-        if (audits >= std::max(1, opts_.audit_window) && !must_continue) {
-          break;
-        }
-        ReadyEntry e = ready.pop();
-        ++audits;
-        if (admissible(e.node)) {
-          const int proc = idle.back();
-          idle.pop_back();
-          start_task(e.node, now, proc, s);
-          events.push({now + tree_.work(e.node), e.node});
-          admitted_any = true;
-          // A start changes memory: already-deferred nodes stay deferred
-          // (memory only grew), but the window resets for new candidates.
-        } else {
-          deferred.push_back(e);
-        }
-      }
-      for (const ReadyEntry& e : deferred) ready.push(e);
-    };
-
-    assign();
-    while (!events.empty()) {
-      now = events.top().time;
-      while (!events.empty() && events.top().time == now) {
-        const FinishEvent ev = events.pop();
-        idle.push_back(s.proc[ev.node]);
-        finish_task(ev.node);
-        const NodeId par = tree_.parent(ev.node);
-        if (par != kNoNode && --pending_[par] == 0) {
-          ready.push({opts_.priority[par], par});
-        }
-      }
-      assign();
-    }
-    for (NodeId i = 0; i < n; ++i) {
-      if (!done_[i]) throw std::logic_error("memory_bounded: deadlocked");
-    }
-    return res;
-  }
-
- private:
-  void start_task(NodeId i, double now, int proc, Schedule& s) {
-    s.start[i] = now;
-    s.proc[i] = proc;
-    started_[i] = 1;
-    mem_ += tree_.exec_size(i) + tree_.output_size(i);
+    started_[v] = 1;
+    mem_ += tree_.exec_size(v) + tree_.output_size(v);
     while (sigma_next_ < sigma_.size() && started_[sigma_[sigma_next_]]) {
       ++sigma_next_;
     }
-    running_.push_back(i);
+    running_.push_back(v);
+    return Admission::kStart;
   }
 
-  void finish_task(NodeId i) {
-    done_[i] = 1;
-    mem_ -= tree_.exec_size(i);
-    for (NodeId c : tree_.children(i)) mem_ -= tree_.output_size(c);
-    running_.erase(std::find(running_.begin(), running_.end(), i));
+  void finished(NodeId v) override {
+    mem_ -= tree_.exec_size(v);
+    for (NodeId c : tree_.children(v)) mem_ -= tree_.output_size(c);
+    running_.erase(std::find(running_.begin(), running_.end(), v));
+    refusals_ = 0;  // a finish opens the next round
   }
 
+ private:
   // Admission test for starting `cand` right now.
-  bool admissible(NodeId cand) {
+  bool admissible(NodeId cand) const {
     const MemSize rise = tree_.exec_size(cand) + tree_.output_size(cand);
     if (mem_ + rise > cap_) return false;
     // Banker's audit: complete all running tasks and `cand`, then finish the
@@ -169,24 +81,31 @@ class BoundedScheduler {
   }
 
   const Tree& tree_;
-  int p_;
   MemSize cap_;
-  MemoryBoundedOptions opts_;
-  std::vector<NodeId> sigma_;
-  std::vector<NodeId> sigma_pos_;
-  std::size_t sigma_next_ = 0;
-  std::vector<char> started_, done_;
-  std::vector<NodeId> pending_;
+  const std::vector<NodeId>& sigma_;
+  std::size_t sigma_next_ = 0;  // first unstarted position of sigma
+  std::vector<char> started_;
   std::vector<NodeId> running_;
   MemSize mem_ = 0;
+  int refusals_ = 0;  // refused audits in the current round
 };
 
 }  // namespace
 
-std::optional<MemoryBoundedResult> memory_bounded_schedule(
-    const Tree& tree, int p, MemSize cap, MemoryBoundedOptions opts) {
+std::optional<Schedule> memory_bounded_schedule(const Tree& tree, int p,
+                                                MemSize cap) {
+  return memory_bounded_schedule(tree, p, cap,
+                                 postorder(tree, PostorderPolicy::kOptimal));
+}
+
+std::optional<Schedule> memory_bounded_schedule(const Tree& tree, int p,
+                                                MemSize cap,
+                                                const PostorderResult& sigma) {
   if (p < 1) throw std::invalid_argument("memory_bounded_schedule: p < 1");
-  return BoundedScheduler(tree, p, cap, std::move(opts)).run();
+  if (sigma.peak > cap) return std::nullopt;
+  BankerAdmission banker(tree, cap, sigma.order);
+  return list_schedule(tree, p, deepest_first_priorities(tree, sigma.order),
+                       &banker);
 }
 
 MemSize min_feasible_cap(const Tree& tree) {

@@ -3,8 +3,9 @@
 // work ("designing scheduling algorithms that take as input a cap on the
 // memory usage", §7).
 //
-// The scheduler is an event-driven list scheduler whose admission test
-// guarantees the peak memory never exceeds a user-provided cap:
+// The scheduler is Algorithm 3 (parallel/list_scheduler.hpp) with
+// ParDeepestFirst's priorities and an admission hook that guarantees the
+// peak memory never exceeds a user-provided cap:
 //  * a reference sequential traversal sigma with peak M_sigma <= cap is
 //    fixed up front (the optimal postorder);
 //  * a ready task may start only if (a) the instantaneous memory after
@@ -15,41 +16,36 @@
 // admission, and when nothing is running the next sigma task always passes
 // the audit, so the scheduler never deadlocks and always completes.
 //
-// Cap = infinity degenerates to plain list scheduling by the same priority;
-// cap = M_sigma degenerates to the sequential traversal. Sweeping the cap
-// between the two traces the memory/makespan trade-off curve
+// The audit costs O(n), so a round stops auditing after kAuditWindow
+// refused candidates (memory_bounded.cpp), unless nothing runs. Admissions
+// do not count: a round audits at most p + kAuditWindow candidates, and
+// with room for every ready task it starts as many as Algorithm 3 does.
+// The priority and the window are fixed; there are no options.
+//
+// Cap = infinity degenerates to ParDeepestFirst, the same schedule bit for
+// bit; cap = M_sigma degenerates to the sequential traversal. Sweeping the
+// cap between the two traces the memory/makespan trade-off curve
 // (bench_memory_bounded).
 
 #include <optional>
-#include <vector>
 
 #include "core/schedule.hpp"
 #include "core/tree.hpp"
-#include "parallel/list_scheduler.hpp"
+#include "sequential/postorder.hpp"
 
 namespace treesched {
-
-struct MemoryBoundedOptions {
-  /// Priority among admissible ready tasks; defaults to ParDeepestFirst
-  /// keys (makespan focus) if empty.
-  std::vector<PriorityKey> priority;
-  /// How many queue candidates to audit per scheduling round (the audit is
-  /// O(n); bounding the scan keeps the scheduler O(n^2 / audit_window) in
-  /// the worst case while barely affecting quality).
-  int audit_window = 16;
-};
-
-struct MemoryBoundedResult {
-  Schedule schedule;
-  MemSize cap = 0;           ///< the cap actually enforced
-  MemSize sigma_peak = 0;    ///< peak of the reference traversal
-};
 
 /// Schedules `tree` on `p` processors with peak memory <= cap.
 /// Returns std::nullopt if cap < peak(sigma) (infeasible for this method;
 /// use min_feasible_cap to query the threshold).
-std::optional<MemoryBoundedResult> memory_bounded_schedule(
-    const Tree& tree, int p, MemSize cap, MemoryBoundedOptions opts = {});
+std::optional<Schedule> memory_bounded_schedule(const Tree& tree, int p,
+                                                MemSize cap);
+
+/// The same, with sigma = postorder(tree, PostorderPolicy::kOptimal)
+/// already computed (its peak is the floor a derived cap scales).
+std::optional<Schedule> memory_bounded_schedule(const Tree& tree, int p,
+                                                MemSize cap,
+                                                const PostorderResult& sigma);
 
 /// Smallest cap the scheduler accepts: the optimal-postorder peak.
 MemSize min_feasible_cap(const Tree& tree);

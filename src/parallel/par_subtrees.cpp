@@ -166,6 +166,46 @@ std::vector<NodeId> sequential_order(const Tree& tree, SequentialAlgo algo) {
 
 }  // namespace
 
+SubtreeLayout group_by_subtree(const Tree& tree,
+                               const std::vector<NodeId>& traversal,
+                               std::span<const NodeId> roots) {
+  // Label every node with its slice: a root carries its own k and every
+  // other node its parent's, so a node under none of the roots falls in
+  // the tail.
+  const NodeId n = tree.size();
+  const int tail = static_cast<int>(roots.size());
+  std::vector<int> label(static_cast<std::size_t>(n), -1);
+  for (int k = 0; k < tail; ++k) label[roots[k]] = k;
+  for (auto it = traversal.rbegin(); it != traversal.rend(); ++it) {
+    const NodeId v = *it;
+    if (label[v] >= 0) continue;
+    const NodeId parent = tree.parent(v);
+    label[v] = parent == kNoNode ? tail : label[parent];
+  }
+
+  // Group the traversal by label, keeping its order.
+  SubtreeLayout layout;
+  layout.first.assign(static_cast<std::size_t>(tail) + 2, 0);
+  for (NodeId v : traversal) ++layout.first[label[v] + 1];
+  for (int k = 0; k <= tail; ++k) layout.first[k + 1] += layout.first[k];
+  layout.order.resize(static_cast<std::size_t>(n));
+  std::vector<std::size_t> cursor(layout.first.begin(),
+                                  layout.first.end() - 1);
+  for (NodeId v : traversal) layout.order[cursor[label[v]]++] = v;
+  return layout;
+}
+
+double layout_slice(const Tree& tree, const SubtreeLayout& layout,
+                    std::size_t k, int proc, double t, Schedule& s) {
+  for (std::size_t j = layout.first[k]; j < layout.first[k + 1]; ++j) {
+    const NodeId v = layout.order[j];
+    s.start[v] = t;
+    s.proc[v] = proc;
+    t += tree.work(v);
+  }
+  return t;
+}
+
 SplitResult split_subtrees(const Tree& tree, int p) {
   if (p < 1) throw std::invalid_argument("split_subtrees: p < 1");
   if (tree.empty()) return {};
@@ -207,57 +247,25 @@ Schedule par_subtrees(const Tree& tree, int p, ParSubtreesOptions opts) {
     }
   }
 
-  // Label every node with its parallel subtree k, or `tail`: a parallel
-  // root carries its own k and every other node its parent's, so the
-  // split nodes and the surplus subtrees fall in the tail.
-  const std::vector<NodeId> order = sequential_order(tree, opts.sequential);
+  // Only the subtrees with a processor get a slice: the split nodes and
+  // the surplus subtrees fall in the tail.
   const int tail = static_cast<int>(root_proc.size());
-  std::vector<int> label(static_cast<std::size_t>(n), -1);
-  for (int k = 0; k < tail; ++k) label[roots[k]] = k;
-  for (auto it = order.rbegin(); it != order.rend(); ++it) {
-    const NodeId v = *it;
-    if (label[v] >= 0) continue;
-    const NodeId parent = tree.parent(v);
-    label[v] = parent == kNoNode ? tail : label[parent];
-  }
-
-  // Group the whole-tree traversal by label, keeping its order. Restricted
-  // to one subtree, that traversal is the subtree's own; restricted to the
-  // tail it keeps children before parents.
-  std::vector<std::size_t> first(static_cast<std::size_t>(tail) + 2, 0);
-  for (NodeId v : order) ++first[label[v] + 1];
-  for (int k = 0; k <= tail; ++k) first[k + 1] += first[k];
-  std::vector<NodeId> grouped(static_cast<std::size_t>(n));
-  {
-    std::vector<std::size_t> cursor(first.begin(), first.end() - 1);
-    for (NodeId v : order) grouped[cursor[label[v]]++] = v;
-  }
+  const SubtreeLayout layout = group_by_subtree(
+      tree, sequential_order(tree, opts.sequential),
+      std::span<const NodeId>(roots.data(), root_proc.size()));
 
   // Lay out the parallel phase, subtree after subtree on each processor.
   std::vector<double> proc_ready(static_cast<std::size_t>(procs), 0.0);
   for (int k = 0; k < tail; ++k) {
     const int q = root_proc[k];
-    double t = proc_ready[q];
-    for (std::size_t j = first[k]; j < first[k + 1]; ++j) {
-      const NodeId v = grouped[j];
-      s.start[v] = t;
-      s.proc[v] = q;
-      t += tree.work(v);
-    }
-    proc_ready[q] = t;
+    proc_ready[q] = layout_slice(tree, layout, k, q, proc_ready[q], s);
   }
   double t_par = 0.0;
   for (double t : proc_ready) t_par = std::max(t_par, t);
 
   // Sequential tail: surplus subtrees + split nodes, in the order induced by
   // a memory-minimizing traversal of the whole tree restricted to them.
-  double t = t_par;
-  for (std::size_t j = first[tail]; j < first[tail + 1]; ++j) {
-    const NodeId v = grouped[j];
-    s.start[v] = t;
-    s.proc[v] = 0;
-    t += tree.work(v);
-  }
+  layout_slice(tree, layout, tail, 0, t_par, s);
   return s;
 }
 

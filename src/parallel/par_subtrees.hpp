@@ -16,7 +16,10 @@
 // nodes and the surplus subtrees — sequentially afterwards. All of these
 // traversals come from ONE traversal of the whole tree: restricted to a
 // subtree, the whole-tree optimal postorder, Liu order or natural
-// postorder is that subtree's own. Complexity O(n (log n + p)) with the
+// postorder is that subtree's own. group_by_subtree cuts that traversal
+// into the per-subtree slices and layout_slice runs one slice on one
+// processor; CappedSubtrees (parallel/capped_subtrees.hpp) lays out its
+// subtrees with both too. Complexity O(n (log n + p)) with the
 // postorder; no subtree is ever copied, so wide trees (a fork's n - 1
 // subtrees) stay near-linear.
 // Guarantees: p-approximation for makespan, (p+1)-approximation for peak
@@ -28,6 +31,8 @@
 // which improves the makespan but can increase memory (more subtrees in
 // flight at once).
 
+#include <cstddef>
+#include <span>
 #include <vector>
 
 #include "core/schedule.hpp"
@@ -52,6 +57,28 @@ struct SplitResult {
 /// Algorithm 2. `p` >= 1. subtree_roots are in PQ order: non-increasing
 /// W, then non-increasing w, then increasing id.
 SplitResult split_subtrees(const Tree& tree, int p);
+
+/// A whole-tree traversal cut into slices: slice k < roots.size() is the
+/// subtree of roots[k], the last slice (the tail) every node in none of
+/// those subtrees, each in traversal order. Restricted to a subtree, a
+/// children-before-parents traversal of the whole tree is a traversal of
+/// that subtree, and restricted to the tail it keeps children before
+/// parents.
+struct SubtreeLayout {
+  std::vector<NodeId> order;       ///< the traversal, slice after slice
+  std::vector<std::size_t> first;  ///< slice k is [first[k], first[k + 1])
+};
+
+/// Cuts `traversal` (children before parents, every node once) by the
+/// subtrees of `roots`, none of which may lie in another's subtree. O(n).
+SubtreeLayout group_by_subtree(const Tree& tree,
+                               const std::vector<NodeId>& traversal,
+                               std::span<const NodeId> roots);
+
+/// Runs slice k of `layout` back to back on processor `proc` from time
+/// `t`, writing its tasks into `s`; returns the time it ends.
+double layout_slice(const Tree& tree, const SubtreeLayout& layout,
+                    std::size_t k, int proc, double t, Schedule& s);
 
 struct ParSubtreesOptions {
   SequentialAlgo sequential = SequentialAlgo::kOptimalPostorder;

@@ -93,9 +93,16 @@ class ParDeepestFirstSched final : public Scheduler {
 constexpr double kDefaultCapFactor = 2.0;
 
 /// The derived default cap: kDefaultCapFactor x the best-postorder peak.
-MemSize default_cap(const Tree& tree) {
-  return static_cast<MemSize>(std::ceil(
-      kDefaultCapFactor * static_cast<double>(min_feasible_cap(tree))));
+MemSize derived_cap(MemSize postorder_peak) {
+  return static_cast<MemSize>(
+      std::ceil(kDefaultCapFactor * static_cast<double>(postorder_peak)));
+}
+
+[[noreturn]] void throw_below_floor(const std::string& name, MemSize cap,
+                                    MemSize floor) {
+  throw std::invalid_argument(name + ": cap " + std::to_string(cap) +
+                              " below the feasibility floor " +
+                              std::to_string(floor));
 }
 
 class MemoryBoundedSched final : public Scheduler {
@@ -108,15 +115,13 @@ class MemoryBoundedSched final : public Scheduler {
   }
   Schedule schedule(const Tree& tree, const Resources& res) const override {
     validate_resources(res, capabilities(), name());
+    const PostorderResult sigma = postorder(tree, PostorderPolicy::kOptimal);
     const MemSize cap = res.memory_cap != 0 ? res.memory_cap
-                                            : default_cap(tree);
-    auto r = memory_bounded_schedule(tree, usable_procs(tree, res), cap);
-    if (!r) {
-      throw std::invalid_argument(name() + ": cap " + std::to_string(cap) +
-                                  " below the feasibility floor " +
-                                  std::to_string(min_feasible_cap(tree)));
-    }
-    return std::move(r->schedule);
+                                            : derived_cap(sigma.peak);
+    auto s = memory_bounded_schedule(tree, usable_procs(tree, res), cap,
+                                     sigma);
+    if (!s) throw_below_floor(name(), cap, sigma.peak);
+    return std::move(*s);
   }
 };
 
@@ -130,20 +135,18 @@ class CappedSubtreesSched final : public Scheduler {
   }
   Schedule schedule(const Tree& tree, const Resources& res) const override {
     validate_resources(res, capabilities(), name());
-    const int p = usable_procs(tree, res);
+    const CappedSubtreesPlan plan =
+        capped_subtrees_plan(tree, usable_procs(tree, res));
     // The scheme's own floor can exceed kDefaultCapFactor x the postorder
-    // peak, so the derived cap takes the max; the (expensive) floor is
-    // only computed when a cap is actually derived or reported.
-    const MemSize cap =
-        res.memory_cap != 0
-            ? res.memory_cap
-            : std::max(capped_subtrees_min_cap(tree, p), default_cap(tree));
-    auto r = capped_subtrees_schedule(tree, p, cap);
+    // peak, so the derived cap takes the max; the floor is only computed
+    // when a cap is actually derived or reported.
+    const MemSize cap = res.memory_cap != 0
+                            ? res.memory_cap
+                            : std::max(capped_subtrees_min_cap(tree, plan),
+                                       derived_cap(plan.postorder_peak));
+    auto r = capped_subtrees_schedule(tree, plan, cap);
     if (!r) {
-      throw std::invalid_argument(
-          name() + ": cap " + std::to_string(cap) +
-          " below the feasibility floor " +
-          std::to_string(capped_subtrees_min_cap(tree, p)));
+      throw_below_floor(name(), cap, capped_subtrees_min_cap(tree, plan));
     }
     return std::move(r->schedule);
   }
@@ -170,9 +173,7 @@ class SequentialSched : public Scheduler {
     if (res.memory_cap != 0) {
       const MemSize peak = sequential_peak_memory(tree, ord);
       if (peak > res.memory_cap) {
-        throw std::invalid_argument(
-            name() + ": cap " + std::to_string(res.memory_cap) +
-            " below the feasibility floor " + std::to_string(peak));
+        throw_below_floor(name(), res.memory_cap, peak);
       }
     }
     return sequential_schedule(tree, ord);

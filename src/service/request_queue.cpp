@@ -1,11 +1,8 @@
 #include "service/request_queue.hpp"
 
-#include <algorithm>
 #include <sstream>
 #include <string>
 #include <utility>
-
-#include "util/stats.hpp"
 
 namespace treesched {
 
@@ -113,16 +110,6 @@ RequestQueue::Stored RequestQueue::remove_stored(int cls, const EdfKey& key) {
   return stored;
 }
 
-void RequestQueue::record_wait(Priority cls, Clock::time_point admitted,
-                               Clock::time_point now) {
-  const double ms =
-      std::chrono::duration<double, std::milli>(now - admitted).count();
-  WaitRing& ring = wait_rings_[static_cast<std::size_t>(cls)];
-  const std::size_t slot =
-      ring.count.fetch_add(1, std::memory_order_relaxed) % kWaitSampleCap;
-  ring.samples[slot].store(ms, std::memory_order_relaxed);
-}
-
 RequestQueue::PopResult RequestQueue::pop() {
   const Clock::time_point now = Clock::now();
   PopResult result;
@@ -133,7 +120,6 @@ RequestQueue::PopResult RequestQueue::pop() {
     while (!b.items.empty()) {
       const EdfKey key = b.items.begin()->first;  // EDF, then FIFO
       Stored stored = remove_stored(cls, key);
-      record_wait(stored.entry.submitted, stored.entry.admitted, now);
       if (stored.entry.deadline <= now) {
         counters(stored.entry.submitted)
             .expired.fetch_add(1, std::memory_order_relaxed);
@@ -189,20 +175,6 @@ QueueStats RequestQueue::stats() const {
     out.cancelled = counters_[i].cancelled.load(std::memory_order_relaxed);
     out.aged = counters_[i].aged.load(std::memory_order_relaxed);
     out.pending = pending_by_class_[i].load(std::memory_order_relaxed);
-    const WaitRing& ring = wait_rings_[i];
-    const std::size_t n =
-        std::min(ring.count.load(std::memory_order_relaxed), kWaitSampleCap);
-    if (n != 0) {
-      std::vector<double> sorted;
-      sorted.reserve(n);
-      for (std::size_t s = 0; s < n; ++s) {
-        sorted.push_back(ring.samples[s].load(std::memory_order_relaxed));
-      }
-      std::sort(sorted.begin(), sorted.end());
-      out.wait_ms_p50 = quantile_sorted(sorted, 0.50);
-      out.wait_ms_p90 = quantile_sorted(sorted, 0.90);
-      out.wait_ms_p99 = quantile_sorted(sorted, 0.99);
-    }
   }
   return stats;
 }

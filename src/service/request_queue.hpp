@@ -50,7 +50,6 @@
 #include <chrono>
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <unordered_map>
@@ -71,9 +70,10 @@ struct RequestQueueConfig {
   std::size_t max_pending = 0;
 };
 
-/// Monotonic per-class counters plus wait-time percentiles. All counters
-/// are attributed to the class a request was *submitted* with, even after
-/// aging promotes it.
+/// Monotonic per-class counters. All counters are attributed to the class
+/// a request was *submitted* with, even after aging promotes it. Queue
+/// waits are the service's queue_wait stage histogram
+/// (SchedulingService::queue_wait_window).
 struct ClassQueueStats {
   std::uint64_t admitted = 0;   ///< every push, accepted or rejected
   std::uint64_t rejected = 0;   ///< turned away at admission (queue full)
@@ -84,12 +84,6 @@ struct ClassQueueStats {
   /// Currently queued (point-in-time), by submitted class — an aged Bulk
   /// entry still counts as Bulk here.
   std::size_t pending = 0;
-  /// Admission-to-pop wait percentiles in milliseconds over the most
-  /// recent dequeues (completed and expired alike; cancelled entries
-  /// never reached a worker and are not sampled); 0 with no samples.
-  double wait_ms_p50 = 0.0;
-  double wait_ms_p90 = 0.0;
-  double wait_ms_p99 = 0.0;
 };
 
 struct QueueStats {
@@ -189,8 +183,6 @@ class RequestQueue {
     std::atomic<std::uint64_t> aged{0};
   };
 
-  static constexpr std::size_t kWaitSampleCap = 8192;
-
   Bucket& bucket(int cls) { return buckets_[static_cast<std::size_t>(cls)]; }
   Counters& counters(Priority cls) {
     return counters_[static_cast<std::size_t>(cls)];
@@ -205,10 +197,6 @@ class RequestQueue {
   /// index + pending counters) and returns the stored entry. Called
   /// under mutex_.
   Stored remove_stored(int cls, const EdfKey& key);
-  /// Records an admission-to-pop wait sample for percentile reporting.
-  /// Lock-free (atomic ring), callable from any path.
-  void record_wait(Priority cls, Clock::time_point admitted,
-                   Clock::time_point now);
 
   RequestQueueConfig config_;
   mutable std::mutex mutex_;
@@ -218,14 +206,6 @@ class RequestQueue {
   /// rebuild the EdfKey and find the entry wherever aging moved it.
   std::unordered_map<std::uint64_t, std::pair<int, Clock::time_point>>
       by_seq_;
-  /// Lock-free ring buffers of recent wait samples (ms), one per class:
-  /// a slot index ticket plus kWaitSampleCap atomic slots.
-  struct WaitRing {
-    std::unique_ptr<std::atomic<double>[]> samples{
-        new std::atomic<double>[kWaitSampleCap]};
-    std::atomic<std::size_t> count{0};
-  };
-  std::array<WaitRing, kPriorityClasses> wait_rings_;
   std::atomic<std::uint64_t> next_seq_{0};
   std::atomic<std::size_t> pending_{0};
   std::array<std::atomic<std::size_t>, kPriorityClasses> pending_by_class_{};

@@ -81,7 +81,7 @@ void SchedulingService::init_metrics() {
         };
         using enum obs::MetricKind;
         // Stats only: the all-class queue totals (Prometheus sums the
-        // class series itself) and the queue's own wait-sample p99s.
+        // class series itself) and each class's queue-wait window p99.
         auto stat = [&](std::string key, double v) {
           sample(kGauge, "", "", "", v, std::move(key));
         };
@@ -124,7 +124,9 @@ void SchedulingService::init_metrics() {
                  q.aged, "queue_aged" + suffix);
           sample(kGauge, "treesched_queue_pending", "Currently queued requests",
                  cls, q.pending, "queue_pending" + suffix);
-          stat("queue_wait_p99_us" + suffix, q.wait_ms_p99 * 1000.0);
+          stat("queue_wait_p99_us" + suffix,
+               queue_wait_window(static_cast<Priority>(c)).quantile(0.99) /
+                   1000.0);
         }
         sample(kCounter, "treesched_cache_hits_total", "Result-cache hits", "",
                cs.hits, "cache_hits");

@@ -160,6 +160,12 @@ class SchedulingService {
 
   [[nodiscard]] CacheStats cache_stats() const { return cache_.stats(); }
   [[nodiscard]] QueueStats queue_stats() const { return queue_->stats(); }
+  /// Admission-to-dequeue waits (ns) over the metrics window of the
+  /// requests of class `cls` (their submitted class) that reached a
+  /// worker: the queue_wait stage histogram.
+  [[nodiscard]] obs::HistogramSnapshot queue_wait_window(Priority cls) const {
+    return h_queue_wait_[static_cast<std::size_t>(cls)]->windowed_snapshot();
+  }
   [[nodiscard]] InstanceStore::Stats store_stats() const {
     return store_.stats();
   }

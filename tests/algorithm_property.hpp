@@ -24,7 +24,15 @@
 
 namespace treesched::testing {
 
-enum class Family { kPebbleShallow, kPebbleDeep, kWeighted, kAssemblyLike };
+/// kZeroWork: every task has zero work; kMixedZeroWork: about a third do.
+enum class Family {
+  kPebbleShallow,
+  kPebbleDeep,
+  kWeighted,
+  kAssemblyLike,
+  kZeroWork,
+  kMixedZeroWork,
+};
 
 inline std::string family_name(Family f) {
   switch (f) {
@@ -36,6 +44,10 @@ inline std::string family_name(Family f) {
       return "Weighted";
     case Family::kAssemblyLike:
       return "AssemblyLike";
+    case Family::kZeroWork:
+      return "ZeroWork";
+    case Family::kMixedZeroWork:
+      return "MixedZeroWork";
   }
   return "?";
 }
@@ -64,6 +76,32 @@ inline Tree make_family_tree(Family f, std::uint64_t seed) {
       params.max_work = 1000.0;
       params.depth_bias = 2.0;
       break;
+    case Family::kZeroWork:
+      params.max_output = 50;
+      params.max_exec = 20;
+      params.min_work = 0.0;
+      params.max_work = 0.0;
+      params.depth_bias = 1.0;
+      break;
+    case Family::kMixedZeroWork: {
+      params.max_output = 50;
+      params.max_exec = 20;
+      params.min_work = 1.0;
+      params.max_work = 40.0;
+      params.depth_bias = 1.0;
+      const Tree t = random_tree(params, rng);
+      std::vector<NodeId> parent;
+      std::vector<MemSize> out, exec;
+      std::vector<double> work;
+      for (NodeId i = 0; i < t.size(); ++i) {
+        parent.push_back(t.parent(i));
+        out.push_back(t.output_size(i));
+        exec.push_back(t.exec_size(i));
+        work.push_back(rng.uniform(3) == 0 ? 0.0 : t.work(i));
+      }
+      return Tree(std::move(parent), std::move(out), std::move(exec),
+                  std::move(work));
+    }
   }
   return random_tree(params, rng);
 }
@@ -77,13 +115,14 @@ inline Schedule run_algo(const std::string& name, const Tree& t, int p) {
 
 class AlgorithmProperty : public ::testing::TestWithParam<AlgorithmCase> {};
 
-/// Every case of the sweep over `algos`: p in {2, 4, 16} times the four
-/// tree families.
+/// Every case of the sweep over `algos`: p in {2, 4, 16, 32} times the
+/// six tree families. At p = 32 a round can see more than 16 ready tasks.
 inline auto algorithm_cases(const std::vector<std::string>& algos) {
   return ::testing::Combine(
-      ::testing::ValuesIn(algos), ::testing::Values(2, 4, 16),
+      ::testing::ValuesIn(algos), ::testing::Values(2, 4, 16, 32),
       ::testing::Values(Family::kPebbleShallow, Family::kPebbleDeep,
-                        Family::kWeighted, Family::kAssemblyLike));
+                        Family::kWeighted, Family::kAssemblyLike,
+                        Family::kZeroWork, Family::kMixedZeroWork));
 }
 
 inline std::string algorithm_case_name(

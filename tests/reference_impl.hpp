@@ -6,9 +6,12 @@
 // once to score the splits and once more to rebuild the chosen one; one
 // extracted subtree and one traversal per parallel subtree), and the
 // library must agree with them bit for bit
-// (tests/test_differential.cpp).
+// (tests/test_differential.cpp). The replay has one later change, the
+// library's zero-duration rule: a zero-length task's start applies before
+// its own finish, and it starts and finishes before its parent starts.
 
 #include <algorithm>
+#include <functional>
 #include <numeric>
 #include <set>
 #include <sstream>
@@ -50,7 +53,11 @@ inline SimulationResult simulate(const Tree& tree, const Schedule& s,
     return a < b;
   });
 
+  std::vector<char> started(static_cast<std::size_t>(n), 0);
   std::vector<char> done(static_cast<std::size_t>(n), 0);
+  // due[f]: the sweep passed f's finish before f started (a zero-length
+  // task); its finish applies right after its start.
+  std::vector<char> due(static_cast<std::size_t>(n), 0);
   MemSize mem = 0;
   MemSize peak = 0;
   std::size_t fi = 0;  // cursor in by_finish
@@ -64,40 +71,50 @@ inline SimulationResult simulate(const Tree& tree, const Schedule& s,
       }
     }
   };
+  auto finish = [&](NodeId f) {
+    mem -= tree.exec_size(f);
+    for (NodeId c : tree.children(f)) mem -= tree.output_size(c);
+    done[f] = 1;
+    record(s.finish(tree, f));
+  };
+  // Starts v; a due child that has not started is a zero-length task at
+  // this instant, and starts and finishes first.
+  std::function<void(NodeId)> start = [&](NodeId v) {
+    for (NodeId c : tree.children(v)) {
+      if (!done[c] && due[c] && !started[c]) start(c);
+      if (!done[c]) {
+        std::ostringstream os;
+        os << "simulate: task " << v << " starts at " << s.start[v]
+           << " but child " << c << " has not finished";
+        throw std::invalid_argument(os.str());
+      }
+    }
+    started[v] = 1;
+    mem += tree.exec_size(v) + tree.output_size(v);
+    peak = std::max(peak, mem);
+    record(s.start[v]);
+    if (due[v]) finish(v);
+  };
 
   const double eps = 1e-9;
   for (NodeId idx : by_start) {
+    if (started[idx]) continue;  // ran ahead of its parent
     const double t = s.start[idx];
     const double tol = eps * std::max(1.0, t);
     // Apply all finishes at time <= t (+tolerance).
     while (fi < by_finish.size() &&
            s.finish(tree, by_finish[fi]) <= t + tol) {
       NodeId f = by_finish[fi++];
-      mem -= tree.exec_size(f);
-      for (NodeId c : tree.children(f)) mem -= tree.output_size(c);
-      done[f] = 1;
-      record(s.finish(tree, f));
-    }
-    // Precedence check.
-    for (NodeId c : tree.children(idx)) {
-      if (!done[c]) {
-        std::ostringstream os;
-        os << "simulate: task " << idx << " starts at " << t
-           << " but child " << c << " has not finished";
-        throw std::invalid_argument(os.str());
+      if (!started[f]) {
+        due[f] = 1;
+      } else {
+        finish(f);
       }
     }
-    mem += tree.exec_size(idx) + tree.output_size(idx);
-    peak = std::max(peak, mem);
-    record(t);
+    start(idx);
   }
   // Drain remaining finishes.
-  while (fi < by_finish.size()) {
-    NodeId f = by_finish[fi++];
-    mem -= tree.exec_size(f);
-    for (NodeId c : tree.children(f)) mem -= tree.output_size(c);
-    record(s.finish(tree, f));
-  }
+  while (fi < by_finish.size()) finish(by_finish[fi++]);
   res.makespan = s.makespan(tree);
   res.peak_memory = peak;
   res.final_memory = mem;  // = f_root

@@ -34,7 +34,7 @@ RunOutcome run_scheme(Scheme scheme, const Tree& t, int p, double factor) {
     auto r = memory_bounded_schedule(t, p, out.cap);
     if (r) {
       out.feasible = true;
-      out.schedule = std::move(r->schedule);
+      out.schedule = std::move(*r);
     }
   } else {
     auto r = capped_subtrees_schedule(t, p, out.cap);

@@ -150,8 +150,8 @@ TEST(CappedSubtrees, ComparableToBankerAndFloorsOrdered) {
     ASSERT_TRUE(stat.has_value());
     ASSERT_TRUE(dyn.has_value());
     EXPECT_LE(simulate(t, stat->schedule).peak_memory, cap);
-    EXPECT_LE(simulate(t, dyn->schedule).peak_memory, cap);
-    banker_total += simulate(t, dyn->schedule).makespan;
+    EXPECT_LE(simulate(t, *dyn).peak_memory, cap);
+    banker_total += simulate(t, *dyn).makespan;
     capped_total += simulate(t, stat->schedule).makespan;
   }
   EXPECT_LE(banker_total, capped_total * 2.0);

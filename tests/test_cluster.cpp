@@ -26,6 +26,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <map>
 #include <memory>
@@ -34,6 +35,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "campaign/dataset.hpp"
@@ -49,6 +51,31 @@
 
 namespace treesched {
 namespace {
+
+/// A fresh /tmp/treesched-<tag>-XXXXXX directory, removed with everything
+/// in it when the object goes out of scope. path() is empty if mkdtemp
+/// failed.
+class ScopedTempDir {
+ public:
+  explicit ScopedTempDir(const std::string& tag) {
+    std::string tmpl = "/tmp/treesched-" + tag + "-XXXXXX";
+    if (::mkdtemp(tmpl.data()) != nullptr) path_ = tmpl;
+  }
+  ScopedTempDir(ScopedTempDir&& other) noexcept
+      : path_(std::exchange(other.path_, {})) {}
+  ScopedTempDir(const ScopedTempDir&) = delete;
+  ScopedTempDir& operator=(const ScopedTempDir&) = delete;
+  ScopedTempDir& operator=(ScopedTempDir&&) = delete;
+  ~ScopedTempDir() {
+    std::error_code ec;
+    if (!path_.empty()) std::filesystem::remove_all(path_, ec);
+  }
+
+  [[nodiscard]] const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+};
 
 using cluster::HashRing;
 using cluster::Router;
@@ -919,11 +946,10 @@ TEST(ClusterRouter, NodeFramesAreNotBoundByTheClientFrameLimit) {
 TEST(ClusterTrace, MergedDumpCoversRouterAndEveryNode) {
   ServerHarness node_a;
   ServerHarness node_b;
-  char tmpl[] = "/tmp/treesched-trace-XXXXXX";
-  const char* dir = ::mkdtemp(tmpl);
-  ASSERT_NE(dir, nullptr);
+  const ScopedTempDir dir("trace");
+  ASSERT_FALSE(dir.path().empty());
   RouterConfig config;
-  config.frontend.session.trace_dir = dir;
+  config.frontend.session.trace_dir = dir.path();
   RouterHarness router({node_a.name(), node_b.name()}, config);
   ASSERT_TRUE(router.wait_nodes_up(2));
 
@@ -951,7 +977,7 @@ TEST(ClusterTrace, MergedDumpCoversRouterAndEveryNode) {
   EXPECT_EQ(stat_value(status, "node1_pull_failures"), 0u);
   EXPECT_TRUE(client.request("trace stop").ok);
 
-  std::ifstream in(std::string(dir) + "/cluster.json");
+  std::ifstream in(dir.path() + "/cluster.json");
   ASSERT_TRUE(in.good()) << "the merged dump file must exist under trace_dir";
   std::ostringstream ss;
   ss << in.rdbuf();
@@ -989,10 +1015,9 @@ TEST(ClusterRouter, PerNodeFailureCountersAndEventLogRecordADeath) {
   FakeNode fake(FakeNode::OnRequest::kCloseAbruptly);
   ServerHarness real;
   std::vector<std::string> names{fake.name(), real.name()};
-  char tmpl[] = "/tmp/treesched-events-XXXXXX";
-  const char* dir = ::mkdtemp(tmpl);
-  ASSERT_NE(dir, nullptr);
-  const std::string log_path = std::string(dir) + "/events.jsonl";
+  const ScopedTempDir dir("events");
+  ASSERT_FALSE(dir.path().empty());
+  const std::string log_path = dir.path() + "/events.jsonl";
   RouterConfig config;
   config.retries = 1;
   config.frontend.log_json = log_path;
@@ -1028,12 +1053,11 @@ TEST(ClusterRouter, PerNodeFailureCountersAndEventLogRecordADeath) {
 // Satellite coverage: spec byte budgets and the server's drain timeout.
 // ---------------------------------------------------------------------------
 
-/// Writes `bytes` junk bytes under a fresh temp dir; returns the dir.
-std::string make_tree_dir_with(const std::string& file, std::size_t bytes) {
-  char tmpl[] = "/tmp/treesched-cluster-XXXXXX";
-  const char* dir = ::mkdtemp(tmpl);
-  EXPECT_NE(dir, nullptr);
-  std::ofstream out(std::string(dir) + "/" + file, std::ios::binary);
+/// Writes `bytes` junk bytes to `file` under a fresh temp dir.
+ScopedTempDir make_tree_dir_with(const std::string& file, std::size_t bytes) {
+  ScopedTempDir dir("cluster");
+  EXPECT_FALSE(dir.path().empty());
+  std::ofstream out(dir.path() + "/" + file, std::ios::binary);
   out << std::string(bytes, 'x');
   return dir;
 }
@@ -1041,10 +1065,10 @@ std::string make_tree_dir_with(const std::string& file, std::size_t bytes) {
 TEST(MaxSpecBytes, ServerRejectsOversizedTreeFilesBeforeReading) {
   // The byte budget is checked against the on-disk size BEFORE the
   // read, so even an unparseable file works as the oversized probe.
-  const std::string dir = make_tree_dir_with("big.tree", 64);
+  const ScopedTempDir dir = make_tree_dir_with("big.tree", 64);
   ServerConfig config;
   config.spec.allow_file = true;
-  config.spec.file_dir = dir;
+  config.spec.file_dir = dir.path();
   config.spec.max_file_bytes = 16;
   ServerHarness server(config);
   Client client("127.0.0.1", server.port());
@@ -1058,10 +1082,10 @@ TEST(MaxSpecBytes, NodeRejectsOversizedTreeFilesSentThroughTheRouter) {
   // The router never opens a spec: it forwards file:big.tree as text,
   // and the node's byte budget answers with the node's typed error,
   // which the router delivers unchanged.
-  const std::string dir = make_tree_dir_with("big.tree", 64);
+  const ScopedTempDir dir = make_tree_dir_with("big.tree", 64);
   ServerConfig node_config;
   node_config.spec.allow_file = true;
-  node_config.spec.file_dir = dir;
+  node_config.spec.file_dir = dir.path();
   node_config.spec.max_file_bytes = 16;
   ServerHarness node(node_config);
   RouterHarness router({node.name()});

@@ -93,7 +93,7 @@ TEST_P(PipelineTest, EndToEnd) {
   const MemSize cap = 2 * min_feasible_cap(tree);
   auto banker = memory_bounded_schedule(tree, p, cap);
   ASSERT_TRUE(banker.has_value());
-  EXPECT_LE(simulate(tree, banker->schedule).peak_memory, cap);
+  EXPECT_LE(simulate(tree, *banker).peak_memory, cap);
   const MemSize scap =
       std::max(cap, capped_subtrees_min_cap(tree, p));
   auto stat = capped_subtrees_schedule(tree, p, scap);
@@ -101,7 +101,7 @@ TEST_P(PipelineTest, EndToEnd) {
   EXPECT_LE(simulate(tree, stat->schedule).peak_memory, scap);
 
   // 9. Statistics are conserved.
-  const auto st = schedule_stats(tree, banker->schedule, p);
+  const auto st = schedule_stats(tree, *banker, p);
   double busy = 0;
   for (const auto& ps : st.per_proc) busy += ps.busy;
   EXPECT_NEAR(busy, tree.total_work(), 1e-6 * tree.total_work());

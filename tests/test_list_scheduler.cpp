@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <stdexcept>
+#include <vector>
+
 #include "core/lower_bounds.hpp"
 #include "core/simulator.hpp"
 #include "parallel/par_deepest_first.hpp"
@@ -131,6 +135,78 @@ TEST(ListScheduler, RejectsBadArguments) {
   Tree t = pebble_tree({kNoNode});
   EXPECT_THROW(list_schedule(t, 0, fifo_keys(t)), std::invalid_argument);
   EXPECT_THROW(list_schedule(t, 1, {}), std::invalid_argument);
+}
+
+// Admits every task and counts what it hears.
+class AdmitAll final : public AdmissionHook {
+ public:
+  Admission admit(NodeId) override {
+    ++starts;
+    return Admission::kStart;
+  }
+  void finished(NodeId) override { ++finishes; }
+  int starts = 0;
+  int finishes = 0;
+};
+
+TEST(ListScheduler, AHookThatAdmitsEveryTaskChangesNothing) {
+  Rng rng(97);
+  for (int trial = 0; trial < 10; ++trial) {
+    Tree t = random_pebble_tree(50 + 20 * trial, rng, 0.5 * (trial % 3));
+    const auto keys = deepest_first_priorities(t, postorder(t).order);
+    for (int p : {1, 3, 32}) {
+      AdmitAll hook;
+      const Schedule with = list_schedule(t, p, keys, &hook);
+      const Schedule without = list_schedule(t, p, keys);
+      EXPECT_EQ(with.start, without.start);
+      EXPECT_EQ(with.proc, without.proc);
+      EXPECT_EQ(hook.starts, t.size());
+      EXPECT_EQ(hook.finishes, t.size());
+    }
+  }
+}
+
+// Starts one task per round: every round ends at its second candidate.
+class OnePerRound final : public AdmissionHook {
+ public:
+  Admission admit(NodeId) override {
+    if (started_this_round_) return Admission::kEndRound;
+    started_this_round_ = true;
+    return Admission::kStart;
+  }
+  void finished(NodeId) override { started_this_round_ = false; }
+
+ private:
+  bool started_this_round_ = false;
+};
+
+TEST(ListScheduler, EndingARoundLeavesTheRestReadyForTheNext) {
+  // Rounds run at finish events only, so four unit leaves start at
+  // 0, 1, 2 and 3 however many processors idle, and the root at 4.
+  const Tree t = fork_tree(4);
+  OnePerRound hook;
+  const Schedule s = list_schedule(t, 4, fifo_keys(t), &hook);
+  std::vector<double> leaf_starts;
+  for (NodeId i = 0; i < t.size(); ++i) {
+    if (t.is_leaf(i)) leaf_starts.push_back(s.start[i]);
+  }
+  std::sort(leaf_starts.begin(), leaf_starts.end());
+  EXPECT_EQ(leaf_starts, (std::vector<double>{0.0, 1.0, 2.0, 3.0}));
+  EXPECT_DOUBLE_EQ(s.start[t.root()], 4.0);
+  EXPECT_TRUE(validate_schedule(t, s, 4).ok);
+}
+
+class RefuseAll final : public AdmissionHook {
+ public:
+  Admission admit(NodeId) override { return Admission::kDefer; }
+  void finished(NodeId) override {}
+};
+
+TEST(ListScheduler, AHookThatRefusesEveryReadyTaskWhileNoneRunsThrows) {
+  const Tree t = fork_tree(5);
+  RefuseAll hook;
+  EXPECT_THROW((void)list_schedule(t, 2, fifo_keys(t), &hook),
+               std::logic_error);
 }
 
 TEST(PriorityKey, LexicographicOrder) {

@@ -38,8 +38,8 @@ TEST(MemoryBounded, NeverExceedsCap) {
           static_cast<MemSize>((double)floor_cap * factor) + 1;
       auto r = memory_bounded_schedule(t, 4, cap);
       ASSERT_TRUE(r.has_value());
-      ASSERT_TRUE(validate_schedule(t, r->schedule, 4).ok);
-      EXPECT_LE(simulate(t, r->schedule).peak_memory, cap);
+      ASSERT_TRUE(validate_schedule(t, *r, 4).ok);
+      EXPECT_LE(simulate(t, *r).peak_memory, cap);
     }
   }
 }
@@ -54,7 +54,7 @@ TEST(MemoryBounded, TightCapDegeneratesTowardSequential) {
   const MemSize cap = min_feasible_cap(t);
   auto r = memory_bounded_schedule(t, 8, cap);
   ASSERT_TRUE(r.has_value());
-  EXPECT_LE(simulate(t, r->schedule).peak_memory, cap);
+  EXPECT_LE(simulate(t, *r).peak_memory, cap);
 }
 
 TEST(MemoryBounded, LooseCapMatchesUnboundedListSchedule) {
@@ -71,9 +71,41 @@ TEST(MemoryBounded, LooseCapMatchesUnboundedListSchedule) {
     ASSERT_TRUE(r.has_value());
     // Same priority (deepest-first over optimal postorder) unbounded:
     Schedule unbounded = par_deepest_first(t, 4);
-    EXPECT_DOUBLE_EQ(simulate(t, r->schedule).makespan,
+    EXPECT_DOUBLE_EQ(simulate(t, *r).makespan,
                      simulate(t, unbounded).makespan);
   }
+}
+
+TEST(MemoryBounded, UnlimitedCapIsParDeepestFirstBitForBit) {
+  // With room for every ready task the banker refuses nothing, so the
+  // audit window never ends a round early: every round starts as many
+  // tasks as Algorithm 3 does, even when more than 16 are ready (a fork
+  // of 100 leaves at p = 64 runs in 2 rounds, not 8).
+  Rng rng(439);
+  std::vector<Tree> trees = {fork_tree(100)};
+  for (int trial = 0; trial < 4; ++trial) {
+    RandomTreeParams params;
+    params.n = 200 + (NodeId)rng.uniform(200);
+    params.max_output = 5;
+    params.max_exec = 3;
+    params.min_work = 1.0;
+    params.max_work = 4.0;
+    params.depth_bias = trial * 0.5;
+    trees.push_back(random_tree(params, rng));
+  }
+  for (const Tree& t : trees) {
+    for (int p : {2, 16, 17, 32, 64}) {
+      const auto r = memory_bounded_schedule(t, p, kHuge);
+      ASSERT_TRUE(r.has_value());
+      const Schedule want = par_deepest_first(t, p);
+      EXPECT_EQ(r->start, want.start) << "n = " << t.size() << ", p = " << p;
+      EXPECT_EQ(r->proc, want.proc) << "n = " << t.size() << ", p = " << p;
+    }
+  }
+  const Tree& fork = trees.front();
+  EXPECT_DOUBLE_EQ(
+      simulate(fork, *memory_bounded_schedule(fork, 64, kHuge)).makespan,
+      3.0);
 }
 
 TEST(MemoryBounded, MakespanImprovesWithCap) {
@@ -92,7 +124,7 @@ TEST(MemoryBounded, MakespanImprovesWithCap) {
   for (double f : {1.0, 1.3, 2.0, 4.0, 16.0}) {
     auto r = memory_bounded_schedule(t, 8, (MemSize)(floor_cap * f) + 1);
     ASSERT_TRUE(r.has_value());
-    const double ms = simulate(t, r->schedule).makespan;
+    const double ms = simulate(t, *r).makespan;
     if (ms > prev + 1e-9) ++monotone_violations;
     prev = ms;
   }
@@ -109,33 +141,8 @@ TEST(MemoryBounded, AdversaryTreeIsTamed) {
   const MemSize mseq = min_feasible_cap(t);
   auto r = memory_bounded_schedule(t, p, 2 * mseq);
   ASSERT_TRUE(r.has_value());
-  ASSERT_TRUE(validate_schedule(t, r->schedule, p).ok);
-  EXPECT_LE(simulate(t, r->schedule).peak_memory, 2 * mseq);
-}
-
-TEST(MemoryBounded, WorksWithCustomPriority) {
-  Rng rng(431);
-  Tree t = random_pebble_tree(80, rng, 1.0);
-  MemoryBoundedOptions opts;
-  opts.priority.assign((std::size_t)t.size(), PriorityKey{});
-  for (NodeId i = 0; i < t.size(); ++i) {
-    opts.priority[i].k1 = (double)i;  // FIFO by id
-  }
-  auto r = memory_bounded_schedule(t, 4, kHuge, opts);
-  ASSERT_TRUE(r.has_value());
-  EXPECT_TRUE(validate_schedule(t, r->schedule, 4).ok);
-}
-
-TEST(MemoryBounded, SmallAuditWindowStillCorrect) {
-  Rng rng(433);
-  Tree t = random_pebble_tree(100, rng, 2.0);
-  MemoryBoundedOptions opts;
-  opts.audit_window = 1;
-  const MemSize cap = 2 * min_feasible_cap(t);
-  auto r = memory_bounded_schedule(t, 4, cap, opts);
-  ASSERT_TRUE(r.has_value());
-  ASSERT_TRUE(validate_schedule(t, r->schedule, 4).ok);
-  EXPECT_LE(simulate(t, r->schedule).peak_memory, cap);
+  ASSERT_TRUE(validate_schedule(t, *r, p).ok);
+  EXPECT_LE(simulate(t, *r).peak_memory, 2 * mseq);
 }
 
 TEST(MemoryBounded, PebbleGameRespectsExactCap) {
@@ -145,7 +152,7 @@ TEST(MemoryBounded, PebbleGameRespectsExactCap) {
   const MemSize cap = 6;  // root: 5 inputs + 1 output
   auto r = memory_bounded_schedule(t, 5, cap);
   ASSERT_TRUE(r.has_value());
-  const auto sim = simulate(t, r->schedule);
+  const auto sim = simulate(t, *r);
   EXPECT_LE(sim.peak_memory, cap);
   // All 5 leaves fit at once (5 <= 6), so the makespan is 2.
   EXPECT_DOUBLE_EQ(sim.makespan, 2.0);

@@ -49,6 +49,22 @@ TEST_P(AlgorithmProperty, RespectsLowerBounds) {
   }
 }
 
+TEST_P(AlgorithmProperty, PassesTheValidatorWithinTheTotalMemory) {
+  // The validator's replay never holds more than every task's files at
+  // once, zero-work tasks included.
+  const auto [algo, p, fam] = GetParam();
+  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+    const Tree t = make_family_tree(fam, seed);
+    const ScheduleCheck check = check_schedule(t, run_algo(algo, t, p), p);
+    ASSERT_TRUE(check.ok) << check.error;
+    MemSize total = 0;
+    for (NodeId i = 0; i < t.size(); ++i) {
+      total += t.exec_size(i) + t.output_size(i);
+    }
+    EXPECT_LE(check.peak_memory, total);
+  }
+}
+
 TEST_P(AlgorithmProperty, EveryTaskRunsExactlyOnceAndInWindow) {
   const auto [algo, p, fam] = GetParam();
   const Tree t = make_family_tree(fam, 7);

@@ -163,7 +163,7 @@ TEST(SchedulerRegistry, ProcessorsBeyondTheTreeSizeChangeNoSchedule) {
        [](const Tree& t, int p, MemSize) { return par_deepest_first(t, p); }},
       {"MemoryBounded",
        [](const Tree& t, int p, MemSize cap) {
-         return memory_bounded_schedule(t, p, cap).value().schedule;
+         return memory_bounded_schedule(t, p, cap).value();
        }},
       {"CappedSubtrees",
        [](const Tree& t, int p, MemSize cap) {
