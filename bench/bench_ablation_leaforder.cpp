@@ -3,7 +3,7 @@
 // input order O; this ablation compares against the natural postorder and
 // a deliberately bad (reversed-sibling) postorder.
 //
-// Flags: --scale, --seed, --procs, --threads.
+// Flags: --scale, --seed, --procs.
 
 #include <algorithm>
 #include <iostream>

@@ -4,7 +4,7 @@
 //    postorder.
 // Reports campaign-average relative makespan and memory for each variant.
 //
-// Flags: --scale, --seed, --procs, --threads (as bench_table1).
+// Flags: --scale, --seed, --procs (as bench_table1).
 
 #include <iostream>
 

@@ -17,15 +17,14 @@ struct CampaignSetup {
 };
 
 /// Flags: --scale (default 1.0), --seed, --procs "2,4,8,16,32",
-/// --threads, --algos "ParSubtrees,Liu,..." (default: the full registry
-/// roster minus oracles), --csv <path>.
+/// --algos "ParSubtrees,Liu,..." (default: the full registry roster
+/// minus oracles), --csv <path>.
 inline CampaignSetup make_campaign(const CliArgs& args) {
   CampaignSetup setup;
   DatasetParams dp;
   dp.scale = args.get_double("scale", 1.0);
   dp.seed = (std::uint64_t)args.get_int("seed", 42);
   setup.dataset = build_dataset(dp);
-  setup.params.threads = (unsigned)args.get_int("threads", 0);
   setup.params.algorithms = split_csv(args.get("algos", ""));
   setup.params.processor_counts.clear();
   for (const std::string& tok : split_csv(args.get("procs", "2,4,8,16,32"))) {

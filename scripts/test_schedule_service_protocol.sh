@@ -4,7 +4,8 @@
 # round-trip onto response lines, cancel lines are accepted (an unknown id
 # answers code=bad_request), failures carry machine-readable codes, parse
 # errors do not abort the stream, and the stats line carries exactly the
-# server's pinned key set, each key once. Then: blocking backpressure
+# server's pinned key set, each key once. Then: the answers' cache= flags
+# agree with --stats' hit and miss counters, blocking backpressure
 # answers 600 lines at --max-pending 16 in input order with no
 # queue_full, a file: spec takes an absolute path, `trace dump=` writes
 # relative names into the working directory and refuses absolute paths,
@@ -59,10 +60,11 @@ echo "$out" | grep -q '^error code=bad_request cancel id=99' \
     || fail "cancel of an unknown id did not answer code=bad_request"
 echo "$out" | grep -q '^error code=bad_request request line must be' \
     || fail "the malformed line did not answer code=bad_request"
-# No cache= assertion here: with concurrent drain jobs either Liu
-# request can win in-flight leadership and report the miss (unit tests
-# pin p-normalized hits deterministically); the protocol claim is only
-# that the line answers.
+# No cache= assertion here: the two Liu requests share one key (p
+# normalizes to 1), and with concurrent drain jobs either may compute
+# first, or both at once (unit tests pin p-normalized hits
+# deterministically; the counters case below pins the accounting); the
+# protocol claim is only that the line answers.
 echo "$out" | grep -q '^ok tree=.*algo=Liu p=4 ' \
     || fail "the second Liu request was not answered"
 [ "$(echo "$out" | wc -l)" -eq 6 ] \
@@ -167,6 +169,25 @@ if [ "$keys" != "$golden" ]; then
     echo "unexpected: $(echo "$keys" | grep -vxF "$golden")" >&2
     fail "the stats keys differ from the pinned set"
 fi
+
+# Every answer's cache= flag is what the cache counted: the cache=hit
+# answers match --stats' hits and the cache=miss answers its misses. The
+# two Liu lines share one key and a tree this size keeps the first one
+# computing while the second one misses.
+printf '%s\n' \
+    'random:20000:1 ParSubtrees 8 id=1' \
+    'random:20000:1 Liu 2' \
+    'random:20000:1 Liu 16' >"$tmp/counters.in"
+run "$tmp/counters.in" --stats 2>"$tmp/counters.err"
+[ "$status" -eq 0 ] || fail "the counters run exited $status"
+counted=$(grep '^cache: ' "$tmp/counters.err") \
+    || fail "--stats printed no cache line: $(cat "$tmp/counters.err")"
+hits=$(echo "$counted" | sed 's/^cache: \([0-9]*\) hits.*/\1/')
+misses=$(echo "$counted" | sed 's/^cache: [0-9]* hits, \([0-9]*\) misses.*/\1/')
+[ "$(echo "$out" | grep -c ' cache=hit ')" -eq "$hits" ] \
+    || fail "cache=hit answers differ from '$counted': $out"
+[ "$(echo "$out" | grep -c ' cache=miss ')" -eq "$misses" ] \
+    || fail "cache=miss answers differ from '$counted': $out"
 
 # Backpressure blocks instead of refusing: 600 untagged lines, each a
 # distinct tree and so a cache miss that holds its window slot, through a

@@ -1,7 +1,6 @@
 #include "campaign/runner.hpp"
 
 #include <algorithm>
-#include <functional>
 #include <stdexcept>
 #include <utility>
 
@@ -52,83 +51,59 @@ std::vector<ScenarioRecord> run_campaign(
   // The memory lower bound is p-invariant: compute it once per tree
   // instead of once per (tree, p) scenario.
   std::vector<MemSize> lb_memory(dataset.size());
-  parallel_for(
-      dataset.size(),
-      [&](std::size_t ti) {
-        lb_memory[ti] = best_postorder_memory(dataset[ti].tree);
-      },
-      params.threads);
+  parallel_for(dataset.size(), [&](std::size_t ti) {
+    lb_memory[ti] = best_postorder_memory(dataset[ti].tree);
+  });
 
   std::vector<ScenarioRecord> records(dataset.size() *
                                       params.processor_counts.size());
 
-  // Builds records[idx] from per-algorithm responses delivered by `get`
-  // (failed tickets rethrow the scheduler's own exception through
-  // unwrap() — an oracle on an oversized tree, a cap below the floor,
-  // ... — which lands on the campaign caller, the pre-service behavior).
-  const auto build_record =
-      [&](std::size_t idx,
-          const std::function<ScheduleResponse(std::size_t)>& get) {
-        const std::size_t ti = idx / params.processor_counts.size();
-        const std::size_t pi = idx % params.processor_counts.size();
-        const DatasetEntry& entry = dataset[ti];
-        const int p = params.processor_counts[pi];
-        ScenarioRecord rec;
-        rec.tree_name = entry.name;
-        rec.tree_size = entry.tree.size();
-        rec.p = p;
-        rec.lb_makespan = makespan_lower_bound(entry.tree, p);
-        rec.lb_memory = lb_memory[ti];
-        rec.algos = algos;
-        for (std::size_t k = 0; k < algos.size(); ++k) {
-          const ScheduleResponse resp = get(k);
-          if (params.validate) {
-            const ScheduleCheck v =
-                check_schedule(entry.tree, *resp.schedule, p);
-            if (!v.ok) {
-              throw std::logic_error("campaign: invalid schedule from " +
-                                     algos[k] + " on " + entry.name + ": " +
-                                     v.error);
-            }
-          }
-          rec.makespan.push_back(resp.makespan);
-          rec.memory.push_back(resp.peak_memory);
-        }
-        records[idx] = std::move(rec);
-      };
+  // Builds records[idx] from its tickets, one per algorithm (failed
+  // tickets rethrow the scheduler's own exception through unwrap() — an
+  // oracle on an oversized tree, a cap below the floor, ... — which lands
+  // on the campaign caller, the pre-service behavior).
+  const auto build_record = [&](std::size_t idx, Ticket* row) {
+    const std::size_t ti = idx / params.processor_counts.size();
+    const std::size_t pi = idx % params.processor_counts.size();
+    const DatasetEntry& entry = dataset[ti];
+    const int p = params.processor_counts[pi];
+    ScenarioRecord rec;
+    rec.tree_name = entry.name;
+    rec.tree_size = entry.tree.size();
+    rec.p = p;
+    rec.lb_makespan = makespan_lower_bound(entry.tree, p);
+    rec.lb_memory = lb_memory[ti];
+    rec.algos = algos;
+    for (std::size_t k = 0; k < algos.size(); ++k) {
+      const ScheduleResponse resp = unwrap(row[k].wait());
+      const ScheduleCheck v = check_schedule(entry.tree, *resp.schedule, p);
+      if (!v.ok) {
+        throw std::logic_error("campaign: invalid schedule from " +
+                               algos[k] + " on " + entry.name + ": " +
+                               v.error);
+      }
+      rec.makespan.push_back(resp.makespan);
+      rec.memory.push_back(resp.peak_memory);
+    }
+    records[idx] = std::move(rec);
+  };
 
   const auto request_for = [&](std::size_t idx, std::size_t k) {
     ScheduleRequest req;
     req.tree = handles[idx / params.processor_counts.size()];
     req.algo = algos[k];
     req.p = params.processor_counts[idx % params.processor_counts.size()];
-    req.want_schedule = params.validate;
+    req.want_schedule = true;
     req.priority = params.priority;
     return req;
   };
 
-  if (params.threads != 0) {
-    // An explicit thread bound is a compute-parallelism promise the
-    // shared-pool admission queue cannot keep (drain jobs fan out over
-    // the whole pool), so honor it with worker-inline submissions:
-    // exactly `threads`-wide, same results, still through submit().
-    parallel_for(
-        records.size(),
-        [&](std::size_t idx) {
-          build_record(idx, [&](std::size_t k) {
-            return unwrap(service.submit(request_for(idx, k)).wait());
-          });
-        },
-        params.threads);
-    return records;
-  }
-
-  // Default: submit through the admission queue at params.priority in
-  // bounded windows of scenarios — the queue keeps a real backlog (so an
+  // Submit through the admission queue at params.priority in bounded
+  // windows of scenarios — the queue keeps a real backlog (so an
   // interactive probe arriving at a shared service mid-campaign is the
   // next request any worker answers) while the schedules pinned live by
   // unconsumed responses stay bounded by the window, not the campaign
-  // (with validate on, every response carries its full schedule).
+  // (every response carries its full schedule for the check).
   constexpr std::size_t kWindowScenarios = 32;
   for (std::size_t window = 0; window < records.size();
        window += kWindowScenarios) {
@@ -142,9 +117,7 @@ std::vector<ScenarioRecord> run_campaign(
       }
     }
     parallel_for(end - window, [&](std::size_t off) {
-      build_record(window + off, [&](std::size_t k) {
-        return unwrap(tickets[off * algos.size() + k].wait());
-      });
+      build_record(window + off, &tickets[off * algos.size()]);
     });
   }
   return records;

@@ -42,15 +42,6 @@ struct CampaignParams {
   std::vector<int> processor_counts{2, 4, 8, 16, 32};
   /// SchedulerRegistry names to run; empty = default_campaign_algorithms().
   std::vector<std::string> algorithms;
-  /// Validate every schedule (adds ~2x cost; on by default — the campaign
-  /// doubles as an integration test).
-  bool validate = true;
-  /// 0 (default) = the shared pool's width, with requests routed through
-  /// the service's admission queue at `priority`. A nonzero bound is a
-  /// compute-parallelism promise the shared-pool queue cannot keep, so
-  /// those campaigns run the synchronous path at exactly this width
-  /// (identical results either way — the schedulers are deterministic).
-  unsigned threads = 0;
   /// Admission class for the campaign's requests. Campaigns are sweeps,
   /// not probes: they default to kBulk so a service shared with
   /// interactive clients keeps answering those first.
@@ -58,15 +49,17 @@ struct CampaignParams {
 };
 
 /// Runs every selected algorithm on every dataset entry and processor
-/// count through a private SchedulingService — by default submitting
-/// through the service's admission queue at params.priority (kBulk, so
-/// interactive probes against a shared service overtake the sweep; see
-/// CampaignParams::threads for the explicit-bound exception). Scenario
-/// order is deterministic and independent of thread count, and the
-/// records are bit-identical to direct SchedulerRegistry calls — the
-/// service only amortizes: sequential-only algorithms are computed once
-/// per tree and answered from cache across the whole processor sweep.
-/// Throws std::invalid_argument up front on unknown algorithm names.
+/// count through a private SchedulingService, submitting through the
+/// service's admission queue at params.priority (kBulk, so interactive
+/// probes against a shared service overtake the sweep), and checks every
+/// schedule with check_schedule (the campaign doubles as an integration
+/// test): an invalid one throws std::logic_error. Scenario order is
+/// deterministic, and the records are bit-identical to direct
+/// SchedulerRegistry calls — the service only amortizes: sequential-only
+/// algorithms are computed once per tree and answered from cache across
+/// the whole processor sweep (p sweeps that reach the same key at once
+/// compute it more than once). Throws std::invalid_argument up front on
+/// unknown algorithm names.
 std::vector<ScenarioRecord> run_campaign(
     const std::vector<DatasetEntry>& dataset, const CampaignParams& params);
 

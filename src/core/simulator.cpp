@@ -102,6 +102,12 @@ SimulationResult simulate(const Tree& tree, const Schedule& s,
   std::vector<char> state(static_cast<std::size_t>(n), kIdle);
   MemSize mem = 0;
   MemSize peak = 0;
+  // The concurrency count: a task runs from its start event to its
+  // finish event. A zero-length task runs at its instant ahead of the
+  // tasks that start then, as its own processor runs it, so it counts
+  // beside the `across` tasks still running when `instant` began.
+  int running = 0, across = 0, busiest = 0;
+  double instant = 0.0;
   std::size_t fi = 0;  // cursor in by_finish
 
   auto record = [&](double t) {
@@ -124,8 +130,10 @@ SimulationResult simulate(const Tree& tree, const Schedule& s,
     peak = std::max(peak, mem);
     record(s.start[v]);
     if (state[v] == kDue) {
+      busiest = std::max(busiest, across + 1);
       finish(v);
     } else {
+      busiest = std::max(busiest, ++running);
       state[v] = kRunning;
     }
   };
@@ -165,8 +173,13 @@ SimulationResult simulate(const Tree& tree, const Schedule& s,
       if (state[f] == kIdle) {
         state[f] = kDue;
       } else {
+        --running;
         finish(f);
       }
+    }
+    if (t != instant) {
+      instant = t;
+      across = running;
     }
     for (NodeId c : tree.children(idx)) {
       if (state[c] != kDone) {
@@ -181,6 +194,7 @@ SimulationResult simulate(const Tree& tree, const Schedule& s,
   res.makespan = s.makespan(tree);
   res.peak_memory = peak;
   res.final_memory = mem;  // = f_root
+  res.max_concurrency = busiest;
   return res;
 }
 

@@ -16,6 +16,12 @@
 // task is the exception: its own start applies before its finish, and it
 // starts and finishes before its parent starts.
 //
+// The replay also counts the tasks running at once: a task runs from its
+// start event to its finish event, so a task that ends when another
+// starts does not overlap it. A zero-length task counts at its instant,
+// after the tasks that finish then and before the tasks that start then
+// (the order its own processor runs them in), one at a time.
+//
 // Complexity O(n): the start and finish event streams are ordered by a
 // stable LSD radix sort over an order-preserving 64-bit image of each time
 // (at most 8 byte passes, fewer when keys share bytes), ties in id order,
@@ -42,6 +48,9 @@ struct SimulationResult {
   MemSize peak_memory = 0;
   /// Resident bytes after everything completed (= f_root).
   MemSize final_memory = 0;
+  /// Most tasks ever running at once, in the event order above (set by
+  /// simulate()).
+  int max_concurrency = 0;
   /// Time-ordered profile; only filled when requested.
   std::vector<MemoryEvent> profile;
 };

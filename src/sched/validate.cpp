@@ -1,8 +1,6 @@
 #include "sched/validate.hpp"
 
-#include <algorithm>
 #include <sstream>
-#include <vector>
 
 #include "core/simulator.hpp"
 
@@ -20,37 +18,19 @@ ScheduleCheck check_schedule(const Tree& tree, const Schedule& s, int p,
   const ValidationResult feasible = validate_schedule(tree, s, p);
   if (!feasible.ok) return fail(feasible.error);
 
-  // Concurrency sweep: +1 at each start, -1 at each finish, processed in
-  // time order with finishes before starts at equal times (a task may
-  // start the instant another ends on the same processor).
-  const NodeId n = tree.size();
-  std::vector<std::pair<double, int>> events;
-  events.reserve(2 * static_cast<std::size_t>(n));
-  for (NodeId i = 0; i < n; ++i) {
-    events.emplace_back(s.start[i], +1);
-    events.emplace_back(s.finish(tree, i), -1);
-  }
-  std::sort(events.begin(), events.end(), [](const auto& a, const auto& b) {
-    if (a.first != b.first) return a.first < b.first;
-    return a.second < b.second;  // -1 (finish) before +1 (start)
-  });
-  int running = 0;
-  for (const auto& [time, delta] : events) {
-    running += delta;
-    check.max_concurrency = std::max(check.max_concurrency, running);
-  }
+  // The feasibility check above guarantees the simulator replays without
+  // throwing; its peak is the exact §3.1 accounting, and it counts the
+  // tasks running at once.
+  const SimulationResult sim = simulate(tree, s);
+  check.makespan = sim.makespan;
+  check.peak_memory = sim.peak_memory;
+  check.max_concurrency = sim.max_concurrency;
   if (check.max_concurrency > p) {
     std::ostringstream os;
     os << check.max_concurrency << " tasks running simultaneously on " << p
        << " processors";
     return fail(os.str());
   }
-
-  // The feasibility check above guarantees the simulator replays without
-  // throwing; its peak is the exact §3.1 accounting.
-  const SimulationResult sim = simulate(tree, s);
-  check.makespan = sim.makespan;
-  check.peak_memory = sim.peak_memory;
   if (memory_cap != 0 && sim.peak_memory > memory_cap) {
     std::ostringstream os;
     os << "peak memory " << sim.peak_memory << " exceeds the cap "

@@ -10,12 +10,13 @@
 //     within [0, p), children finish before their parent starts, no two
 //     tasks overlap on one processor;
 //  2. parallelism: at no instant do more than p tasks run simultaneously,
-//     established by an event sweep that is independent of the processor
+//     counted by the simulator's replay independently of the processor
 //     assignment (a schedule could respect per-processor disjointness yet
 //     claim p+1 concurrent tasks through out-of-range or duplicated
 //     processors — 1. rejects that; this check would also catch it on its
-//     own);
-//  3. memory: the simulator's exact replay (paper §3.1 accounting) stays
+//     own). A task runs from its start to its finish event, so a
+//     zero-length task counts at its instant;
+//  3. memory: the same replay's exact peak (paper §3.1 accounting) stays
 //     within `memory_cap` when one is given.
 //
 // The report carries the replay's makespan and peak so callers get the

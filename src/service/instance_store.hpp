@@ -5,8 +5,8 @@
 // weights; interning a tree whose fingerprint (and, on the rare collision,
 // full content) matches an already-stored instance returns a handle to the
 // shared immutable copy instead of storing a duplicate. Every downstream
-// layer — the result cache key, in-flight deduplication, request logs —
-// speaks fingerprints, never tree copies.
+// layer — the result cache key, request logs — speaks fingerprints,
+// never tree copies.
 //
 // The store can be byte-budgeted (InstanceStoreConfig::max_bytes): an
 // intern that would push the held bytes past the budget is rejected with
@@ -69,8 +69,8 @@ struct TreeHandle {
   std::shared_ptr<const Tree> tree;
   TreeHash hash = 0;
   /// Unique per distinct tree within its InstanceStore (1, 2, ...;
-  /// 0 = null handle). Downstream keys (result cache, in-flight dedup)
-  /// use this, not the raw fingerprint, so a fingerprint collision can
+  /// 0 = null handle). Downstream keys (the result cache's) use this,
+  /// not the raw fingerprint, so a fingerprint collision can
   /// never alias two different trees onto one cache entry — the store
   /// disambiguates collisions by full content comparison at intern time.
   std::uint64_t uid = 0;

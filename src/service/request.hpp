@@ -88,7 +88,7 @@ struct ScheduleRequest {
 struct ScheduleResponse {
   double makespan = 0.0;
   MemSize peak_memory = 0;
-  bool cache_hit = false;  ///< answered from cache (or a concurrent twin)
+  bool cache_hit = false;  ///< answered from cache: counted as a hit
   /// Shares the cached result's schedule; only set when want_schedule.
   std::shared_ptr<const Schedule> schedule;
   /// Engaged iff the request failed (the scores are meaningless then).

@@ -62,8 +62,9 @@ void ResultCache::put(const ResultKey& key, CachedResultPtr value) {
   const std::lock_guard<std::mutex> lock(shard.mutex);
   const auto it = shard.map.find(key);
   if (it != shard.map.end()) {
-    // Overwrite in place (same key recomputed, e.g. after clear() raced a
-    // concurrent compute). Keeps the LRU position fresh.
+    // Overwrite in place (same key recomputed: two identical misses
+    // computed at once, or clear() raced a compute). Keeps the LRU
+    // position fresh.
     shard.bytes -= it->second->second->bytes();
     shard.bytes += cost;
     it->second->second = std::move(value);

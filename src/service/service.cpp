@@ -17,6 +17,32 @@ using obs::Stage;
 
 constexpr const char* kClassLabel[kPriorityClasses + 1] = {
     "interactive", "batch", "bulk", "all"};
+
+/// Cache identity of `req`. Sequential-only algorithms ignore p, so every
+/// p maps to one cache entry — a campaign's cross-p sweep of
+/// Liu/BestPostorder/... computes each tree once and hits thereafter.
+ResultKey key_for(const ScheduleRequest& req,
+                  const SchedulerCapabilities& caps) {
+  ResultKey key;
+  key.tree_uid = req.tree.uid;
+  key.algo = req.algo;
+  key.p = caps.sequential_only ? 1 : req.p;
+  key.memory_cap = req.memory_cap;
+  return key;
+}
+
+/// kUnknownAlgorithm for a name the service's table lacks, carrying the
+/// registry's own message, which lists the known names.
+ServiceError unknown_algorithm(const std::string& algo) {
+  try {
+    (void)SchedulerRegistry::instance().create(algo);
+    throw std::invalid_argument("service: " + algo +
+                                " was registered after the service");
+  } catch (const std::exception& e) {
+    return ServiceError{ErrorCode::kUnknownAlgorithm, e.what(),
+                        std::current_exception()};
+  }
+}
 }  // namespace
 
 SchedulingService::SchedulingService(ServiceConfig config)
@@ -26,6 +52,12 @@ SchedulingService::SchedulingService(ServiceConfig config)
       store_(config.store),
       cache_(config.cache_bytes),
       queue_(std::make_shared<RequestQueue>(config.queue)) {
+  const SchedulerRegistry& schedulers = SchedulerRegistry::instance();
+  for (const std::string& name : schedulers.names()) {
+    Algorithm& algo = algorithms_[name];
+    algo.scheduler = schedulers.create(name);
+    algo.caps = algo.scheduler->capabilities();
+  }
   init_metrics();
 }
 
@@ -205,59 +237,22 @@ TreeHandle SchedulingService::intern(Tree tree) {
   return store_.intern(std::move(tree));
 }
 
-std::shared_ptr<const Scheduler> SchedulingService::resolve(
-    const std::string& algo) {
-  {
-    const std::shared_lock<std::shared_mutex> lock(schedulers_mutex_);
-    const auto it = schedulers_.find(algo);
-    if (it != schedulers_.end()) return it->second;
-  }
-  const std::unique_lock<std::shared_mutex> lock(schedulers_mutex_);
-  const auto it = schedulers_.find(algo);  // re-check: we raced a writer
-  if (it != schedulers_.end()) return it->second;
-  // Throws std::invalid_argument listing the known names on a typo.
-  std::shared_ptr<const Scheduler> sched =
-      SchedulerRegistry::instance().create(algo);
-  schedulers_.emplace(algo, sched);
-  return sched;
-}
-
-ResultKey SchedulingService::key_for(const ScheduleRequest& req,
-                                     const Scheduler& sched) const {
-  ResultKey key;
-  key.tree_uid = req.tree.uid;
-  key.algo = req.algo;
-  // Sequential-only algorithms ignore p, so every p maps to one cache
-  // entry — a campaign's cross-p sweep of Liu/BestPostorder/... computes
-  // each tree once and hits thereafter.
-  key.p = sched.capabilities().sequential_only ? 1 : req.p;
-  key.memory_cap = req.memory_cap;
-  return key;
-}
-
 std::optional<ScheduleResponse> SchedulingService::try_cached(
     const ScheduleRequest& req) {
   if (!cache_.enabled() || !req.tree) return std::nullopt;
-  std::shared_ptr<const Scheduler> sched;
-  {
-    const std::shared_lock<std::shared_mutex> lock(schedulers_mutex_);
-    const auto it = schedulers_.find(req.algo);
-    // Never resolved means never computed, so there cannot be a cache
-    // entry — and an unknown algorithm's typed error stays on the slow
-    // path instead of being re-diagnosed per probe.
-    if (it == schedulers_.end()) return std::nullopt;
-    sched = it->second;
-  }
+  // An unknown algorithm's typed error stays on the slow path.
+  const auto found = algorithms_.find(req.algo);
+  if (found == algorithms_.end()) return std::nullopt;
+  const SchedulerCapabilities& caps = found->second.caps;
   try {
     // Sequential-only algorithms normalize p to 1 in the key, so an
     // invalid p could still collide with a cached entry: requests the
     // slow path would reject must never be answered from the cache.
-    validate_resources(Resources{req.p, req.memory_cap},
-                       sched->capabilities(), req.algo);
+    validate_resources(Resources{req.p, req.memory_cap}, caps, req.algo);
   } catch (...) {
     return std::nullopt;
   }
-  CachedResultPtr result = cache_.peek(key_for(req, *sched));
+  CachedResultPtr result = cache_.peek(key_for(req, caps));
   if (!result) return std::nullopt;
   ScheduleResponse resp;
   resp.makespan = result->makespan;
@@ -277,22 +272,14 @@ ServiceResult SchedulingService::evaluate(ScheduleRequest& req) {
         ErrorCode::kInvalidResources,
         "service: request carries no tree (intern one first)", nullptr};
   }
-  std::shared_ptr<const Scheduler> sched;
+  const auto found = algorithms_.find(req.algo);
+  if (found == algorithms_.end()) return unknown_algorithm(req.algo);
+  Algorithm& algo = found->second;
   try {
-    sched = resolve(req.algo);
-  } catch (const std::exception& e) {
-    return ServiceError{ErrorCode::kUnknownAlgorithm, e.what(),
-                        std::current_exception()};
-  } catch (...) {
-    return ServiceError{ErrorCode::kUnknownAlgorithm,
-                        "non-standard exception resolving " + req.algo,
-                        std::current_exception()};
-  }
-  try {
-    // Fail invalid resources before they reach the cache or in-flight
-    // table; same uniform message the scheduler itself would produce.
-    validate_resources(Resources{req.p, req.memory_cap},
-                       sched->capabilities(), req.algo);
+    // Fail invalid resources before they reach the cache; same uniform
+    // message the scheduler itself would produce.
+    validate_resources(Resources{req.p, req.memory_cap}, algo.caps,
+                       req.algo);
   } catch (const std::exception& e) {
     return ServiceError{ErrorCode::kInvalidResources, e.what(),
                         std::current_exception()};
@@ -307,18 +294,18 @@ ServiceResult SchedulingService::evaluate(ScheduleRequest& req) {
     bool hit = false;
     CachedResultPtr result;
     if (cache_.enabled()) {
-      const ResultKey key = key_for(req, *sched);
+      const ResultKey key = key_for(req, algo.caps);
       result = cache_.get(key);
-      if (result) {
-        hit = true;
-      } else {
-        result = compute_deduplicated(key, req, *sched, hit);
+      hit = result != nullptr;
+      if (!hit) {
+        result = compute(req, algo);
+        cache_.put(key, result);
       }
     } else {
-      // Cache disabled: the honest uncached path. No in-flight sharing
-      // either — every request pays its own compute, which is exactly
-      // what bench_service's baseline must measure.
-      result = compute(req, *sched);
+      // Cache disabled: the honest uncached path. Every request pays its
+      // own compute and no cache counter moves, which is exactly what
+      // bench_service's baseline must measure.
+      result = compute(req, algo);
     }
 
     ScheduleResponse resp;
@@ -347,92 +334,46 @@ ServiceResult SchedulingService::evaluate(ScheduleRequest& req) {
   }
 }
 
-CachedResultPtr SchedulingService::compute_deduplicated(
-    const ResultKey& key, const ScheduleRequest& req, const Scheduler& sched,
-    bool& shared_from_twin) {
-  std::shared_ptr<InFlight> flight;
-  bool leader = false;
-  {
-    const std::lock_guard<std::mutex> lock(inflight_mutex_);
-    auto& slot = inflight_[key];
-    if (!slot) {
-      slot = std::make_shared<InFlight>();
-      leader = true;
-    }
-    flight = slot;
-  }
-
-  if (!leader) {
-    // A twin request is already computing this key: wait for its result
-    // instead of duplicating the work. (If the leader published to the
-    // cache and retired before we reached the in-flight table, we become
-    // a leader ourselves and recompute — a rare, benign duplication.)
-    std::unique_lock<std::mutex> lock(flight->mutex);
-    flight->cv.wait(lock, [&] { return flight->done; });
-    if (flight->error) std::rethrow_exception(flight->error);
-    shared_from_twin = true;  // answered without computing: a cache_hit
-    return flight->result;
-  }
-
-  CachedResultPtr result;
-  std::exception_ptr error;
-  try {
-    result = compute(req, sched);
-    cache_.put(key, result);
-  } catch (...) {
-    error = std::current_exception();
-  }
-  {
-    const std::lock_guard<std::mutex> lock(inflight_mutex_);
-    inflight_.erase(key);
-  }
-  {
-    const std::lock_guard<std::mutex> lock(flight->mutex);
-    flight->result = result;
-    flight->error = error;
-    flight->done = true;
-  }
-  flight->cv.notify_all();
-  if (error) std::rethrow_exception(error);
-  return result;
-}
-
 CachedResultPtr SchedulingService::compute(const ScheduleRequest& req,
-                                           const Scheduler& sched) {
+                                           Algorithm& algo) {
   const std::uint64_t started = obs::now_ns();
   Schedule s =
-      sched.schedule(*req.tree, Resources{req.p, req.memory_cap});
+      algo.scheduler->schedule(*req.tree, Resources{req.p, req.memory_cap});
+  auto result = std::make_shared<CachedResult>();
   if (config_.validate) {
+    // The check replays the schedule once; its scores are the answer's.
     const ScheduleCheck v =
         check_schedule(*req.tree, s, req.p, req.memory_cap);
     if (!v.ok) {
       throw std::logic_error("service: invalid schedule from " + req.algo +
                              ": " + v.error);
     }
+    result->makespan = v.makespan;
+    result->peak_memory = v.peak_memory;
+  } else {
+    const SimulationResult sim = simulate(*req.tree, s);
+    result->makespan = sim.makespan;
+    result->peak_memory = sim.peak_memory;
   }
-  const SimulationResult sim = simulate(*req.tree, s);
-  auto result = std::make_shared<CachedResult>();
-  result->makespan = sim.makespan;
-  result->peak_memory = sim.peak_memory;
   result->schedule = std::move(s);
 
-  // Per-algorithm distributions (ISSUE 7 satellite): actual scheduler
-  // compute only — cache hits and twin-shared results never get here,
-  // so these histograms answer "what does algorithm X cost" without a
-  // campaign rerun. Registry get-or-create takes a lock, which is noise
-  // against a real scheduler run.
+  // Per-algorithm distributions: actual scheduler compute only — cache
+  // hits never get here, so these histograms answer "what does algorithm
+  // X cost" without a campaign rerun.
   const std::uint64_t took = obs::now_ns() - started;
-  const std::string algo_label = "algo=\"" + req.algo + "\"";
-  registry_
-      ->histogram("treesched_algo_compute_seconds", algo_label,
-                  "Scheduler compute time by algorithm",
-                  obs::Histogram::latency_bounds_ns(), 1e-9)
-      .record(took);
-  registry_
-      ->histogram("treesched_algo_peak_memory_bytes", algo_label,
-                  "Schedule peak memory by algorithm",
-                  obs::Histogram::bytes_bounds(), 1.0)
-      .record(static_cast<std::uint64_t>(sim.peak_memory));
+  std::call_once(algo.histograms_once, [&] {
+    const std::string label = "algo=\"" + req.algo + "\"";
+    algo.compute_seconds = &registry_->histogram(
+        "treesched_algo_compute_seconds", label,
+        "Scheduler compute time by algorithm",
+        obs::Histogram::latency_bounds_ns(), 1e-9);
+    algo.peak_memory = &registry_->histogram(
+        "treesched_algo_peak_memory_bytes", label,
+        "Schedule peak memory by algorithm", obs::Histogram::bytes_bounds(),
+        1.0);
+  });
+  algo.compute_seconds->record(took);
+  algo.peak_memory->record(static_cast<std::uint64_t>(result->peak_memory));
   obs::Tracer& tracer = obs::Tracer::global();
   if (tracer.enabled()) {
     tracer.record(tracer.intern_name("compute:" + req.algo), started, took,

@@ -13,13 +13,16 @@
 // compute engine behind it looks results up in one cache
 // (service/result_cache.hpp, a 16-shard exact LRU):
 //
-//   request --> intern tree --> cache lookup --> hit? answer
-//                                  |
-//                                miss --> in-flight table: someone already
-//                                         computing this key? wait for them
-//                                  |
-//                                first --> registry scheduler + simulator,
-//                                          insert into cache, wake waiters
+//   request --> algorithm table --> validate --> cache lookup --> hit? answer
+//                                                     |
+//                                                   miss --> scheduler +
+//                                                   simulator, put in cache
+//
+// The constructor builds the algorithm table from every name in the
+// SchedulerRegistry. Registration happens during static initialization
+// (the built-ins, a test binary's TestGate) and no service is a static
+// object, so the table sees the whole roster. Only each entry's two
+// histograms are set later, once, so every lookup is lock-free.
 //
 // Failures are values: a ticket resolves to Result<ScheduleResponse,
 // ServiceError> with a machine-readable code (service/errors.hpp) —
@@ -31,31 +34,30 @@
 //
 // The two pre-v2 entry points — schedule() and schedule_batch() — are
 // thin wrappers over submit() (batch = N tickets + ordered collect), so
-// determinism, dedup, priority ordering and the destructor's drain
-// guarantee are enforced in exactly one place. The wrappers translate
-// errors back into the legacy conventions (thrown exceptions /
+// determinism, cache accounting, priority ordering and the destructor's
+// drain guarantee are enforced in exactly one place. The wrappers
+// translate errors back into the legacy conventions (thrown exceptions /
 // ScheduleResponse::error).
 //
 // Guarantees:
 //  * Determinism: a response carries exactly the (makespan, peak memory,
 //    schedule) a direct SchedulerRegistry call would produce — schedulers
-//    are deterministic, results are computed once and shared. Priority
-//    and deadline fields are never part of the cache key: they change
-//    when a request is answered, not what the answer is.
-//  * Deduplication: identical (tree, algo, p, cap) work in flight at the
-//    same time is computed once; concurrent duplicates block until the
-//    computing thread publishes. Sequential-only algorithms normalize
-//    p to 1 in the key, so a cross-p sweep hits one entry. With the
-//    cache disabled (cache_bytes = 0) there is no sharing of any kind:
-//    every request pays its own compute — the honest uncached baseline.
+//    are deterministic, and cached results are shared. Priority and
+//    deadline fields are never part of the cache key: they change when
+//    a request is answered, not what the answer is.
+//  * Cache accounting: every miss computes, so answers with cache_hit
+//    match cache_stats().hits and the rest match misses. Two identical
+//    misses in flight at once both compute and both answer a miss (the
+//    second put rewrites an identical value). Sequential-only algorithms
+//    normalize p to 1 in the key, so a cross-p sweep hits one entry.
+//    With the cache disabled (cache_bytes = 0) no counter moves and every
+//    request pays its own compute — the honest uncached baseline.
 //  * Failure isolation: errors are per-ticket values; one bad request
 //    cannot poison a batch. Failed computations are never cached, and
-//    concurrent twins of a failed in-flight computation receive the same
-//    error.
+//    identical requests that fail each get the same typed error.
 //  * Drain: the destructor waits until every admitted request has been
 //    answered — it counts servicers, not tickets, so tickets abandoned
-//    without wait() (and cancelled tickets) neither leak an in-flight
-//    entry nor deadlock the drain.
+//    without wait() (and cancelled tickets) cannot deadlock the drain.
 
 #include <condition_variable>
 #include <cstddef>
@@ -63,7 +65,6 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <shared_mutex>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -84,9 +85,9 @@ struct ServiceConfig {
   /// Result-cache budget; 0 disables caching (every request recomputes).
   std::size_t cache_bytes = ResultCache::kDefaultByteBudget;
   /// Validate every computed schedule (sched/validate.hpp, including the
-  /// request's memory cap) before caching it — defense in depth at ~2x
-  /// compute cost; off by default, the simulator already rejects
-  /// precedence violations.
+  /// request's memory cap) before caching it — defense in depth; the
+  /// answer's scores come from the check's own replay. Off by default:
+  /// the simulator already rejects precedence violations.
   bool validate = false;
   /// Admission-queue tuning (all submissions flow through the queue).
   RequestQueueConfig queue;
@@ -132,9 +133,9 @@ class SchedulingService {
   /// Latency fast path: answers `req` immediately iff it is a pure
   /// result-cache hit — no admission queue, no pool job, no ticket.
   /// Safe to call from a front-end's I/O thread; a hit costs one shard
-  /// lock. nullopt means "not answerable here" (cache disabled, the
-  /// algorithm never resolved, resources that would fail validation, or
-  /// a plain miss): fall back to submit(), which produces the typed
+  /// lock. nullopt means "not answerable here" (cache disabled, an
+  /// unknown algorithm, resources that would fail validation, or a
+  /// plain miss): fall back to submit(), which produces the typed
   /// error or computes — and records the one authoritative cache miss
   /// (a probe miss counts nothing).
   [[nodiscard]] std::optional<ScheduleResponse> try_cached(
@@ -185,22 +186,27 @@ class SchedulingService {
   void clear_cache() { cache_.clear(); }
 
  private:
-  struct InFlight {
-    std::mutex mutex;
-    std::condition_variable cv;
-    bool done = false;
-    CachedResultPtr result;
-    std::exception_ptr error;
+  /// One registered algorithm. `caps` is read on every probe without a
+  /// virtual call. The two histograms are created through the registry
+  /// on the algorithm's first computed miss, so a series appears only
+  /// for algorithms that ran, and later misses record into them directly.
+  struct Algorithm {
+    SchedulerPtr scheduler;
+    SchedulerCapabilities caps;
+    std::once_flag histograms_once;
+    obs::Histogram* compute_seconds = nullptr;
+    obs::Histogram* peak_memory = nullptr;
   };
 
-  /// The single enforcement point: resolves, validates, computes (via
-  /// cache + in-flight dedup) and classifies every failure into a
-  /// ServiceError. Never throws. Mutable `req` because it stamps the
-  /// compute stages and hands the stamps back in the response.
+  /// The single enforcement point: looks the algorithm up, validates,
+  /// probes the cache, computes on a miss and puts the result, and
+  /// classifies every failure into a ServiceError. Never throws. Mutable
+  /// `req` because it stamps the compute stages and hands the stamps
+  /// back in the response.
   ServiceResult evaluate(ScheduleRequest& req);
 
-  /// Wires the stage/algorithm histograms and the counters' collector
-  /// into registry_. Called once from the constructor.
+  /// Wires the stage histograms and the counters' collector into
+  /// registry_. Called once from the constructor.
   void init_metrics();
 
   /// Feeds the per-class and aggregate stage histograms from a settled
@@ -208,21 +214,8 @@ class SchedulingService {
   /// have no admit/dequeue stamps and skip the queue stages).
   void record_stage_metrics(const ScheduleRequest& req);
 
-  /// The (stateless, shared) scheduler for `algo`, created through the
-  /// registry on first use.
-  std::shared_ptr<const Scheduler> resolve(const std::string& algo);
-
-  /// Cache identity of `req` (normalizes p for sequential-only algos).
-  ResultKey key_for(const ScheduleRequest& req, const Scheduler& sched) const;
-
-  /// Computes (or waits for a concurrent twin computing) `key`.
-  /// `shared_from_twin` is set when the result came from a concurrent
-  /// twin's computation rather than our own.
-  CachedResultPtr compute_deduplicated(const ResultKey& key,
-                                       const ScheduleRequest& req,
-                                       const Scheduler& sched,
-                                       bool& shared_from_twin);
-  CachedResultPtr compute(const ScheduleRequest& req, const Scheduler& sched);
+  /// Runs `algo` on `req` and scores the schedule.
+  CachedResultPtr compute(const ScheduleRequest& req, Algorithm& algo);
 
   /// Waits out `tickets` and folds each result into the batch response
   /// shape, in ticket order.
@@ -257,15 +250,9 @@ class SchedulingService {
   /// cancel finds nothing and returns false).
   std::shared_ptr<RequestQueue> queue_;
 
-  /// Read-mostly after warm-up: every request resolves its scheduler, so
-  /// the found path takes only a shared lock.
-  mutable std::shared_mutex schedulers_mutex_;
-  std::unordered_map<std::string, std::shared_ptr<const Scheduler>>
-      schedulers_;
-
-  std::mutex inflight_mutex_;
-  std::unordered_map<ResultKey, std::shared_ptr<InFlight>, ResultKeyHash>
-      inflight_;
+  /// Every registered algorithm, by name. Filled by the constructor;
+  /// only the entries' histogram pointers change after that.
+  std::unordered_map<std::string, Algorithm> algorithms_;
 
   /// Active servicers — pool-submitted drain jobs plus in-progress inline
   /// worker computations, each registered before its entry is admitted;

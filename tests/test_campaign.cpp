@@ -77,24 +77,6 @@ TEST(Campaign, UnknownAlgorithmFailsFast) {
   EXPECT_THROW(run_campaign(tiny_dataset(), params), std::invalid_argument);
 }
 
-TEST(Campaign, DeterministicAcrossThreadCounts) {
-  CampaignParams one;
-  one.processor_counts = {2, 8};
-  one.threads = 1;
-  CampaignParams many = one;
-  many.threads = 8;
-  auto a = run_campaign(tiny_dataset(), one);
-  auto b = run_campaign(tiny_dataset(), many);
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].tree_name, b[i].tree_name);
-    EXPECT_EQ(a[i].p, b[i].p);
-    EXPECT_EQ(a[i].algos, b[i].algos);
-    EXPECT_EQ(a[i].makespan, b[i].makespan);
-    EXPECT_EQ(a[i].memory, b[i].memory);
-  }
-}
-
 TEST(Report, Table1SharesAreConsistent) {
   CampaignParams params;
   params.processor_counts = {2, 4, 8};

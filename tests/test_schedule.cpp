@@ -108,5 +108,27 @@ TEST(Validate, AcceptsAZeroWorkTaskBetweenItsChildAndItsParent) {
   EXPECT_DOUBLE_EQ(check.makespan, 2.0);
 }
 
+TEST(Validate, CountsZeroLengthTasksAsRunning) {
+  // A root with two leaves, every task of zero work, all at t = 0 on two
+  // processors: one task runs at a time, never none.
+  const Tree zero = testing::make_tree({kNoNode, 0, 0}, {1, 1, 1}, {1, 1, 1},
+                                       {0.0, 0.0, 0.0});
+  Schedule s(3);
+  s.start = {0.0, 0.0, 0.0};
+  s.proc = {0, 0, 1};
+  ScheduleCheck check = check_schedule(zero, s, 2);
+  ASSERT_TRUE(check.ok) << check.error;
+  EXPECT_EQ(check.max_concurrency, 1);
+
+  // A zero-length leaf at t = 2 runs beside its sibling on [0, 4).
+  const Tree mixed = testing::make_tree({kNoNode, 0, 0}, {1, 1, 1}, {1, 1, 1},
+                                        {1.0, 4.0, 0.0});
+  s.start = {4.0, 0.0, 2.0};
+  s.proc = {0, 0, 1};
+  check = check_schedule(mixed, s, 2);
+  ASSERT_TRUE(check.ok) << check.error;
+  EXPECT_EQ(check.max_concurrency, 2);
+}
+
 }  // namespace
 }  // namespace treesched

@@ -143,5 +143,17 @@ TEST(Simulator, TaskStartingExactlyAtChildFinishIsAccepted) {
   EXPECT_NO_THROW(simulate(t, s));
 }
 
+TEST(Simulator, CountsTheTasksRunningAtOnce) {
+  // Three leaves on [0, 1) at once, then their parent: 3 at once.
+  Tree fork = pebble_tree({kNoNode, 0, 0, 0});
+  Schedule s(4);
+  s.start = {1.0, 0.0, 0.0, 0.0};
+  s.proc = {0, 0, 1, 2};
+  EXPECT_EQ(simulate(fork, s).max_concurrency, 3);
+  // Back to back, a finish applies before the start at its instant.
+  s = sequential_schedule(fork, {1, 2, 3, 0});
+  EXPECT_EQ(simulate(fork, s).max_concurrency, 1);
+}
+
 }  // namespace
 }  // namespace treesched

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <string>
@@ -430,14 +431,53 @@ TEST(TicketCancel, CancelRacingWorkerPickupSettlesEveryTicketExactlyOnce) {
 }
 
 // ---------------------------------------------------------------------------
+// Cache accounting: every miss computes.
+// ---------------------------------------------------------------------------
+
+TEST(SchedulingService, TwinMissesAgreeWithTheCounters) {
+  // Two identical requests that miss at once each compute, so each
+  // answer's cache_hit is what the cache counted. The gate holds the
+  // first in its scheduler until the second has missed too, which takes
+  // two pool workers; on one, the second stays queued, then hits the
+  // first's entry, and the counters agree just the same.
+  SchedulingService service;
+  GateGuard gate;
+  ScheduleRequest req;
+  req.tree = service.intern(weighted_tree(3));
+  req.algo = "TestGate";
+  req.p = 2;
+  std::vector<Ticket> twins;
+  twins.push_back(service.submit(req));
+  twins.push_back(service.submit(req));
+  const std::uint64_t at_once =
+      std::min<std::size_t>(2, ThreadPool::shared().size());
+  const auto deadline = std::chrono::steady_clock::now() + 10s;
+  while (service.cache_stats().misses < at_once &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(1ms);
+  }
+  ASSERT_EQ(service.cache_stats().misses, at_once);
+  gate.open();
+  std::uint64_t hit_answers = 0;
+  for (Ticket& twin : twins) {
+    const ServiceResult result = twin.wait();
+    ASSERT_TRUE(result.ok()) << result.error().message;
+    hit_answers += result.value().cache_hit ? 1 : 0;
+  }
+  const CacheStats stats = service.cache_stats();
+  EXPECT_EQ(hit_answers, stats.hits);
+  EXPECT_EQ(twins.size() - hit_answers, stats.misses);
+}
+
+// ---------------------------------------------------------------------------
 // Destructor vs. abandoned / cancelled / surviving tickets.
 // ---------------------------------------------------------------------------
 
 TEST(TicketLifetime, AbandonedAndCancelledTicketsNeverDeadlockTheDrain) {
   // Tickets dropped without wait() — some cancelled, some not, some
-  // duplicates dedup'd in flight — must not strand the destructor's
-  // async_outstanding_ drain or leak an in-flight entry (the ASan/TSan
-  // CI jobs run this test for the leak half of the claim).
+  // identical requests computing at once — must not strand the
+  // destructor's async_outstanding_ drain or leak (the ASan/TSan CI jobs
+  // run this test for the leak half of the claim).
   const Tree tree = weighted_tree(7, 200);
   for (int round = 0; round < 3; ++round) {
     SchedulingService service;
@@ -446,7 +486,7 @@ TEST(TicketLifetime, AbandonedAndCancelledTicketsNeverDeadlockTheDrain) {
       ScheduleRequest req;
       req.tree = handle;
       req.algo = "ParInnerFirst";
-      req.p = 2 + i % 3;  // few distinct keys: plenty of in-flight twins
+      req.p = 2 + i % 3;  // few distinct keys: identical misses at once
       req.priority = Priority::kBulk;
       Ticket ticket = service.submit(std::move(req));
       if (i % 3 == 0) (void)ticket.cancel();
