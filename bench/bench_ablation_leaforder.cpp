@@ -15,7 +15,9 @@
 #include "sequential/postorder.hpp"
 #include "util/stats.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int bench_main(int argc, char** argv) {
   using namespace treesched;
   CliArgs args(argc, argv);
   auto setup = bench::make_campaign(args);
@@ -63,4 +65,10 @@ int main(int argc, char** argv) {
                "lowest memory on average, confirming the paper's choice of "
                "input order O.\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return treesched::bench::run_main(argc, argv, bench_main);
 }

@@ -13,7 +13,9 @@
 #include "parallel/par_subtrees.hpp"
 #include "util/stats.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int bench_main(int argc, char** argv) {
   using namespace treesched;
   CliArgs args(argc, argv);
   auto setup = bench::make_campaign(args);
@@ -77,4 +79,10 @@ int main(int argc, char** argv) {
                "only marginally (the paper's §6.1 rationale for using the "
                "postorder).\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return treesched::bench::run_main(argc, argv, bench_main);
 }

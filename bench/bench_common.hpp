@@ -1,7 +1,9 @@
 #pragma once
 // Shared plumbing for the bench binaries: campaign construction from CLI
-// flags and a uniform header format.
+// flags, a uniform header format, and the one way a bench reports an
+// error (run_main).
 
+#include <exception>
 #include <iostream>
 #include <string>
 
@@ -10,6 +12,18 @@
 #include "util/cli.hpp"
 
 namespace treesched::bench {
+
+/// Runs a bench's main body: a std::exception that escapes it (an
+/// unknown or malformed flag, an invalid schedule, a scheduler's error)
+/// prints `error: <what>` and exits 1 instead of terminating the process.
+inline int run_main(int argc, char** argv, int (*body)(int, char**)) {
+  try {
+    return body(argc, argv);
+  } catch (const std::exception& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    return 1;
+  }
+}
 
 struct CampaignSetup {
   std::vector<DatasetEntry> dataset;

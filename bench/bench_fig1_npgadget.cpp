@@ -9,13 +9,16 @@
 #include <array>
 #include <iostream>
 
+#include "bench_common.hpp"
 #include "core/simulator.hpp"
 #include "sched/registry.hpp"
 #include "trees/generators.hpp"
 #include "util/cli.hpp"
 #include "util/stats.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int bench_main(int argc, char** argv) {
   using namespace treesched;
   CliArgs args(argc, argv);
   const auto m = args.get_int("m", 3);
@@ -72,4 +75,10 @@ int main(int argc, char** argv) {
                "exactly; generic heuristics miss at least one of them on "
                "nontrivial instances.\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return treesched::bench::run_main(argc, argv, bench_main);
 }

@@ -9,6 +9,7 @@
 
 #include <iostream>
 
+#include "bench_common.hpp"
 #include "core/simulator.hpp"
 #include "parallel/par_deepest_first.hpp"
 #include "sequential/liu.hpp"
@@ -16,7 +17,9 @@
 #include "util/cli.hpp"
 #include "util/stats.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int bench_main(int argc, char** argv) {
   using namespace treesched;
   CliArgs args(argc, argv);
   const int delta = (int)args.get_int("delta", 6);
@@ -48,4 +51,10 @@ int main(int argc, char** argv) {
                "grows linearly in n -- no (alpha, beta) approximation "
                "pair can exist.\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return treesched::bench::run_main(argc, argv, bench_main);
 }

@@ -6,6 +6,7 @@
 
 #include <iostream>
 
+#include "bench_common.hpp"
 #include "core/lower_bounds.hpp"
 #include "core/simulator.hpp"
 #include "sched/registry.hpp"
@@ -13,7 +14,9 @@
 #include "util/cli.hpp"
 #include "util/stats.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int bench_main(int argc, char** argv) {
   using namespace treesched;
   CliArgs args(argc, argv);
   const int p = (int)args.get_int("p", 4);
@@ -46,4 +49,10 @@ int main(int argc, char** argv) {
   std::cout << "\nExpected: ParSubtrees' ratio tends to p = " << p
             << " as k grows; all other heuristics stay at the optimum.\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return treesched::bench::run_main(argc, argv, bench_main);
 }

@@ -6,6 +6,7 @@
 
 #include <iostream>
 
+#include "bench_common.hpp"
 #include "core/simulator.hpp"
 #include "parallel/par_deepest_first.hpp"
 #include "sequential/postorder.hpp"
@@ -13,7 +14,9 @@
 #include "util/cli.hpp"
 #include "util/stats.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int bench_main(int argc, char** argv) {
   using namespace treesched;
   CliArgs args(argc, argv);
   const int p = (int)args.get_int("p", 4);
@@ -35,4 +38,10 @@ int main(int argc, char** argv) {
   std::cout << "\nExpected: M_seq = 3 always; the parallel peak grows with "
                "the number of chains (every chain holds a live file).\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return treesched::bench::run_main(argc, argv, bench_main);
 }

@@ -6,7 +6,9 @@
 #include "bench_common.hpp"
 #include "campaign/report.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int bench_main(int argc, char** argv) {
   using namespace treesched;
   CliArgs args(argc, argv);
   auto setup = bench::make_campaign(args);
@@ -27,4 +29,10 @@ int main(int argc, char** argv) {
     std::cout << "wrote scatter to " << csv << "\n";
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return treesched::bench::run_main(argc, argv, bench_main);
 }

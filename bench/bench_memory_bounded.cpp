@@ -16,7 +16,9 @@
 #include "parallel/par_deepest_first.hpp"
 #include "util/stats.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int bench_main(int argc, char** argv) {
   using namespace treesched;
   CliArgs args(argc, argv);
   auto setup = bench::make_campaign(args);
@@ -91,4 +93,10 @@ int main(int argc, char** argv) {
             << " here) and loses parallelism at tight caps -- the price "
                "of an O(1) admission test.\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return treesched::bench::run_main(argc, argv, bench_main);
 }

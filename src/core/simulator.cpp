@@ -4,6 +4,7 @@
 #include <array>
 #include <bit>
 #include <cmath>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -195,6 +196,40 @@ SimulationResult simulate(const Tree& tree, const Schedule& s,
   res.peak_memory = peak;
   res.final_memory = mem;  // = f_root
   res.max_concurrency = busiest;
+  return res;
+}
+
+SimulationResult score_schedule(const Tree& tree, const Schedule& s,
+                                std::span<const NodeId> traversal) {
+  const NodeId n = tree.size();
+  if (n == 0 || s.size() != n ||
+      traversal.size() != static_cast<std::size_t>(n)) {
+    return simulate(tree, s);
+  }
+  // sequential_peak_memory's sweep, checking as it goes that the replay
+  // visits the tasks in this order.
+  MemSize mem = 0, peak = 0;
+  double prev = -std::numeric_limits<double>::infinity();
+  double prev_finish = prev;
+  for (NodeId v : traversal) {
+    const double start = s.start[v];
+    if (!(start > prev) || !(start >= prev_finish)) return simulate(tree, s);
+    mem += tree.exec_size(v) + tree.output_size(v);
+    peak = std::max(peak, mem);
+    mem -= tree.exec_size(v);
+    for (NodeId c : tree.children(v)) {
+      if (!(s.start[c] < start)) return simulate(tree, s);
+      mem -= tree.output_size(c);
+    }
+    prev = start;
+    prev_finish = s.finish(tree, v);
+  }
+  if (std::isnan(prev_finish)) return simulate(tree, s);
+  SimulationResult res;
+  res.makespan = s.makespan(tree);
+  res.peak_memory = peak;
+  res.final_memory = mem;  // = f_root
+  res.max_concurrency = 1;
   return res;
 }
 

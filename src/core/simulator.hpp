@@ -26,6 +26,10 @@
 // stable LSD radix sort over an order-preserving 64-bit image of each time
 // (at most 8 byte passes, fewer when keys share bytes), ties in id order,
 // and the sweep that follows is linear.
+//
+// score_schedule gives the same result for a schedule that runs a known
+// traversal back to back without sorting anything, when its starts
+// strictly rise along the traversal, and replays it otherwise.
 
 #include <cstdint>
 #include <span>
@@ -71,11 +75,31 @@ SimulationResult simulate(const Tree& tree, const Schedule& s,
 /// Peak memory of a sequential traversal (children-before-parents order)
 /// of the whole tree or of whole subtrees: every child of a listed task is
 /// listed before it. For the whole tree it equals
-/// simulate(tree, sequential_schedule(tree, order)).peak_memory when no
-/// task has zero work (a zero-length task shares its start time with the
-/// next one, and the replay orders such ties by id, not by `order`), but
-/// is O(n) with no event machinery; used in algorithm inner loops.
+/// simulate(tree, sequential_schedule(tree, order)).peak_memory when the
+/// starts strictly rise along `order` (see score_schedule), but is O(n)
+/// with no event machinery; used in algorithm inner loops.
 MemSize sequential_peak_memory(const Tree& tree,
                                std::span<const NodeId> order);
+
+/// simulate(tree, s) without a profile, in O(n) with no event machinery
+/// when `s` runs `traversal` (every task once) in order on one processor,
+/// as sequential_schedule lays it out: every start strictly greater than
+/// the one before (tested as !(next > prev), so a tie, a NaN or an
+/// infinity fails it) and no earlier than the finish before it, every
+/// task started after its children, and the last finish not NaN. Then it
+/// returns makespan = s.makespan(tree), peak_memory =
+/// sequential_peak_memory(tree, traversal), final_memory = f_root and
+/// max_concurrency = 1.
+///
+/// Under that condition the two are equal bit for bit: with strictly
+/// increasing starts the replay visits the traversal in order, and every
+/// task before the current one has finished by its start, so the replay
+/// samples the same memory at each start as the sequential sweep. In
+/// every other case (an empty traversal included) it returns
+/// simulate(tree, s), whose replay orders equal-time starts by id, not by
+/// the traversal: that happens with zero work, and with work small
+/// enough to be lost in rounding (2^60 + 1 == 2^60).
+SimulationResult score_schedule(const Tree& tree, const Schedule& s,
+                                std::span<const NodeId> traversal);
 
 }  // namespace treesched

@@ -10,6 +10,13 @@ namespace treesched {
 
 CappedSubtreesPlan capped_subtrees_plan(const Tree& tree, int p) {
   if (p < 1) throw std::invalid_argument("capped_subtrees_plan: p < 1");
+  return capped_subtrees_plan(tree, p,
+                              postorder(tree, PostorderPolicy::kOptimal));
+}
+
+CappedSubtreesPlan capped_subtrees_plan(const Tree& tree, int p,
+                                        const PostorderResult& optimal) {
+  if (p < 1) throw std::invalid_argument("capped_subtrees_plan: p < 1");
   CappedSubtreesPlan plan;
   plan.p = p;
   if (tree.empty()) return plan;
@@ -19,9 +26,8 @@ CappedSubtreesPlan capped_subtrees_plan(const Tree& tree, int p) {
     if (W[a] != W[b]) return W[a] > W[b];
     return a < b;
   });
-  PostorderResult po = postorder(tree, PostorderPolicy::kOptimal);
-  plan.postorder_peak = po.peak;
-  plan.layout = group_by_subtree(tree, po.order, plan.roots);
+  plan.postorder_peak = optimal.peak;
+  plan.layout = group_by_subtree(tree, optimal.order, plan.roots);
   plan.peak.reserve(plan.roots.size());
   const std::span<const NodeId> order(plan.layout.order);
   for (std::size_t k = 0; k < plan.roots.size(); ++k) {

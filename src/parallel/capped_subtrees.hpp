@@ -30,6 +30,7 @@
 #include "core/schedule.hpp"
 #include "core/tree.hpp"
 #include "parallel/par_subtrees.hpp"
+#include "sequential/postorder.hpp"
 
 namespace treesched {
 
@@ -54,6 +55,11 @@ struct CappedSubtreesResult {
 /// SplitSubtrees on `p` >= 1 processors, laid out from the whole tree's
 /// optimal postorder.
 CappedSubtreesPlan capped_subtrees_plan(const Tree& tree, int p);
+
+/// The same from `optimal` = postorder(tree, PostorderPolicy::kOptimal),
+/// already built.
+CappedSubtreesPlan capped_subtrees_plan(const Tree& tree, int p,
+                                        const PostorderResult& optimal);
 
 /// Schedules with peak memory <= cap, or nullopt when the cap is too small
 /// for this (conservative) scheme. Any cap >= capped_subtrees_min_cap()

@@ -214,6 +214,15 @@ SplitResult split_subtrees(const Tree& tree, int p) {
 
 Schedule par_subtrees(const Tree& tree, int p, ParSubtreesOptions opts) {
   if (p < 1) throw std::invalid_argument("par_subtrees: p < 1");
+  if (tree.empty()) return {};
+  return par_subtrees(tree, p, sequential_order(tree, opts.sequential),
+                      opts.optimized_packing);
+}
+
+Schedule par_subtrees(const Tree& tree, int p,
+                      const std::vector<NodeId>& traversal,
+                      bool optimized_packing) {
+  if (p < 1) throw std::invalid_argument("par_subtrees: p < 1");
   const NodeId n = tree.size();
   Schedule s(n);
   if (n == 0) return s;
@@ -229,7 +238,7 @@ Schedule par_subtrees(const Tree& tree, int p, ParSubtreesOptions opts) {
   const int procs =
       static_cast<int>(std::min(roots.size(), static_cast<std::size_t>(p)));
   std::vector<int> root_proc;
-  if (!opts.optimized_packing) {
+  if (!optimized_packing) {
     // Algorithm 1: the p heaviest subtrees run in parallel, one per
     // processor; the rest join the sequential tail.
     for (int k = 0; k < procs; ++k) root_proc.push_back(k);
@@ -251,7 +260,7 @@ Schedule par_subtrees(const Tree& tree, int p, ParSubtreesOptions opts) {
   // the surplus subtrees fall in the tail.
   const int tail = static_cast<int>(root_proc.size());
   const SubtreeLayout layout = group_by_subtree(
-      tree, sequential_order(tree, opts.sequential),
+      tree, traversal,
       std::span<const NodeId>(roots.data(), root_proc.size()));
 
   // Lay out the parallel phase, subtree after subtree on each processor.

@@ -92,6 +92,14 @@ struct ParSubtreesOptions {
 /// non-optimized variant.
 Schedule par_subtrees(const Tree& tree, int p, ParSubtreesOptions opts = {});
 
+/// The same over a given whole-tree `traversal` (children before parents,
+/// every node once; the one opts.sequential names above), which the
+/// subtrees and the tail run slices of; `optimized_packing` as in
+/// ParSubtreesOptions.
+Schedule par_subtrees(const Tree& tree, int p,
+                      const std::vector<NodeId>& traversal,
+                      bool optimized_packing);
+
 /// Convenience wrapper for the optimized variant.
 Schedule par_subtrees_optim(const Tree& tree, int p,
                             SequentialAlgo seq = SequentialAlgo::kOptimalPostorder);

@@ -5,7 +5,9 @@
 //
 // Each adapter is a thin, stateless shim from the Scheduler contract onto
 // the algorithm's native entry point; the algorithms themselves stay
-// independently callable.
+// independently callable. Every adapter that starts from the optimal
+// postorder reads it from the TreeAnalysis it is handed, and the
+// sequential ones hand back the traversal their schedule runs.
 
 #include <algorithm>
 #include <cmath>
@@ -48,9 +50,12 @@ class ParSubtreesSched final : public Scheduler {
  public:
   std::string name() const override { return "ParSubtrees"; }
   SchedulerCapabilities capabilities() const override { return {}; }
-  Schedule schedule(const Tree& tree, const Resources& res) const override {
+  ScheduleRun run(const Tree& tree, const Resources& res,
+                  const TreeAnalysis& analysis) const override {
     validate_resources(res, capabilities(), name());
-    return par_subtrees(tree, usable_procs(tree, res));
+    return {par_subtrees(tree, usable_procs(tree, res),
+                         analysis.optimal_postorder().order, false),
+            {}};
   }
 };
 
@@ -58,9 +63,12 @@ class ParSubtreesOptimSched final : public Scheduler {
  public:
   std::string name() const override { return "ParSubtreesOptim"; }
   SchedulerCapabilities capabilities() const override { return {}; }
-  Schedule schedule(const Tree& tree, const Resources& res) const override {
+  ScheduleRun run(const Tree& tree, const Resources& res,
+                  const TreeAnalysis& analysis) const override {
     validate_resources(res, capabilities(), name());
-    return par_subtrees_optim(tree, usable_procs(tree, res));
+    return {par_subtrees(tree, usable_procs(tree, res),
+                         analysis.optimal_postorder().order, true),
+            {}};
   }
 };
 
@@ -68,9 +76,12 @@ class ParInnerFirstSched final : public Scheduler {
  public:
   std::string name() const override { return "ParInnerFirst"; }
   SchedulerCapabilities capabilities() const override { return {}; }
-  Schedule schedule(const Tree& tree, const Resources& res) const override {
+  ScheduleRun run(const Tree& tree, const Resources& res,
+                  const TreeAnalysis& analysis) const override {
     validate_resources(res, capabilities(), name());
-    return par_inner_first(tree, usable_procs(tree, res));
+    return {par_inner_first(tree, usable_procs(tree, res),
+                            analysis.optimal_postorder().order),
+            {}};
   }
 };
 
@@ -78,9 +89,12 @@ class ParDeepestFirstSched final : public Scheduler {
  public:
   std::string name() const override { return "ParDeepestFirst"; }
   SchedulerCapabilities capabilities() const override { return {}; }
-  Schedule schedule(const Tree& tree, const Resources& res) const override {
+  ScheduleRun run(const Tree& tree, const Resources& res,
+                  const TreeAnalysis& analysis) const override {
     validate_resources(res, capabilities(), name());
-    return par_deepest_first(tree, usable_procs(tree, res));
+    return {par_deepest_first(tree, usable_procs(tree, res),
+                              analysis.optimal_postorder().order),
+            {}};
   }
 };
 
@@ -113,15 +127,16 @@ class MemoryBoundedSched final : public Scheduler {
     caps.memory_capped = true;
     return caps;
   }
-  Schedule schedule(const Tree& tree, const Resources& res) const override {
+  ScheduleRun run(const Tree& tree, const Resources& res,
+                  const TreeAnalysis& analysis) const override {
     validate_resources(res, capabilities(), name());
-    const PostorderResult sigma = postorder(tree, PostorderPolicy::kOptimal);
+    const PostorderResult& sigma = analysis.optimal_postorder();
     const MemSize cap = res.memory_cap != 0 ? res.memory_cap
                                             : derived_cap(sigma.peak);
     auto s = memory_bounded_schedule(tree, usable_procs(tree, res), cap,
                                      sigma);
     if (!s) throw_below_floor(name(), cap, sigma.peak);
-    return std::move(*s);
+    return {std::move(*s), {}};
   }
 };
 
@@ -133,10 +148,11 @@ class CappedSubtreesSched final : public Scheduler {
     caps.memory_capped = true;
     return caps;
   }
-  Schedule schedule(const Tree& tree, const Resources& res) const override {
+  ScheduleRun run(const Tree& tree, const Resources& res,
+                  const TreeAnalysis& analysis) const override {
     validate_resources(res, capabilities(), name());
-    const CappedSubtreesPlan plan =
-        capped_subtrees_plan(tree, usable_procs(tree, res));
+    const CappedSubtreesPlan plan = capped_subtrees_plan(
+        tree, usable_procs(tree, res), analysis.optimal_postorder());
     // The scheme's own floor can exceed kDefaultCapFactor x the postorder
     // peak, so the derived cap takes the max; the floor is only computed
     // when a cap is actually derived or reported.
@@ -148,7 +164,7 @@ class CappedSubtreesSched final : public Scheduler {
     if (!r) {
       throw_below_floor(name(), cap, capped_subtrees_min_cap(tree, plan));
     }
-    return std::move(r->schedule);
+    return {std::move(r->schedule), {}};
   }
 };
 
@@ -164,9 +180,10 @@ class SequentialSched : public Scheduler {
     caps.memory_capped = true;  // a sequential run is its own cap
     return caps;
   }
-  Schedule schedule(const Tree& tree, const Resources& res) const override {
+  ScheduleRun run(const Tree& tree, const Resources& res,
+                  const TreeAnalysis& analysis) const override {
     validate_resources(res, capabilities(), name());
-    std::vector<NodeId> ord = order(tree);
+    std::vector<NodeId> ord = order(tree, analysis);
     // The traversal's peak IS this scheduler's derived cap; an explicit
     // cap below it is infeasible (same contract as the other
     // memory-capped schedulers), not silently exceeded.
@@ -176,11 +193,13 @@ class SequentialSched : public Scheduler {
         throw_below_floor(name(), res.memory_cap, peak);
       }
     }
-    return sequential_schedule(tree, ord);
+    Schedule s = sequential_schedule(tree, ord);
+    return {std::move(s), std::move(ord)};
   }
 
  protected:
-  [[nodiscard]] virtual std::vector<NodeId> order(const Tree& tree) const = 0;
+  [[nodiscard]] virtual std::vector<NodeId> order(
+      const Tree& tree, const TreeAnalysis& analysis) const = 0;
 };
 
 class LiuSched final : public SequentialSched {
@@ -188,7 +207,8 @@ class LiuSched final : public SequentialSched {
   std::string name() const override { return "Liu"; }
 
  protected:
-  std::vector<NodeId> order(const Tree& tree) const override {
+  std::vector<NodeId> order(const Tree& tree,
+                            const TreeAnalysis&) const override {
     return liu_optimal_traversal(tree).order;
   }
 };
@@ -198,8 +218,9 @@ class BestPostorderSched final : public SequentialSched {
   std::string name() const override { return "BestPostorder"; }
 
  protected:
-  std::vector<NodeId> order(const Tree& tree) const override {
-    return postorder(tree, PostorderPolicy::kOptimal).order;
+  std::vector<NodeId> order(const Tree&,
+                            const TreeAnalysis& analysis) const override {
+    return analysis.optimal_postorder().order;
   }
 };
 
@@ -208,8 +229,11 @@ class NaturalPostorderSched final : public SequentialSched {
   std::string name() const override { return "NaturalPostorder"; }
 
  protected:
-  std::vector<NodeId> order(const Tree& tree) const override {
-    return postorder(tree, PostorderPolicy::kNatural).order;
+  std::vector<NodeId> order(const Tree& tree,
+                            const TreeAnalysis&) const override {
+    // = postorder(tree, PostorderPolicy::kNatural).order, without the
+    // peaks that postorder() computes on the way.
+    return tree.natural_postorder();
   }
 };
 
@@ -223,7 +247,8 @@ class BruteForceSeqSched final : public SequentialSched {
   }
 
  protected:
-  std::vector<NodeId> order(const Tree& tree) const override {
+  std::vector<NodeId> order(const Tree& tree,
+                            const TreeAnalysis&) const override {
     if (tree.size() > capabilities().max_nodes) {
       throw std::invalid_argument(
           name() + ": tree of size " + std::to_string(tree.size()) +

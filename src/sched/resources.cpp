@@ -1,5 +1,5 @@
 // The one place Resources sanity lives. Every builtin scheduler calls
-// validate_resources() first thing in schedule(), so the error message is
+// validate_resources() first thing in run(), so the error message is
 // uniform across the roster (test_service.cpp asserts this for all ten
 // registered algorithms) and the service can rely on invalid requests
 // failing before they reach the result cache.

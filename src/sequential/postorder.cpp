@@ -17,6 +17,26 @@ struct ChildKey {
   double work;
 };
 
+// Fan-ins up to this size are sorted in place by insertion; wider ones by
+// std::stable_sort, so a wide fork stays O(n log n). Both sorts are
+// stable, and a stable sort's output depends only on its comparator, so
+// the order is the same either way.
+constexpr std::size_t kInsertionSortMax = 16;
+
+template <typename Less>
+void stable_sort_keys(std::vector<ChildKey>& keys, Less less) {
+  if (keys.size() > kInsertionSortMax) {
+    std::stable_sort(keys.begin(), keys.end(), less);
+    return;
+  }
+  for (std::size_t j = 1; j < keys.size(); ++j) {
+    const ChildKey key = keys[j];
+    std::size_t i = j;
+    for (; i > 0 && less(key, keys[i - 1]); --i) keys[i] = keys[i - 1];
+    keys[i] = key;
+  }
+}
+
 }  // namespace
 
 PostorderResult postorder(const Tree& tree, PostorderPolicy policy) {
@@ -34,6 +54,8 @@ PostorderResult postorder(const Tree& tree, PostorderPolicy policy) {
   std::vector<NodeId> head(static_cast<std::size_t>(n), kNoNode);
   std::vector<NodeId> tail(static_cast<std::size_t>(n), kNoNode);
   std::vector<NodeId> next(static_cast<std::size_t>(n), kNoNode);
+  std::vector<ChildKey> keys;  // one node's children, reused
+  keys.reserve(static_cast<std::size_t>(tree.max_degree()));
 
   for (NodeId i : tree.natural_postorder()) {
     auto ch = tree.children(i);
@@ -42,38 +64,33 @@ PostorderResult postorder(const Tree& tree, PostorderPolicy policy) {
       head[i] = tail[i] = i;
       continue;
     }
-    std::vector<ChildKey> keys;
-    keys.reserve(ch.size());
+    keys.clear();
     for (NodeId c : ch) {
       keys.push_back({c, peak[c], tree.output_size(c),
                       subwork.empty() ? 0.0 : subwork[c]});
     }
     switch (policy) {
       case PostorderPolicy::kOptimal:
-        std::stable_sort(keys.begin(), keys.end(),
-                         [](const ChildKey& a, const ChildKey& b) {
-                           // non-increasing (P - f); signed comparison via
-                           // cross-addition to avoid unsigned underflow.
-                           return a.peak + b.resid > b.peak + a.resid;
-                         });
+        stable_sort_keys(keys, [](const ChildKey& a, const ChildKey& b) {
+          // non-increasing (P - f); signed comparison via cross-addition
+          // to avoid unsigned underflow.
+          return a.peak + b.resid > b.peak + a.resid;
+        });
         break;
       case PostorderPolicy::kByPeak:
-        std::stable_sort(keys.begin(), keys.end(),
-                         [](const ChildKey& a, const ChildKey& b) {
-                           return a.peak > b.peak;
-                         });
+        stable_sort_keys(keys, [](const ChildKey& a, const ChildKey& b) {
+          return a.peak > b.peak;
+        });
         break;
       case PostorderPolicy::kByOutput:
-        std::stable_sort(keys.begin(), keys.end(),
-                         [](const ChildKey& a, const ChildKey& b) {
-                           return a.resid > b.resid;
-                         });
+        stable_sort_keys(keys, [](const ChildKey& a, const ChildKey& b) {
+          return a.resid > b.resid;
+        });
         break;
       case PostorderPolicy::kByWork:
-        std::stable_sort(keys.begin(), keys.end(),
-                         [](const ChildKey& a, const ChildKey& b) {
-                           return a.work > b.work;
-                         });
+        stable_sort_keys(keys, [](const ChildKey& a, const ChildKey& b) {
+          return a.work > b.work;
+        });
         break;
       case PostorderPolicy::kNatural:
         break;

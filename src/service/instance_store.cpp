@@ -15,6 +15,13 @@ struct HashAcc {
   void feed(std::uint64_t v) { state = mix64(state ^ v); }
 };
 
+// One interned instance: the tree and its analysis in one allocation.
+struct Interned {
+  explicit Interned(Tree t) : tree(std::move(t)), analysis(tree) {}
+  Tree tree;
+  TreeAnalysis analysis;
+};
+
 }  // namespace
 
 TreeHash tree_fingerprint(const Tree& tree) {
@@ -47,14 +54,14 @@ bool trees_identical(const Tree& a, const Tree& b) {
 }
 
 std::size_t tree_bytes(const Tree& tree) {
-  // Per node: parent id, output/exec sizes, work, one CSR child slot and
-  // one child_begin offset. Sizes, not capacities — close enough for a
-  // budget that guards against unbounded growth, and independent of
-  // allocator rounding.
+  // Per node: parent id, output/exec sizes, work, one CSR child slot, one
+  // child_begin offset and the analysis's postorder slot. Sizes, not
+  // capacities — close enough for a budget that guards against unbounded
+  // growth, and independent of allocator rounding.
   const auto n = static_cast<std::size_t>(tree.size());
-  return sizeof(Tree) +
+  return sizeof(Tree) + sizeof(TreeAnalysis) +
          n * (2 * sizeof(NodeId) + 2 * sizeof(MemSize) + sizeof(double) +
-              sizeof(NodeId));
+              sizeof(NodeId) + TreeAnalysis::kBytesPerNode);
 }
 
 InstanceStore::InstanceStore(InstanceStoreConfig config) : config_(config) {}
@@ -81,8 +88,10 @@ Result<TreeHandle, ServiceError> InstanceStore::try_intern(Tree tree) {
   }
   ++misses_;
   bytes_ += cost;
-  const TreeHandle handle{std::make_shared<const Tree>(std::move(tree)),
-                          hash, ++next_uid_};
+  const auto interned = std::make_shared<const Interned>(std::move(tree));
+  const TreeHandle handle{
+      std::shared_ptr<const Tree>(interned, &interned->tree), hash,
+      ++next_uid_, &interned->analysis};
   by_hash_.emplace(hash, handle);
   return handle;
 }

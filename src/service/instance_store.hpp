@@ -8,11 +8,19 @@
 // layer — the result cache key, request logs — speaks fingerprints,
 // never tree copies.
 //
+// Each interned tree owns one TreeAnalysis (sched/analysis.hpp), in the
+// same allocation as the tree, so every handle to the instance shares it
+// under the one reference count a handle already holds. The analysis is
+// lazy: interning builds nothing (intern runs on a front-end's I/O
+// thread), and the first computed miss that needs the optimal postorder
+// builds it once, on a pool worker, for every later miss of the tree.
+//
 // The store can be byte-budgeted (InstanceStoreConfig::max_bytes): an
 // intern that would push the held bytes past the budget is rejected with
 // the typed StoreFull error through the Result path instead of growing
 // without bound — a service fed unboundedly many distinct trees stays
-// bounded. Already-interned trees always resolve (a hit stores nothing).
+// bounded. The bytes counted include what the analysis retains once
+// built. Already-interned trees always resolve (a hit stores nothing).
 
 #include <cstdint>
 #include <memory>
@@ -20,6 +28,7 @@
 #include <unordered_map>
 
 #include "core/tree.hpp"
+#include "sched/analysis.hpp"
 #include "service/errors.hpp"
 #include "util/result.hpp"
 
@@ -59,12 +68,13 @@ using TreeHash = std::uint64_t;
 /// Exact content equality (used to disambiguate fingerprint collisions).
 [[nodiscard]] bool trees_identical(const Tree& a, const Tree& b);
 
-/// Approximate in-memory footprint of `tree` (node arrays + CSR children),
-/// the unit the store budget is accounted in.
+/// Approximate in-memory footprint of interning `tree` (node arrays, CSR
+/// children and what its built analysis retains), the unit the store
+/// budget is accounted in.
 [[nodiscard]] std::size_t tree_bytes(const Tree& tree);
 
-/// A shared, immutable, interned tree plus its fingerprint and its
-/// store-assigned identity.
+/// A shared, immutable, interned tree plus its fingerprint, its
+/// store-assigned identity and its analysis.
 struct TreeHandle {
   std::shared_ptr<const Tree> tree;
   TreeHash hash = 0;
@@ -74,6 +84,9 @@ struct TreeHandle {
   /// never alias two different trees onto one cache entry — the store
   /// disambiguates collisions by full content comparison at intern time.
   std::uint64_t uid = 0;
+  /// The tree's one analysis. It lives in the allocation `tree` points
+  /// into, so `tree`'s reference keeps it alive.
+  const TreeAnalysis* analysis = nullptr;
 
   explicit operator bool() const { return tree != nullptr; }
   const Tree& operator*() const { return *tree; }

@@ -267,7 +267,7 @@ std::optional<ScheduleResponse> SchedulingService::try_cached(
 
 ServiceResult SchedulingService::evaluate(ScheduleRequest& req) {
   req.stamps.stamp(Stage::kComputeStart);
-  if (!req.tree) {
+  if (!req.tree || req.tree.analysis == nullptr) {
     return ServiceError{
         ErrorCode::kInvalidResources,
         "service: request carries no tree (intern one first)", nullptr};
@@ -337,13 +337,16 @@ ServiceResult SchedulingService::evaluate(ScheduleRequest& req) {
 CachedResultPtr SchedulingService::compute(const ScheduleRequest& req,
                                            Algorithm& algo) {
   const std::uint64_t started = obs::now_ns();
-  Schedule s =
-      algo.scheduler->schedule(*req.tree, Resources{req.p, req.memory_cap});
+  const Tree& tree = *req.tree;
+  // The interned tree's own analysis: the tree's misses share its
+  // optimal postorder, built by the first that reads it.
+  ScheduleRun run = algo.scheduler->run(
+      tree, Resources{req.p, req.memory_cap}, *req.tree.analysis);
   auto result = std::make_shared<CachedResult>();
   if (config_.validate) {
     // The check replays the schedule once; its scores are the answer's.
     const ScheduleCheck v =
-        check_schedule(*req.tree, s, req.p, req.memory_cap);
+        check_schedule(tree, run.schedule, req.p, req.memory_cap);
     if (!v.ok) {
       throw std::logic_error("service: invalid schedule from " + req.algo +
                              ": " + v.error);
@@ -351,11 +354,14 @@ CachedResultPtr SchedulingService::compute(const ScheduleRequest& req,
     result->makespan = v.makespan;
     result->peak_memory = v.peak_memory;
   } else {
-    const SimulationResult sim = simulate(*req.tree, s);
+    // O(n) for a sequential answer whose starts strictly rise; a replay
+    // otherwise. Either way the scores simulate() gives.
+    const SimulationResult sim =
+        score_schedule(tree, run.schedule, run.traversal);
     result->makespan = sim.makespan;
     result->peak_memory = sim.peak_memory;
   }
-  result->schedule = std::move(s);
+  result->schedule = std::move(run.schedule);
 
   // Per-algorithm distributions: actual scheduler compute only — cache
   // hits never get here, so these histograms answer "what does algorithm

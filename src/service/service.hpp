@@ -16,7 +16,14 @@
 //   request --> algorithm table --> validate --> cache lookup --> hit? answer
 //                                                     |
 //                                                   miss --> scheduler +
-//                                                   simulator, put in cache
+//                                                   score, put in cache
+//
+// A miss runs the scheduler with the interned tree's one TreeAnalysis
+// (instance_store.hpp), so the tree's misses share its optimal
+// postorder, and scores the answer with score_schedule
+// (core/simulator.hpp): O(n) for a sequential answer whose starts
+// strictly rise along its traversal, simulate() otherwise, the same
+// scores either way.
 //
 // The constructor builds the algorithm table from every name in the
 // SchedulerRegistry. Registration happens during static initialization

@@ -1,5 +1,5 @@
 #pragma once
-// A test-only scheduler, registered as "TestGate", whose schedule() blocks
+// A test-only scheduler, registered as "TestGate", whose run() blocks
 // while the gate is closed. Requests for it pin pool workers for exactly
 // as long as a test needs them pinned, however fast the machine or the
 // real schedulers are, so "this request is still queued" becomes a fact
@@ -71,10 +71,11 @@ class GateScheduler final : public Scheduler {
  public:
   std::string name() const override { return "TestGate"; }
   SchedulerCapabilities capabilities() const override { return {}; }
-  Schedule schedule(const Tree& tree, const Resources& res) const override {
+  ScheduleRun run(const Tree& tree, const Resources& res,
+                  const TreeAnalysis&) const override {
     validate_resources(res, capabilities(), name());
     Gate::instance().wait();
-    return sequential_schedule(tree, tree.natural_postorder());
+    return {sequential_schedule(tree, tree.natural_postorder()), {}};
   }
 };
 

@@ -1,11 +1,13 @@
 #pragma once
 // Reference implementations kept as test oracles: the event replay and
 // ParSubtrees as they were before the simulator switched to a radix-sorted
-// event order and SplitSubtrees to a top-p array over a heap. They are the
-// straightforward versions (comparator sorts; an ordered multiset replayed
-// once to score the splits and once more to rebuild the chosen one; one
-// extracted subtree and one traversal per parallel subtree), and the
-// library must agree with them bit for bit
+// event order and SplitSubtrees to a top-p array over a heap, and the
+// postorder as it was before it sorted children in one reused buffer.
+// They are the straightforward versions (comparator sorts; an ordered
+// multiset replayed once to score the splits and once more to rebuild the
+// chosen one; one extracted subtree and one traversal per parallel
+// subtree; one key vector and one std::stable_sort per inner node), and
+// the library must agree with them bit for bit
 // (tests/test_differential.cpp). The replay has one later change, the
 // library's zero-duration rule: a zero-length task's start applies before
 // its own finish, and it starts and finishes before its parent starts.
@@ -121,6 +123,106 @@ inline SimulationResult simulate(const Tree& tree, const Schedule& s,
   return res;
 }
 
+inline PostorderResult postorder(const Tree& tree, PostorderPolicy policy) {
+  struct ChildKey {
+    NodeId node;
+    MemSize peak;
+    MemSize resid;
+    double work;
+  };
+  PostorderResult res;
+  const NodeId n = tree.size();
+  res.order.reserve(n);
+  if (n == 0) return res;
+
+  std::vector<MemSize> peak(static_cast<std::size_t>(n), 0);
+  std::vector<double> subwork;
+  if (policy == PostorderPolicy::kByWork) subwork = tree.subtree_work();
+
+  // head/next intrusive lists holding each subtree's traversal so that
+  // concatenation is O(1) and total construction O(n log n).
+  std::vector<NodeId> head(static_cast<std::size_t>(n), kNoNode);
+  std::vector<NodeId> tail(static_cast<std::size_t>(n), kNoNode);
+  std::vector<NodeId> next(static_cast<std::size_t>(n), kNoNode);
+
+  for (NodeId i : tree.natural_postorder()) {
+    auto ch = tree.children(i);
+    if (ch.empty()) {
+      peak[i] = tree.exec_size(i) + tree.output_size(i);
+      head[i] = tail[i] = i;
+      continue;
+    }
+    std::vector<ChildKey> keys;
+    keys.reserve(ch.size());
+    for (NodeId c : ch) {
+      keys.push_back({c, peak[c], tree.output_size(c),
+                      subwork.empty() ? 0.0 : subwork[c]});
+    }
+    switch (policy) {
+      case PostorderPolicy::kOptimal:
+        std::stable_sort(keys.begin(), keys.end(),
+                         [](const ChildKey& a, const ChildKey& b) {
+                           // non-increasing (P - f); signed comparison via
+                           // cross-addition to avoid unsigned underflow.
+                           return a.peak + b.resid > b.peak + a.resid;
+                         });
+        break;
+      case PostorderPolicy::kByPeak:
+        std::stable_sort(keys.begin(), keys.end(),
+                         [](const ChildKey& a, const ChildKey& b) {
+                           return a.peak > b.peak;
+                         });
+        break;
+      case PostorderPolicy::kByOutput:
+        std::stable_sort(keys.begin(), keys.end(),
+                         [](const ChildKey& a, const ChildKey& b) {
+                           return a.resid > b.resid;
+                         });
+        break;
+      case PostorderPolicy::kByWork:
+        std::stable_sort(keys.begin(), keys.end(),
+                         [](const ChildKey& a, const ChildKey& b) {
+                           return a.work > b.work;
+                         });
+        break;
+      case PostorderPolicy::kNatural:
+        break;
+    }
+    MemSize resident = 0;  // outputs of already-processed children
+    MemSize pk = 0;
+    for (const ChildKey& k : keys) {
+      pk = std::max(pk, resident + k.peak);
+      resident += k.resid;
+    }
+    pk = std::max(pk, resident + tree.exec_size(i) + tree.output_size(i));
+    peak[i] = pk;
+    // Concatenate child lists in chosen order, then append i.
+    NodeId h = kNoNode, t = kNoNode;
+    for (const ChildKey& k : keys) {
+      if (h == kNoNode) {
+        h = head[k.node];
+        t = tail[k.node];
+      } else {
+        next[t] = head[k.node];
+        t = tail[k.node];
+      }
+    }
+    next[t] = i;
+    head[i] = h;
+    tail[i] = i;
+  }
+
+  const NodeId r = tree.root();
+  for (NodeId cur = head[r]; cur != kNoNode; cur = next[cur]) {
+    res.order.push_back(cur);
+  }
+  if (static_cast<NodeId>(res.order.size()) != n) {
+    throw std::logic_error("postorder: traversal does not cover the tree");
+  }
+  res.peak = peak[r];
+  return res;
+}
+
 namespace detail {
 
 // PQ entry: ordered by non-increasing W, ties by non-increasing w, then id
@@ -165,11 +267,11 @@ inline SplitState split_to_rank(const Tree& tree, const std::vector<double>& W,
 inline std::vector<NodeId> sequential_order(const Tree& tree, SequentialAlgo algo) {
   switch (algo) {
     case SequentialAlgo::kOptimalPostorder:
-      return postorder(tree, PostorderPolicy::kOptimal).order;
+      return treesched::postorder(tree, PostorderPolicy::kOptimal).order;
     case SequentialAlgo::kLiuExact:
       return liu_optimal_traversal(tree).order;
     case SequentialAlgo::kNaturalPostorder:
-      return postorder(tree, PostorderPolicy::kNatural).order;
+      return treesched::postorder(tree, PostorderPolicy::kNatural).order;
   }
   throw std::logic_error("unknown SequentialAlgo");
 }

@@ -1,9 +1,10 @@
-// Differential tests: the library's simulate(), split_subtrees() and
-// par_subtrees() against the reference implementations kept in
-// reference_impl.hpp. Every result must agree bit for bit — makespans,
-// start times and predicted costs compared by their bit patterns, the
-// recorded memory profile step by step, and a rejected schedule with the
-// same error message.
+// Differential tests: the library's simulate(), split_subtrees(),
+// par_subtrees() and postorder() against the reference implementations
+// kept in reference_impl.hpp, and score_schedule() against simulate().
+// Every result must agree bit for bit — makespans, start times and
+// predicted costs compared by their bit patterns, the recorded memory
+// profile step by step, and a rejected schedule with the same error
+// message.
 //
 // The corpus leans on the cases where an ordering shortcut would show:
 // equal-W siblings that tie on (W, w) and split by node id, zero-work
@@ -15,6 +16,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
@@ -330,6 +332,59 @@ Schedule parents_early(const Tree& t, const Schedule& s) {
   return out;
 }
 
+/// A chain of `n` unit tasks, root 0 and leaf n - 1.
+Tree deep_chain(NodeId n) {
+  std::vector<NodeId> parent{kNoNode};
+  for (NodeId i = 1; i < n; ++i) parent.push_back(i - 1);
+  return testing::pebble_tree(std::move(parent));
+}
+
+/// A root over `leaves` leaves that all tie on P - f (every n_i is 5),
+/// while their outputs and works vary, so every policy's sort sees ties
+/// and differences at once.
+Tree tied_fork(NodeId leaves) {
+  const auto n = static_cast<std::size_t>(leaves) + 1;
+  std::vector<NodeId> parent(n, 0);
+  std::vector<MemSize> out(n, 1), exec(n, 5);
+  std::vector<double> work(n, 1.0);
+  parent[0] = kNoNode;
+  for (std::size_t i = 1; i < n; ++i) {
+    out[i] = 1 + (i * 7919) % 13;
+    work[i] = 1.0 + static_cast<double>(i % 3);
+  }
+  return testing::make_tree(std::move(parent), std::move(out),
+                            std::move(exec), std::move(work));
+}
+
+TEST(Differential, PostorderMatchesTheReferenceForEveryPolicy) {
+  std::vector<NamedTree> trees = corpus();
+  trees.push_back({"chain100000", deep_chain(100000)});
+  // Fan-ins on both sides of the in-place sort's limit, and a wide fork.
+  for (NodeId leaves : {16, 17, 50000}) {
+    trees.push_back({"tiedFork" + std::to_string(leaves), tied_fork(leaves)});
+  }
+  int cases = 0;
+  for (const NamedTree& nt : trees) {
+    for (PostorderPolicy policy :
+         {PostorderPolicy::kOptimal, PostorderPolicy::kByPeak,
+          PostorderPolicy::kByOutput, PostorderPolicy::kByWork,
+          PostorderPolicy::kNatural}) {
+      const PostorderResult got = postorder(nt.tree, policy);
+      const PostorderResult want = reference::postorder(nt.tree, policy);
+      EXPECT_EQ(got.order, want.order)
+          << nt.name << " policy=" << static_cast<int>(policy);
+      EXPECT_EQ(got.peak, want.peak)
+          << nt.name << " policy=" << static_cast<int>(policy);
+      ++cases;
+    }
+    // NaturalPostorder's traversal.
+    EXPECT_EQ(nt.tree.natural_postorder(),
+              reference::postorder(nt.tree, PostorderPolicy::kNatural).order)
+        << nt.name;
+  }
+  EXPECT_EQ(cases, 5 * static_cast<int>(corpus().size() + 4));
+}
+
 TEST(Differential, SplitSubtreesMatchesTheReference) {
   int cases = 0;
   for (const NamedTree& nt : corpus()) {
@@ -406,5 +461,142 @@ TEST(Differential, SimulateMatchesTheReferenceOnTiedAndPerturbedSchedules) {
   EXPECT_LT(rejected, cases);
 }
 
+/// score_schedule() outcome: the result, or the message it threw.
+Replay score(const Tree& t, const Schedule& s,
+             const std::vector<NodeId>& traversal) {
+  Replay r;
+  try {
+    r.result = score_schedule(t, s, traversal);
+  } catch (const std::invalid_argument& e) {
+    r.error = e.what();
+  }
+  return r;
+}
+
+::testing::AssertionResult same_score(const Tree& t, const Schedule& s,
+                                      const std::vector<NodeId>& traversal) {
+  const Replay got = score(t, s, traversal);
+  Replay want;
+  try {
+    want.result = simulate(t, s);
+  } catch (const std::invalid_argument& e) {
+    want.error = e.what();
+  }
+  if (got.error != want.error) {
+    return ::testing::AssertionFailure()
+           << "error \"" << got.error << "\" vs simulate \"" << want.error
+           << "\"";
+  }
+  if (!got.result) return ::testing::AssertionSuccess();
+  const SimulationResult& a = *got.result;
+  const SimulationResult& b = *want.result;
+  if (!same_bits(a.makespan, b.makespan) || a.peak_memory != b.peak_memory ||
+      a.final_memory != b.final_memory ||
+      a.max_concurrency != b.max_concurrency) {
+    return ::testing::AssertionFailure()
+           << "(makespan, peak, final, concurrency) = (" << a.makespan << ", "
+           << a.peak_memory << ", " << a.final_memory << ", "
+           << a.max_concurrency << ") vs simulate (" << b.makespan << ", "
+           << b.peak_memory << ", " << b.final_memory << ", "
+           << b.max_concurrency << ")";
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// True when the starts strictly rise along `traversal`: the condition
+/// under which score_schedule() takes its O(n) sweep on a back-to-back
+/// layout.
+bool starts_rise(const Schedule& s, const std::vector<NodeId>& traversal) {
+  for (std::size_t k = 1; k < traversal.size(); ++k) {
+    if (!(s.start[traversal[k]] > s.start[traversal[k - 1]])) return false;
+  }
+  return true;
+}
+
+TEST(Differential, ScoreScheduleMatchesSimulateOnEveryTraversal) {
+  int cases = 0;
+  int rising = 0;
+  for (const NamedTree& nt : corpus()) {
+    const Tree& t = nt.tree;
+    std::vector<std::pair<std::string, std::vector<NodeId>>> traversals;
+    for (PostorderPolicy policy :
+         {PostorderPolicy::kOptimal, PostorderPolicy::kByPeak,
+          PostorderPolicy::kByOutput, PostorderPolicy::kByWork,
+          PostorderPolicy::kNatural}) {
+      traversals.emplace_back("policy" + std::to_string(static_cast<int>(policy)),
+                              postorder(t, policy).order);
+    }
+    traversals.emplace_back("liu", liu_optimal_traversal(t).order);
+    std::uint64_t seed = 1;
+    for (const auto& [label, order] : traversals) {
+      const Schedule s = sequential_schedule(t, order);
+      if (starts_rise(s, order)) {
+        // The O(n) sweep's own claim, checked without its dispatch.
+        EXPECT_EQ(sequential_peak_memory(t, order), simulate(t, s).peak_memory)
+            << nt.name << " " << label;
+        ++rising;
+      }
+      std::vector<NodeId> reversed(order.rbegin(), order.rend());
+      std::vector<NodeId> partial(order.begin(), order.end() - 1);
+      // The layout itself, then perturbations that tie, overlap, gap or
+      // reorder its events, then traversals that are not its own.
+      const std::pair<const Schedule, const std::vector<NodeId>*> variants[] = {
+          {s, &order},
+          {snapped(t, s, 1.0), &order},
+          {snapped(t, s, 16.0), &order},
+          {jittered(t, s, seed++), &order},
+          {negative_zeros(t, s), &order},
+          {parents_early(t, s), &order},
+          {s, &reversed},
+          {s, &partial},
+      };
+      for (const auto& [v, trav] : variants) {
+        EXPECT_TRUE(same_score(t, v, *trav)) << nt.name << " " << label;
+        ++cases;
+      }
+    }
+  }
+  EXPECT_EQ(cases, 8 * 6 * static_cast<int>(corpus().size()));
+  // Most layouts take the sweep; the zero-work trees do not.
+  EXPECT_GT(rising, 4 * static_cast<int>(corpus().size()));
+  EXPECT_LT(rising, 6 * static_cast<int>(corpus().size()));
+}
+
+TEST(Differential, ScoreScheduleFallsBackWhenStartsTie) {
+  // A chain whose leaf has work 2^60 and every other task work 1: each
+  // later start is 2^60 + 1 == 2^60, so the starts tie and the replay
+  // orders them by id, not by the traversal.
+  const NodeId n = 6;
+  std::vector<NodeId> parent{kNoNode};
+  for (NodeId i = 1; i < n; ++i) parent.push_back(i - 1);
+  std::vector<double> work(n, 1.0);
+  work[n - 1] = std::ldexp(1.0, 60);
+  const Tree t = testing::make_tree(std::move(parent), {3, 1, 4, 1, 5, 9},
+                                    {2, 6, 5, 3, 5, 8}, std::move(work));
+  const std::vector<NodeId> order = postorder(t).order;
+  const Schedule s = sequential_schedule(t, order);
+  ASSERT_FALSE(starts_rise(s, order));
+  EXPECT_TRUE(same_score(t, s, order));
+
+  // NaN and infinite work, last or not, and a NaN start.
+  for (NodeId at : {NodeId{0}, NodeId{2}, n - 1}) {
+    for (double w : {std::nan(""), std::numeric_limits<double>::infinity()}) {
+      std::vector<double> bad(n, 1.0);
+      bad[at] = w;
+      std::vector<NodeId> chain{kNoNode};
+      for (NodeId i = 1; i < n; ++i) chain.push_back(i - 1);
+      const Tree u = testing::make_tree(std::move(chain),
+                                        std::vector<MemSize>(n, 1),
+                                        std::vector<MemSize>(n, 1),
+                                        std::move(bad));
+      const std::vector<NodeId> o = postorder(u).order;
+      EXPECT_TRUE(same_score(u, sequential_schedule(u, o), o))
+          << "work " << w << " at " << at;
+    }
+  }
+  Schedule nan_start = s;
+  nan_start.start[order.front()] = std::nan("");
+  EXPECT_TRUE(same_score(t, nan_start, order));
+}
 }  // namespace
 }  // namespace treesched

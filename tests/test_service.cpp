@@ -8,15 +8,23 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
+#include <cmath>
+#include <iostream>
 #include <limits>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "algorithm_property.hpp"
 #include "campaign/dataset.hpp"
 #include "campaign/runner.hpp"
 #include "core/simulator.hpp"
+#include "parallel/capped_subtrees.hpp"
+#include "parallel/memory_bounded.hpp"
+#include "sched/validate.hpp"
 #include "test_helpers.hpp"
 #include "trees/generators.hpp"
 #include "util/parallel.hpp"
@@ -348,6 +356,148 @@ TEST(SchedulingService, MatchesDirectRegistryCallsForEveryAlgorithm) {
       EXPECT_EQ(resp.schedule->proc, expect_sched.proc) << name;
     }
   }
+}
+
+/// The roster test's trees: two of each property family (zero-work ones
+/// included), a tree small enough for BruteForceSeq, and a chain whose
+/// leaf has work 2^60 and whose other tasks have work 1, so its
+/// traversal's starts tie (2^60 + 1 == 2^60) and scoring must fall back
+/// to the replay.
+std::vector<std::pair<std::string, Tree>> roster_trees() {
+  using testing::Family;
+  std::vector<std::pair<std::string, Tree>> out;
+  for (Family f : {Family::kPebbleShallow, Family::kPebbleDeep,
+                   Family::kWeighted, Family::kAssemblyLike,
+                   Family::kZeroWork, Family::kMixedZeroWork}) {
+    for (std::uint64_t seed : {1, 2}) {
+      out.emplace_back(testing::family_name(f) + "/" + std::to_string(seed),
+                       testing::make_family_tree(f, seed));
+    }
+  }
+  out.emplace_back("oracle", oracle_sized_tree(3));
+  const NodeId n = 8;
+  std::vector<NodeId> parent{kNoNode};
+  for (NodeId i = 1; i < n; ++i) parent.push_back(i - 1);
+  std::vector<double> work(n, 1.0);
+  work[n - 1] = std::ldexp(1.0, 60);
+  out.emplace_back("chain2^60",
+                   testing::make_tree(std::move(parent),
+                                      {3, 1, 4, 1, 5, 9, 2, 6},
+                                      {5, 3, 5, 8, 9, 7, 9, 3},
+                                      std::move(work)));
+  return out;
+}
+
+/// 1.5x the floor of MemoryBounded or CappedSubtrees on `t` at `p`.
+MemSize one_and_a_half_floors(const std::string& algo, const Tree& t, int p) {
+  const MemSize floor =
+      algo == "MemoryBounded"
+          ? min_feasible_cap(t)
+          : capped_subtrees_min_cap(t, std::min<NodeId>(p, t.size()));
+  return floor + floor / 2;
+}
+
+TEST(SchedulingService, AnswersEqualDirectCallsAcrossTheRoster) {
+  const auto trees = roster_trees();
+  int answered = 0;
+  int refused = 0;
+  for (const char* mode : {"cache", "no cache", "validate"}) {
+    ServiceConfig config;
+    if (std::string(mode) == "no cache") config.cache_bytes = 0;
+    config.validate = std::string(mode) == "validate";
+    SchedulingService service(config);
+    for (const auto& [label, tree] : trees) {
+      const TreeHandle handle = service.intern(tree);
+      for (const std::string& name : SchedulerRegistry::instance().names()) {
+        if (name == "TestGate") continue;
+        const SchedulerPtr direct = SchedulerRegistry::instance().create(name);
+        const SchedulerCapabilities caps = direct->capabilities();
+        if (caps.is_oracle() && tree.size() > caps.max_nodes) continue;
+        for (int p : {1, 2, 7, 32}) {
+          SCOPED_TRACE(std::string(mode) + " " + label + " " + name +
+                       " p=" + std::to_string(p));
+          const MemSize cap = caps.memory_capped && !caps.sequential_only
+                                  ? one_and_a_half_floors(name, tree, p)
+                                  : 0;
+          const Schedule want = direct->schedule(tree, Resources{p, cap});
+          const SimulationResult sim = simulate(tree, want);
+          ScheduleRequest req;
+          req.tree = handle;
+          req.algo = name;
+          req.p = p;
+          req.memory_cap = cap;
+          req.want_schedule = true;
+          const ServiceResult got = service.submit(req).wait();
+          if (config.validate && !check_schedule(tree, want, p, cap).ok) {
+            // Validation refuses exactly what check_schedule refuses.
+            ASSERT_FALSE(got.ok());
+            EXPECT_EQ(got.error().code, ErrorCode::kSchedulerFailure);
+            ++refused;
+            continue;
+          }
+          ASSERT_TRUE(got.ok()) << got.error().message;
+          const ScheduleResponse& resp = got.value();
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(resp.makespan),
+                    std::bit_cast<std::uint64_t>(sim.makespan));
+          EXPECT_EQ(resp.peak_memory, sim.peak_memory);
+          ASSERT_NE(resp.schedule, nullptr);
+          EXPECT_EQ(resp.schedule->start, want.start);
+          EXPECT_EQ(resp.schedule->proc, want.proc);
+          ++answered;
+        }
+      }
+    }
+  }
+  // 14 trees x 9 algorithms x 4 p, plus BruteForceSeq on the oracle tree
+  // and the chain, three ways.
+  EXPECT_EQ(answered + refused, 3 * (14 * 9 * 4 + 2 * 4));
+  EXPECT_LT(refused, answered);
+  std::cout << "validation refused " << refused << " of "
+            << answered + refused << " answers\n";
+}
+
+TEST(SchedulingService, ConcurrentMissesShareOneAnalysis) {
+  SchedulingService service;
+  const Tree tree = weighted_tree(11, 2000);
+  const TreeHandle handle = service.intern(tree);
+  const TreeHandle twin = service.intern(weighted_tree(11, 2000));
+  ASSERT_NE(handle.analysis, nullptr);
+  EXPECT_EQ(handle.analysis, twin.analysis)
+      << "identical trees share one analysis";
+
+  // Every cold algorithm plus the two capped ones, submitted at once from
+  // this thread: the shared pool's workers (one per hardware thread)
+  // compute them concurrently, and the first to read the postorder
+  // builds it for all of them.
+  const std::vector<std::string> algos = {
+      "ParSubtrees",   "ParSubtreesOptim", "ParInnerFirst",
+      "ParDeepestFirst", "Liu",            "BestPostorder",
+      "NaturalPostorder", "MemoryBounded", "CappedSubtrees"};
+  const int p = 8;
+  std::vector<Ticket> tickets;
+  for (const std::string& algo : algos) {
+    ScheduleRequest req;
+    req.tree = handle;
+    req.algo = algo;
+    req.p = p;
+    tickets.push_back(service.submit(std::move(req)));
+  }
+  for (std::size_t k = 0; k < algos.size(); ++k) {
+    const ServiceResult got = tickets[k].wait();
+    ASSERT_TRUE(got.ok()) << algos[k] << ": " << got.error().message;
+    const SimulationResult want = simulate(
+        tree,
+        SchedulerRegistry::instance().create(algos[k])->schedule(
+            tree, Resources{p, 0}));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got.value().makespan),
+              std::bit_cast<std::uint64_t>(want.makespan))
+        << algos[k];
+    EXPECT_EQ(got.value().peak_memory, want.peak_memory) << algos[k];
+  }
+  const PostorderResult& shared = handle.analysis->optimal_postorder();
+  const PostorderResult own = postorder(tree, PostorderPolicy::kOptimal);
+  EXPECT_EQ(shared.order, own.order);
+  EXPECT_EQ(shared.peak, own.peak);
 }
 
 TEST(SchedulingService, SequentialAlgorithmsShareOneEntryAcrossP) {
